@@ -65,6 +65,7 @@
 using namespace beer;
 using beerbench::DramTimes;
 using beerbench::HostSpeed;
+using beerbench::SampleGate;
 using beerbench::TimedMemory;
 using dram::SimulatedChip;
 
@@ -114,6 +115,10 @@ const std::vector<std::pair<std::string, std::string>> kLayerMetrics = {
     {"svc.job_s.exact", "s"},
     {"svc.job_s.near", "s"},
     {"svc.job_s.trace", "s"},
+    {"svc.job_ms_p50.cold", "ms"},
+    {"svc.job_ms_p50.exact", "ms"},
+    {"svc.job_ms_p50.near", "ms"},
+    {"svc.job_ms_p50.trace", "ms"},
     {"svc.sat_solves", "count"},
     {"svc.cache.exact_hits", "count"},
     {"svc.cache.near_hits", "count"},
@@ -151,6 +156,8 @@ struct Result
     std::uint64_t failed = 0;
     /** Host-speed scale applied to the durations (see host_speed.hh). */
     double referenceScale = 1.0;
+    /** The end-to-end metrics before scaling (host line only). */
+    std::vector<std::pair<std::string, double>> raw;
     /** name -> (value, unit), printed in insertion order. */
     std::vector<std::pair<std::string, std::pair<double, std::string>>>
         metrics;
@@ -211,7 +218,7 @@ peakRssMb()
     return (double)usage.ru_maxrss / 1024.0; // ru_maxrss is KiB on Linux
 }
 
-/** Emit every per-layer metric, durations at reference speed. */
+/** Emit every per-layer metric, host durations at reference speed. */
 void
 addLayers(Result &result, Layers layers, const HostSpeed &speed)
 {
@@ -225,43 +232,57 @@ addLayers(Result &result, Layers layers, const HostSpeed &speed)
     }
     layers["process.peak_rss_mb"] = peakRssMb();
     result.referenceScale = speed.scale();
-    for (const auto &[name, unit] : kLayerMetrics)
+    for (const auto &[name, unit] : kLayerMetrics) {
+        const bool host_time = (unit == "s" || unit == "ms") &&
+                               name != "session.sim_test_s_per_chip";
         result.add(name,
-                   unit == "s" && name != "session.sim_test_s_per_chip"
-                       ? layers[name] * speed.scale()
-                       : layers[name],
+                   host_time ? layers[name] * speed.scale() : layers[name],
                    unit);
+    }
 }
+
+/** Median set-up seconds of a run, scaled and as measured. */
+struct SetupTime
+{
+    double scaled = 0.0;
+    double raw = 0.0;
+};
 
 /**
  * End-to-end metrics, identical names on every workload; @p throughput
- * and @p latency_ms as measured, reported at reference speed.
+ * and @p latency_ms as measured, reported at reference speed. The
+ * figures as measured go to the host line.
  */
 void
-addEndToEnd(Result &result, double setup_s, double throughput,
+addEndToEnd(Result &result, const SetupTime &setup, double throughput,
             const std::vector<double> &latency_ms, const HostSpeed &speed)
 {
     const double scale = speed.scale();
+    const double p50 = util::quantile(latency_ms, 0.5);
+    const double p90 = util::quantile(latency_ms, 0.9);
     result.referenceScale = scale;
-    result.add("setup_s", setup_s, "s");
+    result.add("setup_s", setup.scaled, "s");
     result.add("throughput_per_s", throughput / scale, "1/s");
-    result.add("latency_ms_p50",
-               util::quantile(latency_ms, 0.5) * scale, "ms");
-    result.add("latency_ms_p90",
-               util::quantile(latency_ms, 0.9) * scale, "ms");
+    result.add("latency_ms_p50", p50 * scale, "ms");
+    result.add("latency_ms_p90", p90 * scale, "ms");
+    result.raw = {{"setup_s", setup.raw},
+                  {"throughput_per_s", throughput},
+                  {"latency_ms_p50", p50},
+                  {"latency_ms_p90", p90}};
 }
 
 /**
  * Run @p make kSetupRepeats times (once when traced), keep the last
- * fixture, and report the median set-up seconds at reference speed
- * (the kernel is timed before and after each set-up).
+ * fixture, and report the median set-up seconds (the kernel is timed
+ * before and after each set-up).
  */
 template <class Fixture>
 std::unique_ptr<Fixture>
-setUp(const Options &opts, double &setup_s,
+setUp(const Options &opts, SetupTime &setup,
       const std::function<std::unique_ptr<Fixture>()> &make)
 {
-    std::vector<double> times;
+    std::vector<double> scaled;
+    std::vector<double> raw;
     std::unique_ptr<Fixture> fixture;
     for (int i = 0; i < (opts.trace ? 1 : kSetupRepeats); ++i) {
         fixture.reset();
@@ -271,9 +292,10 @@ setUp(const Options &opts, double &setup_s,
         fixture = make();
         const double seconds = secondsSince(start);
         speed.sample();
-        times.push_back(seconds * speed.scale());
+        scaled.push_back(seconds * speed.scale());
+        raw.push_back(seconds);
     }
-    setup_s = util::median(times);
+    setup = {util::median(scaled), util::median(raw)};
     return fixture;
 }
 
@@ -354,8 +376,8 @@ sweepItemCorrect(const SweepFixture &f, std::size_t p,
 Result
 runSweep(const Options &opts)
 {
-    double setup_s = 0.0;
-    const auto fixture = setUp<SweepFixture>(opts, setup_s, [&] {
+    SetupTime setup;
+    const auto fixture = setUp<SweepFixture>(opts, setup, [&] {
         auto f = std::make_unique<SweepFixture>();
         f->chip = std::make_unique<SimulatedChip>(
             sweepChipConfig(opts, opts.threads));
@@ -385,7 +407,9 @@ runSweep(const Options &opts)
     double traced_s = 0.0;
     double traced_wall = 0.0;
     double votes = 0.0;
+    double gated = 0.0;
     HostSpeed speed;
+    SampleGate gate(1);
     std::unique_ptr<TimedMemory> timed;
     if (opts.trace)
         timed = std::make_unique<TimedMemory>(*f.twin);
@@ -393,7 +417,7 @@ runSweep(const Options &opts)
     const auto start = Clock::now();
     for (std::size_t item = 0; secondsSince(start) < opts.seconds;
          ++item) {
-        speed.maybeSample();
+        gated += gate.between(speed);
         const std::size_t p = item % f.patterns.size();
         const std::vector<TestPattern> one{f.patterns[p]};
         auto t0 = Clock::now();
@@ -416,7 +440,7 @@ runSweep(const Options &opts)
         votes += (double)traced.totalVotesSpent();
         traced_wall += secondsSince(t0);
     }
-    const double wall = secondsSince(start);
+    const double wall = secondsSince(start) - gated;
 
     // Chip threads must not change the counts: fresh 1-thread and
     // nproc-thread chips measure the first two patterns identically.
@@ -431,7 +455,7 @@ runSweep(const Options &opts)
     }
 
     if (!opts.trace) {
-        addEndToEnd(result, setup_s, (double)observations / wall,
+        addEndToEnd(result, setup, (double)observations / wall,
                     latency_ms, speed);
         return result;
     }
@@ -615,8 +639,8 @@ Result
 runSessions(const Options &opts, const SessionShape &shape)
 {
     const std::size_t pool = opts.tiny ? 8 : shape.poolSize;
-    double setup_s = 0.0;
-    const auto fixture = setUp<SessionFixture>(opts, setup_s, [&] {
+    SetupTime setup;
+    const auto fixture = setUp<SessionFixture>(opts, setup, [&] {
         auto f = std::make_unique<SessionFixture>();
         for (std::size_t i = 0; i < pool; ++i) {
             f->chips.push_back(std::make_unique<SimulatedChip>(
@@ -626,13 +650,16 @@ runSessions(const Options &opts, const SessionShape &shape)
                     sessionChipConfig(opts, shape, i)));
         }
         // Warm-up: one throwaway recovery on a fixed vendor-B chip,
-        // outside the stream and the same for every seed.
+        // outside the stream and, noise included, the same for every
+        // seed.
         dram::ChipConfig warm_config = dram::makeVendorConfig('B', shape.k, 0);
         warm_config.map.rows = 64;
         warm_config.iidErrors = true;
         SimulatedChip warm(warm_config);
+        Options warm_opts = opts;
+        warm_opts.seed = 0;
         double ignored = 0.0;
-        recoverChip(warm, shape, opts, 0, ignored, nullptr);
+        recoverChip(warm, shape, warm_opts, 0, ignored, nullptr);
         return f;
     });
     SessionFixture &f = *fixture;
@@ -659,18 +686,21 @@ runSessions(const Options &opts, const SessionShape &shape)
         /** First item whose traced twin diverged, plus one. */
         std::size_t diverged = 0;
         HostSpeed speed;
-        /** Seconds from the start until this tester stopped. */
+        /** Seconds from the start until this tester stopped, minus the
+         *  seconds it spent in the sample gate. */
         double busy = 0.0;
+        double gated = 0.0;
         /** What an item threw, if one did. */
         std::string error;
     };
     std::vector<Tester> testers(opts.threads);
+    SampleGate gate(opts.threads);
     std::atomic<std::size_t> next{0};
     const auto start = Clock::now();
     const auto test = [&](Tester &t) {
         try {
             while (secondsSince(start) < opts.seconds && !t.diverged) {
-                t.speed.maybeSample();
+                t.gated += gate.between(t.speed);
                 const std::size_t item = next.fetch_add(1);
                 const std::unique_ptr<SimulatedChip> chip =
                     chip_for(f.chips, item);
@@ -703,7 +733,8 @@ runSessions(const Options &opts, const SessionShape &shape)
         } catch (const std::exception &e) {
             t.error = e.what();
         }
-        t.busy = secondsSince(start);
+        gate.leave();
+        t.busy = secondsSince(start) - t.gated;
     };
     std::vector<std::thread> threads;
     for (Tester &t : testers)
@@ -741,7 +772,7 @@ runSessions(const Options &opts, const SessionShape &shape)
     const std::size_t items = latency_ms.size();
 
     if (!opts.trace) {
-        addEndToEnd(result, setup_s, throughput, latency_ms, speed);
+        addEndToEnd(result, setup, throughput, latency_ms, speed);
         return result;
     }
     const double issued = layers["dram.pauses"];
@@ -876,10 +907,17 @@ makeFleet(const Options &opts, int instance)
         f->traceCodes.push_back(chip.groundTruthCode());
     }
 
-    // Chips of one model share their ECC function, so most of a
-    // fleet's requests repeat a known profile: 10% new profiles, 65%
-    // repeats of one of the 16 most recent new ones, 10% truncated
-    // siblings of one, 15% traces.
+    // The request mix. No measured fleet traffic exists, so every share
+    // below is an assumption, not a measurement. Only its premise has a
+    // source: BEER found chips of one model to share their ECC function,
+    // so a chip of a model already seen yields a profile the service has
+    // answered before. Assumed: 10% of requests are chips of a new
+    // model (cold solve); 65% repeat one of the 16 most recently new
+    // profiles (exact hit; a test floor works through a few models at a
+    // time); 10% are such a profile missing its last two patterns
+    // (near match: a shorter test of a sibling chip); 15% are archived
+    // v2 traces (replay). The svc.job_ms_p50.* layer metrics are per
+    // kind, so they hold whatever the real mix is.
     const std::size_t stream_len = opts.tiny ? 4000 : 200000;
     std::size_t issued_new = 0;
     for (std::size_t j = 0; j < stream_len; ++j) {
@@ -918,7 +956,8 @@ struct FleetOutcome
 /** Timing of one closed-loop phase. */
 struct FleetPhase
 {
-    double wall = 0.0;
+    /** Sum of the clients' busy seconds (outside the sample gate). */
+    double clientSeconds = 0.0;
     /** Sum of the clients' own request rates. */
     double throughput = 0.0;
     HostSpeed speed;
@@ -941,17 +980,19 @@ runFleetPhase(const FleetFixture &f, svc::RecoveryService &service,
         HostSpeed speed;
         std::size_t served = 0;
         double busy = 0.0;
+        double gated = 0.0;
         /** What a request threw, if one did. */
         std::string error;
     };
     std::vector<Client> state(opts.threads);
+    SampleGate gate(opts.threads);
     const auto start = Clock::now();
     const auto client = [&](Client &c) {
         // Checking the deadline before claiming an entry means every
         // claimed entry is served: the served set is a prefix.
         try {
             while (secondsSince(start) < seconds) {
-                c.speed.maybeSample();
+                c.gated += gate.between(c.speed);
                 const std::size_t j = next.fetch_add(1);
                 if (j >= limit)
                     break;
@@ -1017,7 +1058,8 @@ runFleetPhase(const FleetFixture &f, svc::RecoveryService &service,
         } catch (const std::exception &e) {
             c.error = e.what();
         }
-        c.busy = secondsSince(start);
+        gate.leave();
+        c.busy = secondsSince(start) - c.gated;
     };
     std::vector<std::thread> clients;
     for (Client &c : state)
@@ -1026,10 +1068,10 @@ runFleetPhase(const FleetFixture &f, svc::RecoveryService &service,
         t.join();
 
     FleetPhase phase;
-    phase.wall = secondsSince(start);
     for (const Client &c : state) {
         if (!c.error.empty())
             util::fatal("fleet: %s", c.error.c_str());
+        phase.clientSeconds += c.busy;
         phase.throughput += (double)c.served / c.busy;
         phase.speed.merge(c.speed);
     }
@@ -1039,10 +1081,10 @@ runFleetPhase(const FleetFixture &f, svc::RecoveryService &service,
 Result
 runFleet(const Options &opts)
 {
-    double setup_s = 0.0;
+    SetupTime setup;
     int instance = 0;
     const auto fixture = setUp<FleetFixture>(
-        opts, setup_s, [&] { return makeFleet(opts, instance++); });
+        opts, setup, [&] { return makeFleet(opts, instance++); });
     FleetFixture &f = *fixture;
 
     // Traced runs split the time between the untraced and the traced
@@ -1062,7 +1104,7 @@ runFleet(const Options &opts)
         latency_ms.push_back(1e3 * o.latency);
     }
     if (!opts.trace) {
-        addEndToEnd(result, setup_s, untraced.throughput, latency_ms,
+        addEndToEnd(result, setup, untraced.throughput, latency_ms,
                     untraced.speed);
         return result;
     }
@@ -1079,19 +1121,23 @@ runFleet(const Options &opts)
         health = service->health();
     }
     Layers layers;
+    // Job body times per kind: their medians do not depend on the mix.
+    std::map<std::string, std::vector<double>> job_ms;
     for (std::size_t j = 0; j < served; ++j) {
         const FleetOutcome &o = traced[j];
         if (o.ok != outcomes[j].ok || o.code != outcomes[j].code)
             diverged("fleet", j);
         layers["svc.submit_s"] += o.submit;
         layers["svc.queue_wait_s"] += o.queueWait;
-        const char *kind =
-            f.stream[j].kind == FleetJob::Kind::Trace ? "svc.job_s.trace"
-            : o.cache == svc::CacheOutcome::Exact     ? "svc.job_s.exact"
-            : o.cache == svc::CacheOutcome::Near      ? "svc.job_s.near"
-                                                      : "svc.job_s.cold";
-        layers[kind] += o.jobSeconds;
+        const char *kind = f.stream[j].kind == FleetJob::Kind::Trace ? "trace"
+                           : o.cache == svc::CacheOutcome::Exact   ? "exact"
+                           : o.cache == svc::CacheOutcome::Near    ? "near"
+                                                                   : "cold";
+        layers[std::string("svc.job_s.") + kind] += o.jobSeconds;
+        job_ms[kind].push_back(1e3 * o.jobSeconds);
     }
+    for (const auto &[kind, ms] : job_ms)
+        layers["svc.job_ms_p50." + kind] = util::median(ms);
     layers["svc.sat_solves"] = (double)health.satSolves;
     layers["svc.cache.exact_hits"] = (double)health.cache.exactHits;
     layers["svc.cache.near_hits"] = (double)health.cache.nearHits;
@@ -1099,8 +1145,8 @@ runFleet(const Options &opts)
     // Clients are the fleet's wall clock: each of them is always either
     // submitting, waiting in the queue, waiting on a job body, or
     // somewhere no layer covers (wake-up, polling, checking).
-    finishLayers(layers, traced_phase.wall * (double)opts.threads,
-                 traced_phase.wall, untraced.wall);
+    finishLayers(layers, traced_phase.clientSeconds,
+                 traced_phase.clientSeconds, untraced.clientSeconds);
     HostSpeed speed = untraced.speed;
     speed.merge(traced_phase.speed);
     addLayers(result, layers, speed);
@@ -1136,6 +1182,7 @@ jsonEscape(const std::string &text)
     return out;
 }
 
+/** Host fingerprint, the applied scale and the unscaled figures. */
 void
 printHost(const Options &opts, const Result &result)
 {
@@ -1143,13 +1190,17 @@ printHost(const Options &opts, const Result &result)
                 "\"simd_backend\": \"%s\", \"popcount_kernel\": \"%s\", "
                 "\"compiler\": \"%s\", \"build_type\": \"%s\", "
                 "\"workload\": \"%s\", \"seed\": %llu, "
-                "\"reference_scale\": %.6f}}\n",
+                "\"reference_scale\": %.6f}, \"raw\": {",
                 jsonEscape(cpuModel()).c_str(), opts.threads,
                 sim::engineKernel(util::simd::Backend::Auto).name,
                 sim::statsReduceKernel().name,
                 jsonEscape("g++ " __VERSION__).c_str(),
                 BEERBENCH_BUILD_TYPE, opts.workload.c_str(),
                 (unsigned long long)opts.seed, result.referenceScale);
+    for (std::size_t i = 0; i < result.raw.size(); ++i)
+        std::printf("%s\"%s\": %.17g", i ? ", " : "",
+                    result.raw[i].first.c_str(), result.raw[i].second);
+    std::printf("}}\n");
 }
 
 void

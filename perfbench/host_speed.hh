@@ -3,21 +3,29 @@
  * Host-speed reference for timings taken on shared machines.
  *
  * On a shared host the same work runs 20-40% slower for minutes at a
- * time, on every core at once, which no run length averages away.
- * Every benchmark thread therefore times a fixed reference kernel at
- * most every 100 ms, right before its next item: integer hashing with
- * data-dependent branches over an L1-resident table, then a pointer
- * chase through a 256 KiB permutation. Reported durations are scaled
- * by kReferenceSeconds / (mean kernel time), so they read as on a host
- * where the kernel takes kReferenceSeconds. The kernel calls no
- * library code, so library changes still show in full.
+ * time, on every core at once, which no run length averages away. The
+ * benchmark therefore times a fixed reference kernel (integer hashing
+ * with data-dependent branches over an L1-resident table, then a
+ * pointer chase through a 256 KiB permutation) during every run, and
+ * scales reported durations by kReferenceSeconds / (mean kernel time),
+ * so they read as on a host where the kernel takes kReferenceSeconds.
+ *
+ * The kernel is only timed while no library code runs: set-up is
+ * bracketed by samples on the main thread, and a SampleGate stops every
+ * benchmark thread between items before any of them times it. Library
+ * worker threads (chip pools, service workers) are idle then, because
+ * each benchmark thread waits for its item to finish. So a library
+ * change that costs CPU, SMT siblings or clock frequency cannot slow
+ * the kernel and cancel itself out of the scaled figures.
  */
 
 #ifndef BEERBENCH_HOST_SPEED_HH
 #define BEERBENCH_HOST_SPEED_HH
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -75,24 +83,14 @@ referenceKernelSeconds()
     return seconds;
 }
 
-/** One thread's reference samples; see file comment. */
+/** Reference samples of one thread or run; see file comment. */
 class HostSpeed
 {
   public:
-    /** Time the kernel unless this object did in the last 100 ms. */
-    void maybeSample()
-    {
-        const auto now = std::chrono::steady_clock::now();
-        if (count_ && now - last_ < std::chrono::milliseconds(100))
-            return;
-        sample();
-    }
-
     void sample()
     {
         sum_ += referenceKernelSeconds();
         ++count_;
-        last_ = std::chrono::steady_clock::now();
     }
 
     void merge(const HostSpeed &other)
@@ -110,7 +108,62 @@ class HostSpeed
   private:
     double sum_ = 0.0;
     std::uint64_t count_ = 0;
-    std::chrono::steady_clock::time_point last_{};
+};
+
+/**
+ * Lets a fixed set of benchmark threads time the kernel together while
+ * none of them runs an item; see file comment. Each thread calls
+ * between() before each item and leave() once when it takes no more.
+ */
+class SampleGate
+{
+  public:
+    /** Time between the end of one sample and the next. */
+    static constexpr std::chrono::milliseconds kPeriod{500};
+
+    explicit SampleGate(std::size_t threads)
+        : barrier_((std::ptrdiff_t)threads, Reschedule{this})
+    {
+    }
+
+    /**
+     * If a sample is due, wait until every other thread has finished its
+     * item, time the kernel into @p speed while the others do too, and
+     * wait until all are done. Returns the seconds spent here, which
+     * belong to no item. The first call on each thread always samples.
+     */
+    double between(HostSpeed &speed)
+    {
+        const auto start = std::chrono::steady_clock::now();
+        if (start.time_since_epoch().count() < next_.load())
+            return 0.0;
+        barrier_.arrive_and_wait();
+        speed.sample();
+        barrier_.arrive_and_wait();
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    }
+
+    /** This thread takes no more items; the others stop waiting for it. */
+    void leave() { barrier_.arrive_and_drop(); }
+
+  private:
+    /** Runs when the last thread arrives: the next sample is kPeriod away. */
+    struct Reschedule
+    {
+        SampleGate *gate;
+        void operator()() noexcept
+        {
+            gate->next_.store(
+                (std::chrono::steady_clock::now() + kPeriod)
+                    .time_since_epoch()
+                    .count());
+        }
+    };
+
+    std::atomic<std::chrono::steady_clock::rep> next_{0};
+    std::barrier<Reschedule> barrier_;
 };
 
 } // namespace beerbench
