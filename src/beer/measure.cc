@@ -362,7 +362,8 @@ measureProfile(dram::MemoryInterface &mem,
     // Fill and read through the batched interface seams: on the
     // transposed simulated chip both run on whole lane words (fills
     // broadcast into the planes, reads decode plane windows through
-    // the wide kernel, sharded over the chip's worker threads);
+    // the wide kernel into a bit-plane frame, sharded over the chip's
+    // worker threads);
     // everywhere else the default per-word loops keep the operation
     // sequence — and any recorded trace — identical to before.
     const auto writeBackEstimator = [&] {
@@ -396,9 +397,10 @@ measureProfile(dram::MemoryInterface &mem,
                 mem.pauseRefresh(pause, config.temperatureC);
                 // Planar fast path (single-vote only; quorum majority
                 // logic wants materialized datawords): backends whose
-                // read results already live in bit-plane layout (v2
-                // trace replay) hand the frame over zero-copy and the
-                // mismatch counting runs plane-parallel. Bookkeeping
+                // read results already live in bit-plane layout (the
+                // transposed simulated chip, v2 trace replay) hand the
+                // frame over zero-copy and the mismatch counting runs
+                // plane-parallel. Bookkeeping
                 // is identical to the scalar branch below, and the
                 // counting arithmetic is the same adds in a different
                 // order-free grouping, so counts are bit-identical.

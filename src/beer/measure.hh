@@ -245,9 +245,10 @@ struct MeasureConfig
     /**
      * Optional worker pool for the planar counting fast path: when the
      * backend serves reads as bit-plane frames (readDatawordsPlanar —
-     * trace replay v2), the per-plane mismatch popcounts are sharded
-     * across this pool. Counting is integer adds per independent
-     * plane, so results are bit-identical at any thread count. Null
+     * the transposed simulated chip, trace replay v2), the per-plane
+     * mismatch popcounts are sharded across this pool. Counting is
+     * integer adds per independent plane, so results are
+     * bit-identical at any thread count. Null
      * counts on the calling thread. Must not be a pool this call is
      * already running inside of (parallelFor is not reentrant).
      */

@@ -189,13 +189,43 @@ TransposedCellStore::decayBernoulli(std::size_t begin, std::size_t end,
     return errors;
 }
 
+namespace
+{
+
+/**
+ * OR @p len bits of @p src starting at bit @p src_bit into @p dst at
+ * bit @p dst_bit, one destination lane word at a time.
+ */
+void
+orBits(std::uint64_t *dst, std::size_t dst_bit, const std::uint64_t *src,
+       std::size_t src_bit, std::size_t len)
+{
+    while (len > 0) {
+        const std::size_t dst_off = dst_bit & 63;
+        const std::size_t src_off = src_bit & 63;
+        const std::size_t take = std::min(len, 64 - dst_off);
+        std::uint64_t bits = src[src_bit / 64] >> src_off;
+        if (src_off + take > 64)
+            bits |= src[src_bit / 64 + 1] << (64 - src_off);
+        if (take < 64)
+            bits &= ((std::uint64_t)1 << take) - 1;
+        dst[dst_bit / 64] |= bits << dst_off;
+        dst_bit += take;
+        src_bit += take;
+        len -= take;
+    }
+}
+
+} // anonymous namespace
+
 void
 readDatawordsWide(const TransposedCellStore &store,
                   const ecc::BitslicedDecoder &decoder,
                   const sim::EngineKernel &kernel,
                   const std::size_t *words, std::size_t count,
                   double transient_rate, util::Rng *rng,
-                  WideReadScratch &scratch, BitVec *out)
+                  WideReadScratch &scratch, std::uint64_t *rows,
+                  std::size_t row_stride)
 {
     const std::size_t n = store.n();
     const std::size_t k = decoder.k();
@@ -205,6 +235,9 @@ readDatawordsWide(const TransposedCellStore &store,
     // Construction is Rng-free, so hoisting it out of the per-word
     // loop keeps the stream identical to sequential scalar reads.
     const util::GeometricSkip flips(noisy ? transient_rate : 0.5);
+
+    for (std::size_t pos = 0; pos < k; ++pos)
+        std::fill_n(rows + pos * row_stride, (count + 63) / 64, 0);
 
     std::size_t i = 0;
     while (i < count) {
@@ -221,6 +254,7 @@ readDatawordsWide(const TransposedCellStore &store,
         const std::size_t lane_limit = lane_base + W * 64;
         if (noisy)
             scratch.seen.assign(W, 0);
+        scratch.segmentEnds.clear();
         std::size_t run = i;
         while (run < count && words[run] >= lane_base &&
                words[run] < lane_limit) {
@@ -233,8 +267,11 @@ readDatawordsWide(const TransposedCellStore &store,
                     break;
                 seen |= bit;
             }
+            if (run > i && words[run] != words[run - 1] + 1)
+                scratch.segmentEnds.push_back(run);
             ++run;
         }
+        scratch.segmentEnds.push_back(run);
 
         const std::uint64_t *err = store.errRow(0) + j0;
         std::size_t err_stride = stride;
@@ -261,22 +298,23 @@ readDatawordsWide(const TransposedCellStore &store,
         kernel.decodeStrided(decoder, err, err_stride, scratch.lanes);
 
         // Post-correction dataword = ref ^ (error ^ correction) over
-        // the data rows (the code is systematic). Row-major scatter:
-        // each data row is loaded once per window, then sprinkled
-        // over the selected lanes.
+        // the data rows (the code is systematic). Each data row of
+        // the window is built once, then every segment of consecutive
+        // words moves into the frame as whole lane words (a lone word
+        // is a one-bit segment).
         for (std::size_t pos = 0; pos < k; ++pos) {
             const std::uint64_t *refw = store.refRow(pos) + j0;
             const std::uint64_t *errw = err + pos * err_stride;
             const std::uint64_t *corr =
                 &scratch.lanes.correction[pos * W];
-            const std::size_t word_at = pos / 64;
-            const std::uint64_t word_bit = (std::uint64_t)1
-                                           << (pos & 63);
-            for (std::size_t t = i; t < run; ++t) {
-                const std::size_t lane = words[t] - lane_base;
-                const std::size_t j = lane / 64;
-                if ((refw[j] ^ errw[j] ^ corr[j]) >> (lane & 63) & 1)
-                    out[t].words()[word_at] |= word_bit;
+            std::uint64_t data[ecc::kMaxSimdWords] = {};
+            for (std::size_t j = 0; j < W; ++j)
+                data[j] = refw[j] ^ errw[j] ^ corr[j];
+            std::uint64_t *row = rows + pos * row_stride;
+            std::size_t t = i;
+            for (const std::size_t end : scratch.segmentEnds) {
+                orBits(row, t, data, words[t] - lane_base, end - t);
+                t = end;
             }
         }
         i = run;

@@ -230,6 +230,8 @@ struct WideReadScratch
     std::vector<std::uint64_t> noisy;
     /** Lanes already read in the current noisy run (duplicate split). */
     std::vector<std::uint64_t> seen;
+    /** End of each consecutive-index segment of the current run. */
+    std::vector<std::size_t> segmentEnds;
 };
 
 /**
@@ -241,15 +243,20 @@ struct WideReadScratch
  * are drawn from @p rng per word in input order — the exact stream a
  * sequential scalar read loop consumes).
  *
- * @p out must hold @p count BitVecs of size decoder.k(), zeroed
- * (e.g. freshly assigned); results are OR-scattered into them.
+ * Results land in a k-row bit-plane frame (the PlanarReadBatch
+ * layout): bit t of row pos — lane word t / 64 of rows + pos *
+ * @p row_stride — is bit pos of the t-th word read. Lane words
+ * [0, ceil(count / 64)) of every row are overwritten, bits at or
+ * beyond @p count left zero. Runs of consecutive ascending indices
+ * move as whole lane words; any other order gathers bit by bit.
  */
 void readDatawordsWide(const TransposedCellStore &store,
                        const ecc::BitslicedDecoder &decoder,
                        const sim::EngineKernel &kernel,
                        const std::size_t *words, std::size_t count,
                        double transient_rate, util::Rng *rng,
-                       WideReadScratch &scratch, gf2::BitVec *out);
+                       WideReadScratch &scratch, std::uint64_t *rows,
+                       std::size_t row_stride);
 
 } // namespace beer::dram
 

@@ -23,8 +23,10 @@ namespace
 constexpr std::size_t kRetentionShardWords = 512;
 
 /** Words per wide-read shard (noise-free batched reads only; reads
- * draw no randomness, so this is purely a scheduling grain). */
+ * draw no randomness, so this is purely a scheduling grain). A
+ * multiple of 64, so shards own whole lane words of the read frame. */
 constexpr std::size_t kReadShardWords = 8192;
+static_assert(kReadShardWords % 64 == 0);
 
 /** splitmix64-style finalizer mapping a mixed key to [0, 1). */
 double
@@ -119,28 +121,29 @@ SimulatedChip::writeDatawordsBroadcast(const std::size_t *words,
     store_->broadcastWrite(codeword, broadcastSel_);
 }
 
-void
-SimulatedChip::readDatawords(const std::size_t *words,
-                             std::size_t count,
-                             std::vector<BitVec> &out)
+bool
+SimulatedChip::readDatawordsPlanar(const std::size_t *words,
+                                   std::size_t count,
+                                   PlanarReadBatch &out)
 {
-    if (!store_) {
-        MemoryInterface::readDatawords(words, count, out);
-        return;
-    }
+    if (!store_)
+        return false;
     prepareWideRead();
-    out.assign(count, BitVec(config_.code.k()));
+    const std::size_t lanes = (count + 63) / 64;
+    readFrame_.resize(config_.code.k() * lanes);
+    out = {readFrame_.data(), lanes, lanes, count};
     if (config_.transientErrorRate > 0.0) {
         // Noisy reads consume the chip Rng per word in order; keep
         // them on one thread so the stream matches sequential reads.
         readDatawordsWide(*store_, *decoder_, *kernel_, words, count,
                           config_.transientErrorRate, &rng_,
-                          readScratch_, out.data());
-        return;
+                          readScratch_, readFrame_.data(), lanes);
+        return true;
     }
     if (config_.threads != 1 && count >= 2 * kReadShardWords) {
-        // Reads draw no randomness and shards write disjoint output
-        // slots, so any split is deterministic.
+        // Reads draw no randomness, and a shard starts on a lane-word
+        // boundary of the frame, so shards write disjoint lane words
+        // and any split is deterministic.
         const std::size_t num_shards =
             (count + kReadShardWords - 1) / kReadShardWords;
         pool().parallelFor(num_shards, [&](std::size_t s) {
@@ -149,13 +152,26 @@ SimulatedChip::readDatawords(const std::size_t *words,
                 std::min(kReadShardWords, count - begin);
             WideReadScratch scratch;
             readDatawordsWide(*store_, *decoder_, *kernel_,
-                              words + begin, len, 0.0, nullptr,
-                              scratch, out.data() + begin);
+                              words + begin, len, 0.0, nullptr, scratch,
+                              readFrame_.data() + begin / 64, lanes);
         });
-        return;
+        return true;
     }
     readDatawordsWide(*store_, *decoder_, *kernel_, words, count, 0.0,
-                      nullptr, readScratch_, out.data());
+                      nullptr, readScratch_, readFrame_.data(), lanes);
+    return true;
+}
+
+void
+SimulatedChip::readDatawords(const std::size_t *words,
+                             std::size_t count,
+                             std::vector<BitVec> &out)
+{
+    PlanarReadBatch frame;
+    if (readDatawordsPlanar(words, count, frame))
+        frame.toDatawords(config_.code.k(), out);
+    else
+        MemoryInterface::readDatawords(words, count, out);
 }
 
 void

@@ -174,12 +174,22 @@ class SimulatedChip : public MemoryInterface
                                  const gf2::BitVec &data) override;
 
     /**
-     * Batched read: with transposed storage, error-plane windows feed
-     * the wide decode kernel directly (no gather copy) and the
-     * post-correction datawords are reconstructed row-major.
-     * Bit-identical to sequential readDataword calls, including the
-     * transient-noise Rng stream; noise-free reads shard over the
-     * configured worker threads.
+     * Batched read as a bit-plane frame: with transposed storage,
+     * error-plane windows feed the wide decode kernel directly (no
+     * gather copy) and the post-correction data rows land in a
+     * chip-owned frame reused across calls, valid until the next
+     * operation on the chip. Bit-identical to sequential readDataword
+     * calls, including the transient-noise Rng stream; noise-free
+     * reads shard over the configured worker threads. Scalar storage
+     * declines (returns false, no side effects).
+     */
+    bool readDatawordsPlanar(const std::size_t *words, std::size_t count,
+                             PlanarReadBatch &out) override;
+
+    /**
+     * Batched read: with transposed storage, the readDatawordsPlanar
+     * frame transposed into datawords, so both batched seams share
+     * one wide read routine; scalar storage reads word by word.
      */
     void readDatawords(const std::size_t *words, std::size_t count,
                        std::vector<gf2::BitVec> &out) override;
@@ -250,6 +260,8 @@ class SimulatedChip : public MemoryInterface
     std::unique_ptr<ecc::BitslicedDecoder> decoder_;
     const sim::EngineKernel *kernel_ = nullptr;
     WideReadScratch readScratch_;
+    /** Frame readDatawordsPlanar serves (k rows of lane words). */
+    std::vector<std::uint64_t> readFrame_;
     /** Selection-mask scratch for writeDatawordsBroadcast. */
     std::vector<std::uint64_t> broadcastSel_;
     std::uint64_t pauseEpoch_ = 0;

@@ -57,6 +57,29 @@ struct PlanarReadBatch
     {
         return rows + pos * rowStride;
     }
+
+    /**
+     * The batch as @p k -bit datawords, in batch order. Only set bits
+     * cost work, so mostly-zero planes transpose nearly for free.
+     * Lane bits at or beyond @p count are ignored, so a frame that
+     * breaks the zero-tail rule cannot write past @p out.
+     */
+    void toDatawords(std::size_t k, std::vector<gf2::BitVec> &out) const
+    {
+        out.assign(count, gf2::BitVec(k));
+        for (std::size_t pos = 0; pos < k; ++pos) {
+            const std::uint64_t *lanes = row(pos);
+            for (std::size_t lw = 0; lw < laneWords; ++lw)
+                for (std::uint64_t bits = lanes[lw]; bits != 0;
+                     bits &= bits - 1) {
+                    const std::size_t t =
+                        lw * 64 + (std::size_t)__builtin_ctzll(bits);
+                    if (t >= count)
+                        break; // the remaining bits are higher still
+                    out[t].set(pos, true);
+                }
+        }
+    }
 };
 
 /** Abstract DRAM-with-on-die-ECC backend; see file comment. */
@@ -122,10 +145,10 @@ class MemoryInterface
      * observably identical to readDatawords — same post-correction
      * data, same side effects, same Rng consumption — differing only
      * in the result container. Backends whose storage is already
-     * columnar (trace replay v2) return true and a view that stays
-     * valid until the next operation; the default declines, and the
-     * caller falls back to readDatawords. A false return must have no
-     * side effects.
+     * columnar (the transposed simulated chip, trace replay v2)
+     * return true and a view that stays valid until the next
+     * operation; the default declines, and the caller falls back to
+     * readDatawords. A false return must have no side effects.
      */
     virtual bool readDatawordsPlanar(const std::size_t *words,
                                      std::size_t count,

@@ -957,6 +957,14 @@ TraceReplayBackend::parseBinary(const std::uint8_t *data, std::size_t len)
                 util::fatal("trace v2: read-frame CRC mismatch in "
                             "record %zu (corrupted trace?)",
                             record_no);
+            // PlanarReadBatch promises zero lane bits past count; a
+            // crafted frame that passes its CRC must not break that.
+            for (std::size_t pos = 0; rec.laneWords && pos < k_; ++pos)
+                if (rec.frame[(pos + 1) * rec.laneWords - 1] &
+                    ~tailMask(rec.count))
+                    util::fatal("trace v2: read frame in record %zu "
+                                "sets lane bits past its %zu words",
+                                record_no, rec.count);
             break;
         }
         case kRecWriteWord:
@@ -1121,40 +1129,15 @@ TraceReplayBackend::readDatawords(const std::size_t *words,
                                   std::vector<BitVec> &out)
 {
     out.clear();
-    out.reserve(count);
     if (count == 0)
         return;
-    const TraceRecord &rec = current("readDatawords");
-    if (rec.kind == TraceRecord::Kind::ReadBatch && elem_ == 0 &&
-        rec.count == count) {
-        bool match = true;
-        for (std::size_t i = 0; i < count; ++i)
-            if (rec.words[i] != words[i]) {
-                match = false;
-                break;
-            }
-        if (match) {
-            // Scatter only the set bits of each plane (errors are
-            // sparse, so most lane words are skipped whole).
-            out.assign(count, BitVec(k_));
-            for (std::size_t pos = 0; pos < k_; ++pos) {
-                const std::uint64_t *row =
-                    rec.frame + pos * rec.laneWords;
-                for (std::size_t lw = 0; lw < rec.laneWords; ++lw) {
-                    std::uint64_t bits = row[lw];
-                    while (bits != 0) {
-                        const std::size_t t =
-                            lw * 64 +
-                            (std::size_t)__builtin_ctzll(bits);
-                        bits &= bits - 1;
-                        out[t].set(pos, true);
-                    }
-                }
-            }
-            consumeRecord();
-            return;
-        }
+    current("readDatawords"); // exhaustion names the batched op
+    PlanarReadBatch frame;
+    if (readDatawordsPlanar(words, count, frame)) {
+        frame.toDatawords(k_, out);
+        return;
     }
+    out.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
         out.push_back(readDataword(words[i]));
 }

@@ -95,14 +95,22 @@ ThreadPool::workerLoop()
         // parallelFor, while submit()ted tasks have nobody waiting.
         if (generation_ != seen) {
             seen = generation_;
+            // A worker that was slow to wake may find the job already
+            // returned: parallelFor clears body_ once its wait is
+            // over. Joining such a job is unsafe, not merely useless
+            // — the caller's next parallelFor resets next_, and this
+            // worker would then claim items of the new job and run
+            // them through the dead job's dangling body pointer (or
+            // claim and drop one past the dead job's count, so the
+            // new job never completes). Skip it instead.
+            if (!body_)
+                continue;
             const std::function<void(std::size_t)> *body = body_;
             const std::size_t count = count_;
+            // Joining under the lock makes the caller wait for us:
+            // it clears body_ only once running_ is back to zero.
             ++running_;
             lock.unlock();
-            // A worker that was slow to wake can observe next_ >=
-            // count here (the job already finished, possibly before
-            // this worker started); runItems then claims nothing and
-            // never touches the potentially stale body pointer.
             runItems(*body, count);
             lock.lock();
             --running_;
@@ -159,6 +167,7 @@ ThreadPool::parallelFor(std::size_t count,
     done_.wait(lock, [&] {
         return completed_.load() >= count_ && running_ == 0;
     });
+    body_ = nullptr;
 }
 
 struct ClaimableTask::State

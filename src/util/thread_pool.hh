@@ -130,7 +130,10 @@ class ThreadPool
     std::atomic<std::uint64_t> queuedTasks_{0};
     std::atomic<std::uint64_t> activeTasks_{0};
     std::atomic<std::uint64_t> completedTasks_{0};
-    /** Current job; body_ is only dereferenced for claimed items. */
+    /**
+     * Current job; null once its parallelFor has returned, so a
+     * worker that wakes late never joins a finished job.
+     */
     const std::function<void(std::size_t)> *body_ = nullptr;
     std::size_t count_ = 0;
     std::atomic<std::size_t> next_{0};

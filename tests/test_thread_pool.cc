@@ -1,15 +1,21 @@
 /**
  * @file
  * Tests for util::ThreadPool: full coverage of the index space, reuse
- * across jobs, degenerate sizes, concurrent mutation safety, and the
- * async task queue with its observability counters.
+ * across jobs, degenerate sizes, concurrent mutation safety, late
+ * workers never touching a returned job, and the async task queue
+ * with its observability counters.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -173,6 +179,55 @@ TEST(ThreadPool, DisjointShardWritesNeedNoSynchronization)
                      [&](std::size_t i) { results[i] = i * i; });
     for (std::size_t i = 0; i < results.size(); ++i)
         EXPECT_EQ(results[i], i * i);
+}
+
+TEST(ThreadPool, LateWorkerNeverRunsAReturnedJob)
+{
+    // Regression: a worker that woke after parallelFor had returned
+    // still joined that job, and once the caller's next parallelFor
+    // reset the item counter it claimed items of the dead job through
+    // a dangling body pointer. Tiny jobs let the caller finish alone
+    // before the workers wake, which is what opens that window; the
+    // changing item count makes a dead body claim out-of-range items,
+    // or consume an index it then never runs. That last case
+    // deadlocks parallelFor, so a watchdog turns a hang into a crash.
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool finished = false;
+    std::thread watchdog([&] {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (!cv.wait_for(lock, std::chrono::seconds(60),
+                         [&] { return finished; })) {
+            std::fprintf(stderr, "parallelFor deadlocked\n");
+            std::abort();
+        }
+    });
+
+    ThreadPool pool(4);
+    constexpr std::uint64_t kJobs = 20000;
+    std::atomic<std::uint64_t> live{0};
+    std::atomic<std::uint64_t> stale{0};
+    for (std::uint64_t job = 1; job <= kJobs; ++job) {
+        const std::size_t count = 2 + (std::size_t)(job % 5) * 3;
+        std::atomic<std::size_t> ran{0};
+        const std::function<void(std::size_t)> body =
+            [&live, &stale, &ran, job, count](std::size_t i) {
+                if (live.load() != job || i >= count)
+                    ++stale;
+                ++ran;
+            };
+        live.store(job);
+        pool.parallelFor(count, body);
+        live.store(0);
+        EXPECT_EQ(ran.load(), count) << "job " << job;
+    }
+    EXPECT_EQ(stale.load(), 0u);
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        finished = true;
+    }
+    cv.notify_all();
+    watchdog.join();
 }
 
 TEST(ThreadPool, ClaimableTaskRunsSynchronouslyOnWorkerlessPool)

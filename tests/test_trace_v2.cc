@@ -20,7 +20,10 @@
 #include "dram/chip.hh"
 #include "dram/fault_proxy.hh"
 #include "dram/trace.hh"
+#include "util/checksum.hh"
 #include "util/thread_pool.hh"
+
+#include "scalar_only.hh"
 
 using namespace beer;
 using beer::dram::ChipConfig;
@@ -31,6 +34,7 @@ using beer::dram::TraceRecord;
 using beer::dram::TraceRecorder;
 using beer::dram::TraceReplayBackend;
 using beer::dram::TraceWriteOptions;
+using beer::test::ScalarOnly;
 
 namespace
 {
@@ -83,48 +87,6 @@ recordMeasurement(char vendor, std::size_t k, std::uint64_t seed,
         chip, patterns, measure, words, out, options);
     return {live, out.str()};
 }
-
-/** Forwards only the scalar MemoryInterface seams to the wrapped
- * backend, so the base class's loop defaults consume its batch
- * records element by element — proving batch boundaries are not part
- * of the replay contract. */
-class ScalarOnly : public dram::MemoryInterface
-{
-  public:
-    explicit ScalarOnly(dram::MemoryInterface &inner) : inner_(inner) {}
-    const dram::AddressMap &addressMap() const override
-    {
-        return inner_.addressMap();
-    }
-    std::size_t datawordBits() const override
-    {
-        return inner_.datawordBits();
-    }
-    void writeDataword(std::size_t word, const gf2::BitVec &d) override
-    {
-        inner_.writeDataword(word, d);
-    }
-    gf2::BitVec readDataword(std::size_t word) override
-    {
-        return inner_.readDataword(word);
-    }
-    void writeByte(std::size_t addr, std::uint8_t value) override
-    {
-        inner_.writeByte(addr, value);
-    }
-    std::uint8_t readByte(std::size_t addr) override
-    {
-        return inner_.readByte(addr);
-    }
-    void fill(std::uint8_t value) override { inner_.fill(value); }
-    void pauseRefresh(double seconds, double temp_c) override
-    {
-        inner_.pauseRefresh(seconds, temp_c);
-    }
-
-  private:
-    dram::MemoryInterface &inner_;
-};
 
 } // anonymous namespace
 
@@ -415,6 +377,57 @@ TEST(TraceV2Death, CorruptedReadFrameIsRejectedAtLoad)
             TraceReplayBackend trace(in);
         },
         "read-frame CRC mismatch.*corrupted trace");
+}
+
+TEST(TraceV2Death, ReadFrameTailBitsAreRejectedAtLoad)
+{
+    // A frame whose CRC is right but which sets a lane bit past its
+    // batch's word count breaks PlanarReadBatch's zero-tail promise
+    // (a consumer would index a dataword that does not exist): the
+    // loader must refuse it. Same raw-frame layout as above: the
+    // 3-word, k = 8 batch is the file's last 64 bytes, its CRC the
+    // 4 bytes at payload offset 12.
+    SimulatedChip chip(testChipConfig('A', 8, 53));
+    std::ostringstream out;
+    {
+        TraceRecorder recorder(chip, out, {TraceFormat::V2, false});
+        const std::size_t words[] = {0, 1, 2};
+        std::vector<gf2::BitVec> read;
+        recorder.writeDatawordsBroadcast(words, 3,
+                                         gf2::BitVec::ones(8));
+        recorder.readDatawords(words, 3, read);
+    }
+    std::string bytes = out.str();
+    const std::size_t frame = bytes.size() - 64;
+    bytes[frame + 56] ^= 0x08; // row 7, lane bit 3 (word count 3)
+    const std::uint32_t crc = util::crc32(bytes.data() + frame, 64);
+    for (int i = 0; i < 4; ++i)
+        bytes[frame - 4 + i] = (char)((crc >> (8 * i)) & 0xFF);
+    EXPECT_DEATH(
+        {
+            std::istringstream in(bytes);
+            TraceReplayBackend trace(in);
+        },
+        "read frame in record .* sets lane bits past its 3 words");
+}
+
+TEST(TraceV2, DatawordTransposeIgnoresTailBits)
+{
+    // toDatawords must stay inside the batch even when handed a frame
+    // that breaks the zero-tail rule.
+    const std::uint64_t rows[2] = {0b1101, ~std::uint64_t{0}};
+    dram::PlanarReadBatch batch;
+    batch.rows = rows;
+    batch.rowStride = 1;
+    batch.laneWords = 1;
+    batch.count = 3;
+    std::vector<gf2::BitVec> words;
+    batch.toDatawords(2, words);
+    ASSERT_EQ(words.size(), 3u);
+    // Row 0 = 1,0,1 over words 0..2; row 1 is all ones.
+    EXPECT_TRUE(words[0].get(0) && words[0].get(1));
+    EXPECT_TRUE(!words[1].get(0) && words[1].get(1));
+    EXPECT_TRUE(words[2].get(0) && words[2].get(1));
 }
 
 TEST(TraceV2Death, TruncatedTraceIsRejectedAtLoad)

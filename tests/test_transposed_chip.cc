@@ -10,8 +10,9 @@
  *
  *  - pauseRefresh error patterns (iid, repeatable per-cell, and VRT
  *    modes) cell for cell via storedCodeword;
- *  - reads — sequential readDataword, batched readDatawords, and the
- *    transient-noise Rng stream shared by both;
+ *  - reads — sequential readDataword, batched readDatawords, the
+ *    planar frame readDatawordsPlanar serves, and the transient-noise
+ *    Rng stream shared by all three;
  *  - the byte read-modify-write path (which must not scrub errors);
  *  - measureProfile counts, including SIMD-backend and thread-count
  *    invariance and trace record/replay round-trips;
@@ -44,6 +45,8 @@
 #include "ecc/hamming.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
+
+#include "scalar_only.hh"
 
 using namespace beer;
 using dram::CellType;
@@ -701,4 +704,275 @@ TEST(TransposedChip, DuplicateWordsInNoisyBatchMatchSequentialReads)
     for (std::size_t t = 0; t < words.size(); ++t)
         ASSERT_EQ(batch[t], sequential.readDataword(words[t]))
             << "read " << t << " (word " << words[t] << ")";
+}
+
+// ---- planar read frames ----------------------------------------------
+
+namespace
+{
+
+/** Datawords of a planar read frame; bits past the count must be 0. */
+std::vector<BitVec>
+frameWords(const dram::PlanarReadBatch &frame, std::size_t k)
+{
+    EXPECT_EQ(frame.laneWords, (frame.count + 63) / 64);
+    std::vector<BitVec> words(frame.count, BitVec(k));
+    for (std::size_t pos = 0; pos < k; ++pos) {
+        const std::uint64_t *row = frame.row(pos);
+        for (std::size_t t = 0; t < frame.count; ++t)
+            words[t].set(pos, (row[t / 64] >> (t % 64)) & 1);
+        if (frame.count % 64 != 0) {
+            EXPECT_EQ(row[frame.laneWords - 1] >> (frame.count % 64),
+                      0u)
+                << "tail of row " << pos;
+        }
+    }
+    return words;
+}
+
+/**
+ * Word lists a batched read must serve in input order: every word,
+ * the true-cell words (gapped row blocks on vendor C), reversed,
+ * shuffled, duplicated, and a prefix whose count is not a multiple
+ * of 64.
+ */
+std::vector<std::vector<std::size_t>>
+readOrders(const SimulatedChip &chip, std::uint64_t seed)
+{
+    std::vector<std::size_t> all(chip.numWords());
+    for (std::size_t w = 0; w < all.size(); ++w)
+        all[w] = w;
+    const std::vector<std::size_t> sorted = dram::trueCellWords(chip);
+    const std::vector<std::size_t> reversed(sorted.rbegin(),
+                                            sorted.rend());
+    // Scattered lists cost one window decode per read, so they stay
+    // short; the full-length orders already span several shards.
+    const std::size_t scattered = std::min<std::size_t>(sorted.size(), 3000);
+    std::vector<std::size_t> shuffled(sorted.begin(),
+                                      sorted.begin() + scattered);
+    Rng rng(seed);
+    for (std::size_t i = shuffled.size(); i > 1; --i)
+        std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
+    std::vector<std::size_t> duplicated;
+    for (std::size_t i = 0; i < scattered; i += 3) {
+        duplicated.push_back(sorted[i]);
+        duplicated.push_back(sorted[i]);
+        duplicated.push_back(sorted[(i * 7) % scattered]);
+    }
+    const std::vector<std::size_t> ragged(
+        sorted.begin(), sorted.begin() + (sorted.size() / 64) * 64 - 23);
+    return {all, sorted, reversed, shuffled, duplicated, ragged};
+}
+
+/**
+ * Program two random datawords over a scrambled split of the words,
+ * then inject retention errors at a 5% BER.
+ */
+void
+programAndDecay(SimulatedChip &chip)
+{
+    Rng rng(41);
+    std::vector<std::size_t> halves[2];
+    for (std::size_t w = 0; w < chip.numWords(); ++w)
+        halves[(w * 0x9e3779b97f4a7c15ULL) >> 63].push_back(w);
+    for (const auto &words : halves)
+        chip.writeDatawordsBroadcast(
+            words.data(), words.size(),
+            randomData(chip.datawordBits(), rng));
+    chip.pauseRefresh(
+        chip.retentionModel().pauseForBitErrorRate(0.05, 80.0), 80.0);
+}
+
+constexpr Backend kAllBackends[] = {Backend::U64x1, Backend::U64x2,
+                                    Backend::U64x4, Backend::U64x8};
+
+} // anonymous namespace
+
+TEST(TransposedChip, PlanarFrameMatchesBatchedAndSequentialReads)
+{
+    // Large enough that every vendor's true-cell list (half the words
+    // on vendor C) spans two read shards, so 4 threads really shard.
+    for (const auto &[vendor, k] :
+         {std::pair{'A', 32}, std::pair{'B', 16}, std::pair{'C', 32}}) {
+        ChipConfig config = makeVendorConfig(vendor, k, 0xD0 + k);
+        config.map.rows = 17000;
+        config.iidErrors = true;
+        config.injection = InjectionMode::SkipSample;
+
+        // Sequential readDataword results (noise-free, so one read per
+        // word serves every order), as datawords and as the frame a
+        // planar read must serve (tail bits zero).
+        SimulatedChip reference(config);
+        programAndDecay(reference);
+        std::vector<BitVec> sequential;
+        for (std::size_t w = 0; w < reference.numWords(); ++w)
+            sequential.push_back(reference.readDataword(w));
+        const auto orders = readOrders(reference, 0xD1);
+        ASSERT_GE(orders[1].size(), 2u * 8192u) << vendor;
+        std::vector<std::vector<BitVec>> expected;
+        std::vector<std::vector<std::uint64_t>> expected_frames;
+        for (const auto &words : orders) {
+            const std::size_t lanes = (words.size() + 63) / 64;
+            expected.emplace_back();
+            expected_frames.emplace_back(k * lanes, 0);
+            for (std::size_t t = 0; t < words.size(); ++t) {
+                expected.back().push_back(sequential[words[t]]);
+                for (std::size_t pos = 0; pos < (std::size_t)k; ++pos)
+                    if (expected.back().back().get(pos))
+                        expected_frames.back()[pos * lanes + t / 64] |=
+                            (std::uint64_t)1 << (t % 64);
+            }
+        }
+
+        for (const Backend backend : kAllBackends) {
+            for (const std::size_t threads : {1u, 4u}) {
+                ChipConfig run = config;
+                run.simdBackend = backend;
+                run.threads = threads;
+                SimulatedChip chip(run);
+                programAndDecay(chip);
+                for (std::size_t o = 0; o < orders.size(); ++o) {
+                    const auto &words = orders[o];
+                    SCOPED_TRACE(testing::Message()
+                                 << vendor << " backend " << (int)backend
+                                 << " threads " << threads << " order "
+                                 << o);
+                    dram::PlanarReadBatch frame;
+                    ASSERT_TRUE(chip.readDatawordsPlanar(
+                        words.data(), words.size(), frame));
+                    ASSERT_EQ(frame.count, words.size());
+                    ASSERT_EQ(frame.laneWords, (words.size() + 63) / 64);
+                    for (std::size_t pos = 0; pos < (std::size_t)k;
+                         ++pos)
+                        ASSERT_TRUE(std::equal(
+                            frame.row(pos),
+                            frame.row(pos) + frame.laneWords,
+                            &expected_frames[o][pos * frame.laneWords]))
+                            << "row " << pos;
+                    std::vector<BitVec> batch;
+                    chip.readDatawords(words.data(), words.size(),
+                                       batch);
+                    ASSERT_TRUE(batch == expected[o]);
+                }
+            }
+        }
+    }
+}
+
+TEST(TransposedChip, NoisyPlanarFrameKeepsTheSequentialRngStream)
+{
+    for (const char vendor : {'A', 'B', 'C'}) {
+        ChipConfig config = diffConfig(vendor, 16, 0xE0 + vendor);
+        config.iidErrors = true;
+        config.injection = InjectionMode::SkipSample;
+        config.transientErrorRate = 0.02;
+
+        for (const Backend backend : kAllBackends) {
+            for (const std::size_t threads : {1u, 4u}) {
+                ChipConfig run = config;
+                run.simdBackend = backend;
+                run.threads = threads;
+                SimulatedChip planar(run);
+                SimulatedChip batched(run);
+                SimulatedChip sequential(run);
+                for (SimulatedChip *chip :
+                     {&planar, &batched, &sequential})
+                    programAndDecay(*chip);
+
+                // The three chips share one noise stream: each order
+                // must read identically, and consume the same draws.
+                for (const auto &words : readOrders(planar, 0xE1)) {
+                    dram::PlanarReadBatch frame;
+                    ASSERT_TRUE(planar.readDatawordsPlanar(
+                        words.data(), words.size(), frame));
+                    const std::vector<BitVec> from_frame =
+                        frameWords(frame, 16);
+                    std::vector<BitVec> batch;
+                    batched.readDatawords(words.data(), words.size(),
+                                          batch);
+                    for (std::size_t t = 0; t < words.size(); ++t) {
+                        const BitVec expected =
+                            sequential.readDataword(words[t]);
+                        ASSERT_EQ(from_frame[t], expected)
+                            << vendor << " read " << t;
+                        ASSERT_EQ(batch[t], expected)
+                            << vendor << " read " << t;
+                    }
+                }
+
+                // Rng state afterwards: equal streams keep drawing the
+                // same transient flips and the same forked shard
+                // streams in the next refresh pause.
+                for (std::size_t w = 0; w < planar.numWords(); ++w) {
+                    const BitVec expected = sequential.readDataword(w);
+                    ASSERT_EQ(planar.readDataword(w), expected) << w;
+                    ASSERT_EQ(batched.readDataword(w), expected) << w;
+                }
+                for (SimulatedChip *chip : {&planar, &batched})
+                    ASSERT_EQ(chip->rawErrorCount(),
+                              sequential.rawErrorCount());
+                for (SimulatedChip *chip :
+                     {&planar, &batched, &sequential})
+                    programAndDecay(*chip);
+                expectSameCells(planar, sequential);
+                expectSameCells(batched, sequential);
+            }
+        }
+    }
+}
+
+TEST(TransposedChip, ScalarStorageDeclinesPlanarReads)
+{
+    ChipConfig config = diffConfig('A', 16, 0xE8);
+    config.storage = ChipStorage::Scalar;
+    config.transientErrorRate = 0.02;
+    SimulatedChip scalar(config);
+    SimulatedChip untouched(config);
+    const std::vector<std::size_t> words = {0, 1, 2, 3};
+    dram::PlanarReadBatch frame;
+    EXPECT_FALSE(
+        scalar.readDatawordsPlanar(words.data(), words.size(), frame));
+    // No side effects: the noise stream was not consumed.
+    for (std::size_t w = 0; w < scalar.numWords(); ++w)
+        ASSERT_EQ(scalar.readDataword(w), untouched.readDataword(w));
+}
+
+TEST(TransposedChip, TraceBytesDoNotDependOnPlanarReads)
+{
+    // The recorder writes planar frames as they come for a chip that
+    // serves them, and transposes datawords for one that does not;
+    // both must produce the same bytes in either trace format.
+    for (const char vendor : {'A', 'C'}) {
+        for (const dram::TraceFormat format :
+             {dram::TraceFormat::V1, dram::TraceFormat::V2}) {
+            const std::size_t k = 16;
+            ChipConfig config = diffConfig(vendor, k, 0xF0);
+            config.iidErrors = true;
+            const auto patterns = chargedPatterns(k, 1);
+            MeasureConfig measure;
+            measure.repeatsPerPause = 2;
+            measure.pausesSeconds.assign(
+                1, config.retention.pauseForBitErrorRate(0.08, 80.0));
+            dram::TraceWriteOptions options;
+            options.format = format;
+
+            SimulatedChip served(config);
+            std::ostringstream served_trace;
+            const ProfileCounts served_counts = recordProfileTrace(
+                served, patterns, measure, dram::trueCellWords(served),
+                served_trace, options);
+
+            SimulatedChip inner(config);
+            test::ScalarOnly declined(inner);
+            std::ostringstream declined_trace;
+            const ProfileCounts declined_counts = recordProfileTrace(
+                declined, patterns, measure, dram::trueCellWords(inner),
+                declined_trace, options);
+
+            EXPECT_TRUE(countsEqual(served_counts, declined_counts))
+                << vendor;
+            EXPECT_EQ(served_trace.str(), declined_trace.str())
+                << vendor << " format " << (int)format;
+        }
+    }
 }
