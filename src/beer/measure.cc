@@ -170,6 +170,26 @@ MeasureConfig::paperDefault()
     return config;
 }
 
+void
+majorityVotePlanar(std::uint64_t *votes, std::size_t n,
+                   std::size_t frame_words)
+{
+    for (std::size_t w = 0; w < frame_words; ++w) {
+        std::uint64_t differs = 0;
+        for (std::size_t v = 1; v < n; ++v)
+            differs |= votes[v * frame_words + w] ^ votes[w];
+        for (; differs != 0; differs &= differs - 1) {
+            const std::uint64_t bit = differs & (~differs + 1);
+            std::size_t set = 0;
+            for (std::size_t v = 0; v < n; ++v)
+                set += (votes[v * frame_words + w] & bit) != 0;
+            // Ties keep the first vote's bit, i.e. flip nothing.
+            if (2 * set != n && (2 * set > n) != ((votes[w] & bit) != 0))
+                votes[w] ^= bit;
+        }
+    }
+}
+
 namespace
 {
 
@@ -191,8 +211,8 @@ emptyCounts(std::size_t k, const std::vector<TestPattern> &patterns)
  * Count per-bit mismatches of one planar read batch against the
  * written dataword, adding into @p error_counts. Plane pos mismatches
  * where its lane bits differ from data[pos], so the count is a
- * popcount of row XOR fill — identical arithmetic to the scalar
- * per-read loop, just 64 words at a time. Planes are independent and
+ * popcount of row XOR fill — the per-(word, bit) mismatch count, 64
+ * words at a time. Planes are independent and
  * the adds are integer, so sharding over @p pool is bit-identical at
  * any thread count.
  */
@@ -226,6 +246,29 @@ countMismatchesPlanar(const dram::PlanarReadBatch &batch,
             countPlane(pos);
 }
 
+/** Reused read buffers: quorum vote frames laid end to end, and a
+ *  declining backend's datawords with their transposed frame. */
+struct SweepFrames
+{
+    std::vector<std::uint64_t> votes;
+    std::vector<BitVec> datawords;
+    std::vector<std::uint64_t> transposed;
+};
+
+/** One read sweep as a bit-plane frame: the backend's view, else its
+ *  datawords transposed. Valid until the next backend operation. */
+dram::PlanarReadBatch
+readSweep(dram::MemoryInterface &mem, const std::vector<std::size_t> &words,
+          std::size_t k, SweepFrames &frames)
+{
+    dram::PlanarReadBatch batch;
+    if (mem.readDatawordsPlanar(words.data(), words.size(), batch))
+        return batch;
+    mem.readDatawords(words.data(), words.size(), frames.datawords);
+    return dram::PlanarReadBatch::fromDatawords(
+        frames.datawords.data(), words.size(), k, frames.transposed);
+}
+
 /** One experiment's quorum verdict (see quorumVote). */
 struct QuorumOutcome
 {
@@ -238,11 +281,10 @@ struct QuorumOutcome
 };
 
 /**
- * Quorum voting for one experiment. @p reads holds the first vote on
- * entry and the per-(word, bit) majority on return; additional votes
- * are read only here, so disabled quorum never reaches this function
- * and the historical single-read operation sequence is preserved
- * exactly.
+ * Quorum voting for one experiment: reads every vote into
+ * frames.votes and leaves the per-(word, bit) majority in the first.
+ * Only quorum runs reach this function, so disabled quorum keeps the
+ * historical single-read operation sequence exactly.
  *
  * Fixed policy (quorum.adaptive == false): quorum.votes base reads,
  * any disagreement escalates straight to @c escalatedVotes.
@@ -259,25 +301,36 @@ struct QuorumOutcome
 QuorumOutcome
 quorumVote(dram::MemoryInterface &mem,
            const std::vector<std::size_t> &words,
-           const QuorumConfig &quorum, std::vector<BitVec> &reads,
-           double estimate, std::uint64_t prior_disagreements,
-           std::uint64_t prior_experiments)
+           const QuorumConfig &quorum, double estimate,
+           std::uint64_t prior_disagreements,
+           std::uint64_t prior_experiments, SweepFrames &frames)
 {
     const std::size_t k = mem.datawordBits();
+    const std::size_t lanes = (words.size() + 63) / 64;
+    const std::size_t frame_words = k * lanes;
     const std::size_t base =
         quorum.adaptive ? std::max<std::size_t>(2, quorum.votes)
                         : quorum.votes;
-    std::vector<std::vector<BitVec>> votes;
-    votes.push_back(reads);
+    frames.votes.resize(
+        std::max({base, quorum.confirmVotes, quorum.escalatedVotes}) *
+        frame_words);
+
+    // Each vote is copied out of the backend's view, which dies at
+    // the next read. Returns whether it differs from the first vote.
+    std::size_t n = 0;
+    const auto readVote = [&] {
+        const auto batch = readSweep(mem, words, k, frames);
+        std::uint64_t *vote = frames.votes.data() + n++ * frame_words;
+        for (std::size_t pos = 0; pos < k; ++pos)
+            std::copy_n(batch.row(pos), lanes, vote + pos * lanes);
+        return !std::equal(vote, vote + frame_words,
+                           frames.votes.data());
+    };
 
     QuorumOutcome outcome;
-    std::vector<BitVec> extra;
-    for (std::size_t v = 1; v < base; ++v) {
-        mem.readDatawords(words.data(), words.size(), extra);
-        outcome.disagreed = outcome.disagreed || extra != votes.front();
-        votes.push_back(extra);
-    }
-    outcome.reads = votes.size();
+    while (n < base)
+        outcome.disagreed = readVote() || outcome.disagreed;
+    outcome.reads = n;
     if (!outcome.disagreed)
         return outcome;
 
@@ -301,26 +354,10 @@ quorumVote(dram::MemoryInterface &mem,
             target = std::max(base, quorum.confirmVotes);
         }
     }
-    while (votes.size() < target) {
-        mem.readDatawords(words.data(), words.size(), extra);
-        votes.push_back(extra);
-    }
-    outcome.reads = votes.size();
-
-    // Per-(word, bit) majority; ties resolve to the first vote.
-    const std::size_t n = votes.size();
-    for (std::size_t w = 0; w < reads.size(); ++w) {
-        for (std::size_t bit = 0; bit < k; ++bit) {
-            std::size_t set = 0;
-            for (std::size_t v = 0; v < n; ++v)
-                if (votes[v][w].get(bit))
-                    ++set;
-            const bool majority = 2 * set == n
-                                      ? votes.front()[w].get(bit)
-                                      : 2 * set > n;
-            reads[w].set(bit, majority);
-        }
-    }
+    while (n < target)
+        readVote();
+    outcome.reads = n;
+    majorityVotePlanar(frames.votes.data(), n, frame_words);
     return outcome;
 }
 
@@ -371,7 +408,8 @@ measureProfile(dram::MemoryInterface &mem,
             *config.estimator = estimator;
     };
 
-    std::vector<BitVec> reads;
+    SweepFrames frames;
+    const std::size_t lanes = (words.size() + 63) / 64;
     for (std::size_t p = 0; p < patterns.size(); ++p) {
         // Honor a pending SIGINT/SIGTERM between patterns: a partial
         // profile still thresholds into usable constraints, whereas
@@ -395,34 +433,15 @@ measureProfile(dram::MemoryInterface &mem,
                 mem.writeDatawordsBroadcast(words.data(), words.size(),
                                             data);
                 mem.pauseRefresh(pause, config.temperatureC);
-                // Planar fast path (single-vote only; quorum majority
-                // logic wants materialized datawords): backends whose
-                // read results already live in bit-plane layout (the
-                // transposed simulated chip, v2 trace replay) hand the
-                // frame over zero-copy and the mismatch counting runs
-                // plane-parallel. Bookkeeping
-                // is identical to the scalar branch below, and the
-                // counting arithmetic is the same adds in a different
-                // order-free grouping, so counts are bit-identical.
-                dram::PlanarReadBatch planar;
-                if (!use_quorum &&
-                    mem.readDatawordsPlanar(words.data(), words.size(),
-                                            planar)) {
-                    ++counts.votesSpent[p];
-                    ++estimator.votesSpent;
-                    ++experiments;
-                    counts.wordsTested[p] += words.size();
-                    countMismatchesPlanar(planar, data, k,
-                                          counts.errorCounts[p],
-                                          config.pool);
-                    continue;
-                }
-                mem.readDatawords(words.data(), words.size(), reads);
+                // Every read is a bit-plane frame (the backend's view,
+                // a declining backend's datawords transposed, or the
+                // quorum majority), counted by one popcount path.
+                dram::PlanarReadBatch batch;
                 if (use_quorum) {
                     const QuorumOutcome outcome = quorumVote(
-                        mem, words, config.quorum, reads,
-                        estimator.rate, counts.disagreements[p],
-                        experiments);
+                        mem, words, config.quorum, estimator.rate,
+                        counts.disagreements[p], experiments, frames);
+                    batch = {frames.votes.data(), lanes, lanes, words.size()};
                     if (outcome.disagreed)
                         ++counts.disagreements[p];
                     counts.votesSpent[p] += outcome.reads;
@@ -435,18 +454,15 @@ measureProfile(dram::MemoryInterface &mem,
                     else if (outcome.disagreed)
                         ++estimator.confirmations;
                 } else {
+                    batch = readSweep(mem, words, k, frames);
                     ++counts.votesSpent[p];
                     ++estimator.votesSpent;
                 }
                 ++experiments;
                 counts.wordsTested[p] += words.size();
-                for (const BitVec &read : reads) {
-                    if (read == data)
-                        continue;
-                    for (std::size_t bit = 0; bit < k; ++bit)
-                        if (read.get(bit) != data.get(bit))
-                            ++counts.errorCounts[p][bit];
-                }
+                countMismatchesPlanar(batch, data, k,
+                                      counts.errorCounts[p],
+                                      config.pool);
             }
         }
     }

@@ -243,13 +243,11 @@ struct MeasureConfig
      */
     std::function<bool()> cancel;
     /**
-     * Optional worker pool for the planar counting fast path: when the
-     * backend serves reads as bit-plane frames (readDatawordsPlanar —
-     * the transposed simulated chip, trace replay v2), the per-plane
-     * mismatch popcounts are sharded across this pool. Counting is
-     * integer adds per independent plane, so results are
-     * bit-identical at any thread count. Null
-     * counts on the calling thread. Must not be a pool this call is
+     * Optional worker pool for the mismatch counting: every read is
+     * counted as a bit-plane frame, and the per-plane popcounts are
+     * sharded across this pool. Counting is integer adds per
+     * independent plane, so results are bit-identical at any thread
+     * count. Null counts on the calling thread. Must not be a pool this call is
      * already running inside of (parallelFor is not reentrant).
      */
     util::ThreadPool *pool = nullptr;
@@ -275,6 +273,16 @@ measureProfile(dram::MemoryInterface &mem,
                const std::vector<TestPattern> &patterns,
                const MeasureConfig &config,
                const std::vector<std::size_t> &words_under_test = {});
+
+/**
+ * Quorum majority over bit-plane frames: @p n frames of @p frame_words
+ * uint64s lie end to end at @p votes, and frame 0 receives the per-bit
+ * majority; ties (even @p n) resolve to frame 0's bit. Only bits where
+ * some vote differs from frame 0 are counted, so agreeing frames cost
+ * one XOR pass. measureProfile's quorum reads vote through this.
+ */
+void majorityVotePlanar(std::uint64_t *votes, std::size_t n,
+                        std::size_t frame_words);
 
 /**
  * Back-compat wrapper: measure on a simulated chip using its
@@ -313,9 +321,9 @@ recordProfileTrace(dram::MemoryInterface &mem,
  * result is bit-identical to what the recording run measured,
  * whichever format the trace is stored in.
  *
- * @p pool optionally shards the planar counting fast path (v2 traces)
- * across worker threads; see MeasureConfig::pool. Results stay
- * bit-identical at any thread count.
+ * @p pool optionally shards the mismatch counting across worker
+ * threads; see MeasureConfig::pool. Results stay bit-identical at any
+ * thread count.
  */
 ProfileCounts replayProfileTrace(dram::TraceReplayBackend &trace,
                                  util::ThreadPool *pool = nullptr);

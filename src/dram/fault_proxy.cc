@@ -15,6 +15,7 @@ FaultInjectionProxy::FaultInjectionProxy(MemoryInterface &inner,
                                          FaultInjectionConfig config)
     : inner_(inner),
       config_(std::move(config)),
+      k_(inner_.datawordBits()),
       rng_(config_.seed ^ 0xfa017)
 {
     for (const StuckAtFault &fault : config_.stuckAt) {
@@ -41,8 +42,20 @@ FaultInjectionProxy::effectiveFlipRate(std::uint64_t op) const
     return rate;
 }
 
+/** One word's lane of a bit-plane frame: bit @c mask of each row. */
+struct FaultInjectionProxy::FrameLane
+{
+    std::uint64_t *lane;
+    std::size_t stride;
+    std::uint64_t mask;
+
+    bool get(std::size_t bit) const { return lane[bit * stride] & mask; }
+    void flip(std::size_t bit) { lane[bit * stride] ^= mask; }
+};
+
+template <typename Word>
 void
-FaultInjectionProxy::perturbRead(std::size_t word_index, BitVec &data)
+FaultInjectionProxy::perturbRead(std::size_t word_index, Word &&data)
 {
     const std::uint64_t op = readOps_++;
     if (config_.throwEveryReads &&
@@ -57,13 +70,11 @@ FaultInjectionProxy::perturbRead(std::size_t word_index, BitVec &data)
             std::this_thread::sleep_for(std::chrono::duration<double>(
                 config_.stallSeconds));
     }
-    const double rate = effectiveFlipRate(op);
-    if (rate > 0.0) {
-        for (std::size_t bit = 0; bit < data.size(); ++bit) {
-            if (rng_.bernoulli(rate)) {
-                data.flip(bit);
-                ++injectedFlips_;
-            }
+    const util::BernoulliThreshold flip(effectiveFlipRate(op));
+    for (std::size_t bit = 0; bit < k_; ++bit) {
+        if (flip(rng_)) {
+            data.flip(bit);
+            ++injectedFlips_;
         }
     }
     for (std::size_t i = 0; i < config_.patternFaults.size(); ++i) {
@@ -82,7 +93,8 @@ FaultInjectionProxy::perturbRead(std::size_t word_index, BitVec &data)
     for (const StuckAtFault &fault : config_.stuckAt) {
         if (fault.wordIndex != word_index)
             continue;
-        data.set(fault.bit, fault.value);
+        if (data.get(fault.bit) != fault.value)
+            data.flip(fault.bit);
         ++stuckAtHits_;
     }
 }
@@ -95,11 +107,33 @@ FaultInjectionProxy::readDataword(std::size_t word_index)
     return data;
 }
 
+bool
+FaultInjectionProxy::readDatawordsPlanar(const std::size_t *words,
+                                         std::size_t count,
+                                         PlanarReadBatch &out)
+{
+    PlanarReadBatch inner;
+    if (!inner_.readDatawordsPlanar(words, count, inner))
+        return false;
+    frame_.assign(inner.rows, inner.row(k_ - 1) + inner.laneWords);
+    for (std::size_t i = 0; i < count; ++i)
+        perturbRead(words[i],
+                    FrameLane{frame_.data() + i / 64, inner.rowStride,
+                              std::uint64_t{1} << (i % 64)});
+    out = {frame_.data(), inner.rowStride, inner.laneWords, count};
+    return true;
+}
+
 void
 FaultInjectionProxy::readDatawords(const std::size_t *words,
                                    std::size_t count,
                                    std::vector<BitVec> &out)
 {
+    PlanarReadBatch frame;
+    if (readDatawordsPlanar(words, count, frame)) {
+        frame.toDatawords(k_, out);
+        return;
+    }
     inner_.readDatawords(words, count, out);
     for (std::size_t i = 0; i < count; ++i)
         perturbRead(words[i], out[i]);

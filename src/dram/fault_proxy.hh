@@ -16,8 +16,8 @@
  * with every backend: a SimulatedChip, a TraceReplayBackend, or
  * another proxy.
  *
- * Writes and refresh pauses pass through untouched; only read paths
- * (readDataword/readByte) are perturbed. With every chaos knob at its
+ * Writes and refresh pauses pass through untouched; only reads (word,
+ * bit-plane frame, byte) are perturbed. With every chaos knob at its
  * default the proxy is transparent: reads pass through bit-identical
  * and no Rng draws are consumed.
  */
@@ -155,12 +155,15 @@ class FaultInjectionProxy : public MemoryInterface
     }
 
     /**
-     * Batched reads stay batched through the proxy: the wrapped
-     * backend reads all words first (its own Rng stream, in word
-     * order), then the proxy perturbs each result in word order (its
-     * own Rng stream). The two streams are independent, so the
-     * results are bit-identical to interleaved sequential reads.
+     * The wrapped backend's frame, copied to a reused buffer and
+     * perturbed word by word in batch order: reads, counters and throw
+     * points match sequential readDataword calls (the two Rng streams
+     * are independent). Declines, side-effect free, with the backend.
      */
+    bool readDatawordsPlanar(const std::size_t *words, std::size_t count,
+                             PlanarReadBatch &out) override;
+
+    /** The planar read transposed; else the backend's batch, perturbed. */
     void readDatawords(const std::size_t *words, std::size_t count,
                        std::vector<gf2::BitVec> &out) override;
 
@@ -202,14 +205,20 @@ class FaultInjectionProxy : public MemoryInterface
     std::uint64_t throwsInjected() const { return throwsInjected_; }
 
   private:
-    /** Apply transient flips and stuck-at pins to one read result. */
-    void perturbRead(std::size_t word_index, gf2::BitVec &data);
+    struct FrameLane;
+
+    /** Apply one read op's faults to a BitVec or FrameLane (get/flip). */
+    template <typename Word>
+    void perturbRead(std::size_t word_index, Word &&data);
 
     /** Flip rate in force for read op @p op (max of base/window/burst). */
     double effectiveFlipRate(std::uint64_t op) const;
 
     MemoryInterface &inner_;
     FaultInjectionConfig config_;
+    std::size_t k_;
+    /** Frame readDatawordsPlanar serves (k rows of lane words). */
+    std::vector<std::uint64_t> frame_;
     util::Rng rng_;
     gf2::BitVec lastBroadcast_;
     std::uint64_t injectedFlips_ = 0;

@@ -59,6 +59,29 @@ struct PlanarReadBatch
     }
 
     /**
+     * @p count k-bit datawords transposed into @p frame (k rows of
+     * ceil(count / 64) lane words, zero tail), viewed as a batch: the
+     * inverse of toDatawords. Only set bits cost work.
+     */
+    static PlanarReadBatch fromDatawords(const gf2::BitVec *reads,
+                                         std::size_t count, std::size_t k,
+                                         std::vector<std::uint64_t> &frame)
+    {
+        const std::size_t lanes = (count + 63) / 64;
+        frame.assign(k * lanes, 0);
+        for (std::size_t t = 0; t < count; ++t)
+            for (std::size_t w = 0; w < reads[t].numWords(); ++w)
+                for (std::uint64_t bits = reads[t].words()[w]; bits != 0;
+                     bits &= bits - 1) {
+                    const std::size_t pos =
+                        w * 64 + (std::size_t)__builtin_ctzll(bits);
+                    frame[pos * lanes + t / 64] |= std::uint64_t{1}
+                                                   << (t % 64);
+                }
+        return PlanarReadBatch{frame.data(), lanes, lanes, count};
+    }
+
+    /**
      * The batch as @p k -bit datawords, in batch order. Only set bits
      * cost work, so mostly-zero planes transpose nearly for free.
      * Lane bits at or beyond @p count are ignored, so a frame that
@@ -145,10 +168,11 @@ class MemoryInterface
      * observably identical to readDatawords — same post-correction
      * data, same side effects, same Rng consumption — differing only
      * in the result container. Backends whose storage is already
-     * columnar (the transposed simulated chip, trace replay v2)
-     * return true and a view that stays valid until the next
-     * operation; the default declines, and the caller falls back to
-     * readDatawords. A false return must have no side effects.
+     * columnar (the transposed simulated chip, trace replay v2), and
+     * the fault proxy and trace recorder over them, return true and
+     * a view that stays valid until the next operation; the default
+     * declines, and the caller falls back to readDatawords. A false
+     * return must have no side effects.
      */
     virtual bool readDatawordsPlanar(const std::size_t *words,
                                      std::size_t count,

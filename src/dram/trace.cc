@@ -318,26 +318,10 @@ TraceWriter::readBatch(const std::size_t *words, std::size_t count,
                  << '\n';
         return;
     }
-    // Transpose the datawords into a contiguous bit-plane frame; only
-    // set bits cost work, so mostly-zero planes are nearly free.
-    const std::size_t lane_words = wordsFor(count);
-    std::vector<std::uint64_t> frame(k_ * lane_words, 0);
-    for (std::size_t t = 0; t < count; ++t) {
-        const std::uint64_t *src = results[t].words();
-        const std::uint64_t bit = std::uint64_t{1} << (t % 64);
-        const std::size_t lane = t / 64;
-        for (std::size_t w = 0; w < wordsFor(k_); ++w) {
-            std::uint64_t bits = src[w];
-            while (bits != 0) {
-                const std::size_t pos =
-                    w * 64 + (std::size_t)__builtin_ctzll(bits);
-                bits &= bits - 1;
-                frame[pos * lane_words + lane] |= bit;
-            }
-        }
-    }
-    emitReadFrame(wordSetId(words, count), frame.data(), lane_words,
-                  lane_words, count);
+    std::vector<std::uint64_t> frame;
+    readBatchPlanar(words, count,
+                    PlanarReadBatch::fromDatawords(results, count, k_,
+                                                   frame));
 }
 
 void

@@ -238,7 +238,11 @@ parseSizeT(const std::string &text, std::size_t &out)
     for (char c : text) {
         if (c < '0' || c > '9')
             return false;
-        value = value * 10 + (std::size_t)(c - '0');
+        // Out of range is malformed, not a wrapped number.
+        if (__builtin_mul_overflow(value, (std::size_t)10, &value) ||
+            __builtin_add_overflow(value, (std::size_t)(c - '0'),
+                                   &value))
+            return false;
     }
     out = value;
     return true;

@@ -10,6 +10,7 @@
 #ifndef BEER_UTIL_RNG_HH
 #define BEER_UTIL_RNG_HH
 
+#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -87,6 +88,44 @@ class Rng
     std::uint64_t s_[4];
     double cachedNormal_ = 0.0;
     bool hasCachedNormal_ = false;
+};
+
+/**
+ * rng.bernoulli(p) with the threshold precomputed, for callers that
+ * draw many trials at one rate. For 0 < p < 1 bernoulli() succeeds
+ * when (next() >> 11) * 2^-53 < p; scaling by 2^53 is exact, so that
+ * is the integer compare (next() >> 11) < ceil(p * 2^53) on the same
+ * draw. Rates p <= 0 and p >= 1 consume no draw, as in bernoulli().
+ * @p p must not be NaN.
+ */
+class BernoulliThreshold
+{
+  public:
+    explicit BernoulliThreshold(double p)
+        : bound_(p >= 1.0  ? kAlways
+                 : p > 0.0 ? (std::uint64_t)std::ceil(p * 0x1.0p53)
+                           : 0)
+    {
+    }
+
+    /** One trial; bit-identical to rng.bernoulli(p). */
+    bool operator()(Rng &rng) const
+    {
+        if (bound_ == 0 || bound_ == kAlways)
+            return bound_ != 0;
+        return accepts(rng.next());
+    }
+
+    /** Outcome of a trial whose raw draw is @p draw (0 < p < 1). */
+    bool accepts(std::uint64_t draw) const
+    {
+        return (draw >> 11) < bound_;
+    }
+
+  private:
+    /** Marks p >= 1; real bounds never exceed 2^53. */
+    static constexpr std::uint64_t kAlways = ~std::uint64_t{0};
+    std::uint64_t bound_;
 };
 
 /**

@@ -11,13 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <sstream>
 
 #include "beer/beer.hh"
 #include "beer/session.hh"
 #include "dram/chip.hh"
 #include "dram/fault_proxy.hh"
+#include "dram/trace.hh"
 #include "ecc/code_equiv.hh"
 #include "ecc/hamming.hh"
+
+#include "scalar_only.hh"
 
 using namespace beer;
 using beer::dram::ChipConfig;
@@ -73,6 +78,118 @@ exhaustiveProfile(const ecc::LinearCode &code, std::size_t k)
         profile.patterns.push_back(std::move(entry));
     }
     return profile;
+}
+
+/** FNV-1a over @p bytes: a stable fingerprint of a recorded trace. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** The pinned noisy-quorum run: one k=16 chip behind transient plus
+ *  burst noise, adaptive quorum, recorded as a v2 trace. */
+struct PinnedNoisyRun
+{
+    ProfileCounts counts;
+    QuorumEstimator estimator;
+    std::uint64_t injectedFlips = 0;
+    std::uint64_t readOps = 0;
+    std::string trace;
+};
+
+PinnedNoisyRun
+runPinnedNoisyQuorum(bool record)
+{
+    const std::size_t k = 16;
+    SimulatedChip chip(testChipConfig('A', k, 7700));
+    FaultInjectionConfig chaos;
+    chaos.transientFlipRate = 1e-4;
+    chaos.burst = {2048, 64, 5e-4};
+    chaos.seed = 4258;
+    FaultInjectionProxy proxy(chip, chaos);
+
+    PinnedNoisyRun run;
+    MeasureConfig measure = fastMeasure(chip);
+    measure.quorum.votes = 3;
+    measure.quorum.escalatedVotes = 7;
+    measure.quorum.adaptive = true;
+    run.estimator.rate = measure.quorum.initialEstimate;
+    measure.estimator = &run.estimator;
+    const auto words = dram::trueCellWords(chip);
+    const auto patterns = chargedPatterns(k, 1);
+    if (record) {
+        std::ostringstream out(std::ios::binary);
+        run.counts = recordProfileTrace(
+            proxy, patterns, measure, words, out,
+            dram::TraceWriteOptions{dram::TraceFormat::V2, true});
+        run.trace = out.str();
+    } else {
+        run.counts = measureProfile(proxy, patterns, measure, words);
+    }
+    run.injectedFlips = proxy.injectedFlips();
+    run.readOps = proxy.readOps();
+    return run;
+}
+
+/** Every proxy counter, for all-counters-equal checks. */
+std::vector<std::uint64_t>
+proxyCounters(const FaultInjectionProxy &proxy)
+{
+    return {proxy.injectedFlips(), proxy.stuckAtHits(),
+            proxy.readOps(),       proxy.stallsInjected(),
+            proxy.patternHits(),   proxy.throwsInjected()};
+}
+
+/** The three proxy read routes over same-seed chips. */
+enum class ReadRoute
+{
+    Frame,
+    Datawords,
+    Sequential
+};
+
+/** Read @p words through @p proxy by @p route, as datawords. */
+std::vector<gf2::BitVec>
+readBy(FaultInjectionProxy &proxy, ReadRoute route,
+       const std::vector<std::size_t> &words)
+{
+    std::vector<gf2::BitVec> out;
+    switch (route) {
+    case ReadRoute::Frame: {
+        dram::PlanarReadBatch frame;
+        EXPECT_TRUE(proxy.readDatawordsPlanar(words.data(), words.size(),
+                                              frame));
+        frame.toDatawords(proxy.datawordBits(), out);
+        break;
+    }
+    case ReadRoute::Datawords:
+        proxy.readDatawords(words.data(), words.size(), out);
+        break;
+    case ReadRoute::Sequential:
+        for (std::size_t word : words)
+            out.push_back(proxy.readDataword(word));
+        break;
+    }
+    return out;
+}
+
+/** A ragged word list with duplicates: 135 words, two full lane
+ *  words and 7 more; words[7] appears at least three times. */
+std::vector<std::size_t>
+raggedWords(std::size_t num_words)
+{
+    std::vector<std::size_t> words;
+    for (std::size_t i = 0; i < 133; ++i)
+        words.push_back((i * 37 + i / 5) % num_words);
+    words.push_back(words[7]);
+    words.push_back(words[7]);
+    return words;
 }
 
 } // anonymous namespace
@@ -139,6 +256,132 @@ TEST(Chaos, BatchedReadsMatchScalarFlipForFlip)
     EXPECT_GT(batched.injectedFlips(), 0u);
     EXPECT_GT(batched.stuckAtHits(), 0u);
     EXPECT_EQ(scalar.readOps(), batched.readOps());
+}
+
+// The proxy's bit-plane frame, its readDatawords and sequential
+// readDataword calls must agree on every read and every counter
+// under each kind of fault: windows, bursts, partial-rate and
+// expiring pattern faults, stuck-at pins, stalls, over a ragged word
+// list with duplicates.
+TEST(Chaos, PlanarFrameMatchesDatawordsAndScalarReads)
+{
+    const std::size_t k = 16;
+    SimulatedChip probe(testChipConfig('B', k, 7003));
+    const std::vector<std::size_t> words = raggedWords(probe.numWords());
+
+    gf2::BitVec trigger(k);
+    trigger.set(4, true);
+    FaultInjectionConfig chaos;
+    chaos.transientFlipRate = 2e-3;
+    chaos.windows.push_back({300, 420, 0.05});
+    chaos.burst = {256, 16, 0.02};
+    chaos.patternFaults.push_back({trigger, 9, 0.5, 0});
+    chaos.patternFaults.push_back({trigger, 2, 1.0, 40});
+    chaos.stuckAt.push_back({words[3], 5, true});
+    chaos.stuckAt.push_back({words[7], 0, false}); // a duplicated word
+    chaos.stuckAt.push_back({words[7], 11, true});
+    chaos.stallEveryReads = 97;
+    chaos.seed = 314;
+
+    std::vector<std::unique_ptr<SimulatedChip>> chips;
+    std::vector<std::unique_ptr<FaultInjectionProxy>> proxies;
+    for (int route = 0; route < 3; ++route) {
+        chips.push_back(std::make_unique<SimulatedChip>(
+            testChipConfig('B', k, 7003)));
+        proxies.push_back(
+            std::make_unique<FaultInjectionProxy>(*chips.back(), chaos));
+    }
+    const double pause =
+        probe.retentionModel().pauseForBitErrorRate(0.1, 80.0);
+    for (int round = 0; round < 6; ++round) {
+        const gf2::BitVec data = round % 2 ? trigger : gf2::BitVec(k);
+        std::vector<std::vector<gf2::BitVec>> reads;
+        for (int route = 0; route < 3; ++route) {
+            proxies[route]->writeDatawordsBroadcast(words.data(),
+                                                    words.size(), data);
+            proxies[route]->pauseRefresh(pause, 80.0);
+            reads.push_back(
+                readBy(*proxies[route], (ReadRoute)route, words));
+        }
+        EXPECT_EQ(reads[0], reads[1]) << "round " << round;
+        EXPECT_EQ(reads[0], reads[2]) << "round " << round;
+        EXPECT_EQ(proxyCounters(*proxies[0]), proxyCounters(*proxies[1]));
+        EXPECT_EQ(proxyCounters(*proxies[0]), proxyCounters(*proxies[2]));
+    }
+    const FaultInjectionProxy &proxy = *proxies[0];
+    EXPECT_GT(proxy.injectedFlips(), proxy.patternHits());
+    EXPECT_GT(proxy.patternHits(), 40u);
+    EXPECT_GT(proxy.stuckAtHits(), 0u);
+    EXPECT_GT(proxy.stallsInjected(), 0u);
+    EXPECT_EQ(proxy.readOps(), 6 * words.size());
+}
+
+// An injected throw fires at the same read op on every route and
+// leaves the counters equal; the next batch resumes in step.
+TEST(Chaos, PlanarFrameThrowsMidBatchLikeScalarReads)
+{
+    const std::size_t k = 16;
+    FaultInjectionConfig chaos;
+    chaos.transientFlipRate = 0.01;
+    chaos.throwEveryReads = 100;
+    chaos.seed = 2718;
+
+    std::vector<std::unique_ptr<SimulatedChip>> chips;
+    std::vector<std::unique_ptr<FaultInjectionProxy>> proxies;
+    for (int route = 0; route < 3; ++route) {
+        chips.push_back(std::make_unique<SimulatedChip>(
+            testChipConfig('A', k, 7004)));
+        proxies.push_back(
+            std::make_unique<FaultInjectionProxy>(*chips.back(), chaos));
+    }
+    const std::vector<std::size_t> words =
+        raggedWords(chips[0]->numWords());
+    const std::vector<std::size_t> head(words.begin(), words.begin() + 60);
+    for (int route = 0; route < 3; ++route) {
+        FaultInjectionProxy &proxy = *proxies[route];
+        // 60 clean ops, then a batch whose 40th word throws.
+        readBy(proxy, (ReadRoute)route, head);
+        EXPECT_THROW(readBy(proxy, (ReadRoute)route, words),
+                     dram::InjectedReadFailure);
+        EXPECT_EQ(proxy.readOps(), 100u);
+        EXPECT_EQ(proxy.throwsInjected(), 1u);
+    }
+    EXPECT_EQ(proxyCounters(*proxies[0]), proxyCounters(*proxies[1]));
+    EXPECT_EQ(proxyCounters(*proxies[0]), proxyCounters(*proxies[2]));
+    std::vector<std::vector<gf2::BitVec>> reads;
+    for (int route = 0; route < 3; ++route)
+        reads.push_back(readBy(*proxies[route], (ReadRoute)route, head));
+    EXPECT_EQ(reads[0], reads[1]);
+    EXPECT_EQ(reads[0], reads[2]);
+    EXPECT_EQ(proxyCounters(*proxies[0]), proxyCounters(*proxies[1]));
+    EXPECT_EQ(proxyCounters(*proxies[0]), proxyCounters(*proxies[2]));
+    EXPECT_GT(proxies[0]->injectedFlips(), 0u);
+}
+
+// Over a backend that declines the planar seam the proxy declines
+// too, before drawing from its Rng or counting a read op.
+TEST(Chaos, PlanarFrameDeclinesWithTheInnerBackend)
+{
+    FaultInjectionConfig chaos;
+    chaos.transientFlipRate = 0.05;
+    chaos.stuckAt.push_back({1, 3, true});
+    chaos.seed = 77;
+    SimulatedChip chip(testChipConfig('A', 16, 7005));
+    test::ScalarOnly scalar(chip);
+    FaultInjectionProxy proxy(scalar, chaos);
+    SimulatedChip twin_chip(testChipConfig('A', 16, 7005));
+    FaultInjectionProxy twin(twin_chip, chaos);
+
+    const std::vector<std::size_t> words = raggedWords(chip.numWords());
+    dram::PlanarReadBatch frame;
+    EXPECT_FALSE(
+        proxy.readDatawordsPlanar(words.data(), words.size(), frame));
+    EXPECT_EQ(proxyCounters(proxy),
+              std::vector<std::uint64_t>(6, 0));
+    // Still in step with a proxy that never saw the declined call.
+    EXPECT_EQ(readBy(proxy, ReadRoute::Datawords, words),
+              readBy(twin, ReadRoute::Frame, words));
+    EXPECT_EQ(proxyCounters(proxy), proxyCounters(twin));
 }
 
 // The acceptance differential: under transient + burst noise, quorum
@@ -436,4 +679,61 @@ TEST(Diagnosis, ContradictoryProfileHasZeroSolutions)
     const BeerSolveResult contradicted = solveForEccFunction(profile);
     EXPECT_TRUE(contradicted.complete);
     EXPECT_TRUE(contradicted.solutions.empty());
+}
+
+// Golden values for the noisy quorum stream: counts, the proxy's
+// counters, the adaptive estimator and a fingerprint of the recorded
+// v2 trace, pinned as literals. The batched-vs-scalar differentials
+// compare two routes with each other and cannot see a change both
+// routes share; this test can.
+TEST(Chaos, NoisyQuorumStreamIsPinned)
+{
+    const PinnedNoisyRun run = runPinnedNoisyQuorum(/*record=*/true);
+    const std::vector<std::vector<std::uint64_t>> error_counts = {
+        {888, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 404, 0, 0, 422, 0},
+        {199, 1004, 0, 0, 0, 0, 0, 212, 0, 0, 220, 198, 191, 193, 206, 0},
+        {0, 0, 1033, 239, 0, 0, 185, 170, 0, 0, 0, 0, 0, 194, 0, 208},
+        {0, 0, 0, 864, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 355},
+        {0, 0, 0, 0, 915, 0, 392, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+        {82, 128, 118, 84, 57, 1130, 108, 132, 72, 92, 84, 109, 84, 116,
+         125, 131},
+        {0, 0, 0, 0, 0, 0, 902, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+        {0, 0, 0, 0, 0, 0, 0, 896, 0, 0, 0, 0, 0, 0, 0, 0},
+        {0, 0, 0, 0, 0, 0, 0, 0, 952, 0, 0, 0, 0, 0, 406, 0},
+        {0, 0, 0, 0, 0, 0, 0, 0, 0, 949, 0, 409, 0, 0, 0, 413},
+        {0, 0, 0, 0, 0, 0, 0, 404, 0, 0, 854, 0, 0, 0, 389, 0},
+        {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 961, 0, 0, 0, 0},
+        {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 401, 913, 406, 0, 0},
+        {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 883, 0, 0},
+        {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 916, 0},
+        {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 948},
+    };
+    EXPECT_EQ(run.counts.errorCounts, error_counts);
+    EXPECT_EQ(run.counts.wordsTested,
+              std::vector<std::uint64_t>(16, 9600));
+    EXPECT_EQ(run.counts.disagreements,
+              (std::vector<std::uint64_t>{28, 40, 40, 33, 37, 39, 37, 38,
+                                          41, 33, 39, 43, 44, 40, 43,
+                                          39}));
+    EXPECT_EQ(run.counts.votesSpent,
+              (std::vector<std::uint64_t>{253, 289, 309, 293, 281, 309,
+                                          333, 313, 309, 293, 305, 277,
+                                          281, 333, 285, 305}));
+    EXPECT_EQ(run.injectedFlips, 1135u);
+    EXPECT_EQ(run.readOps, 610304u);
+    EXPECT_EQ(run.estimator.rate, 0x1.4804cd893478ap-4);
+    EXPECT_EQ(run.estimator.samples, 1200u);
+    EXPECT_EQ(run.estimator.votesSpent, 4768u);
+    EXPECT_EQ(run.estimator.escalations, 292u);
+    EXPECT_EQ(run.estimator.confirmations, 322u);
+    EXPECT_EQ(run.trace.size(), 556448u);
+    EXPECT_EQ(fnv1a(run.trace), 0x9aa8b2b38134ebb0ULL);
+
+    // Recording is transparent: the same run unrecorded counts alike.
+    const PinnedNoisyRun plain = runPinnedNoisyQuorum(/*record=*/false);
+    EXPECT_EQ(plain.counts.errorCounts, run.counts.errorCounts);
+    EXPECT_EQ(plain.counts.disagreements, run.counts.disagreements);
+    EXPECT_EQ(plain.counts.votesSpent, run.counts.votesSpent);
+    EXPECT_EQ(plain.injectedFlips, run.injectedFlips);
+    EXPECT_EQ(plain.readOps, run.readOps);
 }

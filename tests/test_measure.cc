@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "beer/measure.hh"
 #include "beer/profile.hh"
@@ -17,6 +19,10 @@
 #include "dram/trace.hh"
 #include "ecc/hamming.hh"
 #include "util/rng.hh"
+#include "util/thread_pool.hh"
+
+#include "ref/quorum_majority.hh"
+#include "scalar_only.hh"
 
 using namespace beer;
 using beer::dram::Chip;
@@ -266,6 +272,157 @@ TEST(Measure, AdaptiveQuorumTraceReplayRoundTrips)
     EXPECT_EQ(live.wordsTested, replayed.wordsTested);
     EXPECT_EQ(live.disagreements, replayed.disagreements);
     EXPECT_EQ(live.votesSpent, replayed.votesSpent);
+}
+
+namespace
+{
+
+/** @p reads as a contiguous k-row bit-plane frame. */
+std::vector<std::uint64_t>
+toFrame(const std::vector<gf2::BitVec> &reads, std::size_t k)
+{
+    const std::size_t lanes = (reads.size() + 63) / 64;
+    std::vector<std::uint64_t> frame(k * lanes, 0);
+    for (std::size_t t = 0; t < reads.size(); ++t)
+        for (std::size_t pos = 0; pos < k; ++pos)
+            if (reads[t].get(pos))
+                frame[pos * lanes + t / 64] |= std::uint64_t{1}
+                                               << (t % 64);
+    return frame;
+}
+
+/** Planar majority of @p votes, transposed back to datawords. */
+std::vector<gf2::BitVec>
+planarMajority(const std::vector<std::vector<gf2::BitVec>> &votes,
+               std::size_t k)
+{
+    const std::size_t count = votes.front().size();
+    const std::size_t lanes = (count + 63) / 64;
+    std::vector<std::uint64_t> frames;
+    for (const auto &vote : votes) {
+        const std::vector<std::uint64_t> frame = toFrame(vote, k);
+        frames.insert(frames.end(), frame.begin(), frame.end());
+    }
+    majorityVotePlanar(frames.data(), votes.size(), k * lanes);
+    std::vector<gf2::BitVec> out;
+    dram::PlanarReadBatch{frames.data(), lanes, lanes, count}
+        .toDatawords(k, out);
+    // The majority keeps the frame's zero tail.
+    const std::vector<std::uint64_t> first(frames.begin(),
+                                           frames.begin() + k * lanes);
+    EXPECT_EQ(toFrame(out, k), first);
+    return out;
+}
+
+} // anonymous namespace
+
+TEST(Measure, PlanarMajorityMatchesReferenceModel)
+{
+    Rng rng(2024);
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t n = 2 + rng.below(6); // 2..7 votes
+        const std::size_t k = std::vector<std::size_t>{8, 16, 32, 57,
+                                                       64, 71}[rng.below(6)];
+        std::size_t count = 1 + rng.below(300);
+        if (count % 64 == 0)
+            ++count;
+        // Votes scatter around one shared read; a high flip rate makes
+        // split votes (and ties, at even n) common.
+        const double flip = trial % 4 == 0 ? 0.0 : 0.15;
+        std::vector<gf2::BitVec> shared(count, gf2::BitVec(k));
+        for (gf2::BitVec &word : shared)
+            for (std::size_t bit = 0; bit < k; ++bit)
+                word.set(bit, rng.bernoulli(0.5));
+        std::vector<std::vector<gf2::BitVec>> votes(n, shared);
+        for (auto &vote : votes)
+            for (gf2::BitVec &word : vote)
+                for (std::size_t bit = 0; bit < k; ++bit)
+                    if (rng.bernoulli(flip))
+                        word.flip(bit);
+        ASSERT_EQ(planarMajority(votes, k), test::ref::quorumMajority(votes))
+            << "trial " << trial << " n " << n << " k " << k << " count "
+            << count;
+    }
+}
+
+TEST(Measure, PlanarMajorityTiesResolveToFirstVote)
+{
+    gf2::BitVec zero(8);
+    gf2::BitVec one(8);
+    one.set(3, true);
+    // 1-1 and 2-2 splits keep the first vote's bit, either way round.
+    for (const auto &votes :
+         std::vector<std::vector<std::vector<gf2::BitVec>>>{
+             {{zero}, {one}},
+             {{one}, {zero}},
+             {{zero}, {one}, {one}, {zero}},
+             {{one}, {zero}, {zero}, {one}},
+         }) {
+        EXPECT_EQ(planarMajority(votes, 8), votes.front());
+        EXPECT_EQ(test::ref::quorumMajority(votes), votes.front());
+    }
+    // A 3-1 split outvotes the first vote.
+    const std::vector<std::vector<gf2::BitVec>> outvoted = {
+        {zero}, {one}, {one}, {one}};
+    EXPECT_EQ(planarMajority(outvoted, 8), outvoted[1]);
+}
+
+TEST(Measure, QuorumCountsMatchWhenTheBackendDeclinesPlanarReads)
+{
+    // Quorum votes from a planar backend and from one that declines
+    // the seam (its datawords transposed into the same frames) must
+    // count identically, with the same proxy stream; so must a run
+    // whose chip reads and mismatch counting shard over threads.
+    for (const bool adaptive : {false, true}) {
+        ChipConfig config = makeVendorConfig('C', 16, 43);
+        config.map.rows = 64;
+        config.iidErrors = true;
+        dram::FaultInjectionConfig chaos;
+        chaos.transientFlipRate = 1e-3;
+        chaos.burst = {512, 32, 1e-2};
+        chaos.seed = 5;
+
+        MeasureConfig mc;
+        mc.repeatsPerPause = 6;
+        mc.quorum.votes = 3;
+        mc.quorum.escalatedVotes = 6;
+        mc.quorum.adaptive = adaptive;
+        const auto patterns = chargedPatterns(16, 1);
+
+        Chip planar_chip(config);
+        mc.pausesSeconds.assign(
+            1, planar_chip.retentionModel().pauseForBitErrorRate(0.2,
+                                                                 80.0));
+        dram::FaultInjectionProxy planar(planar_chip, chaos);
+        const ProfileCounts served = measureProfile(
+            planar, patterns, mc, dram::trueCellWords(planar_chip));
+
+        Chip scalar_chip(config);
+        test::ScalarOnly declining(scalar_chip);
+        dram::FaultInjectionProxy scalar(declining, chaos);
+        const ProfileCounts declined = measureProfile(
+            scalar, patterns, mc, dram::trueCellWords(scalar_chip));
+
+        ChipConfig threaded_config = config;
+        threaded_config.threads = 4;
+        Chip threaded_chip(threaded_config);
+        dram::FaultInjectionProxy threaded(threaded_chip, chaos);
+        util::ThreadPool pool(3);
+        mc.pool = &pool;
+        const ProfileCounts sharded = measureProfile(
+            threaded, patterns, mc, dram::trueCellWords(threaded_chip));
+
+        ASSERT_GT(served.totalDisagreements(), 0u);
+        for (const ProfileCounts *other : {&declined, &sharded}) {
+            EXPECT_EQ(served.errorCounts, other->errorCounts);
+            EXPECT_EQ(served.wordsTested, other->wordsTested);
+            EXPECT_EQ(served.disagreements, other->disagreements);
+            EXPECT_EQ(served.votesSpent, other->votesSpent);
+        }
+        EXPECT_EQ(planar.injectedFlips(), scalar.injectedFlips());
+        EXPECT_EQ(planar.readOps(), scalar.readOps());
+        EXPECT_EQ(planar.injectedFlips(), threaded.injectedFlips());
+    }
 }
 
 TEST(Measure, PaperDefaultConfigShape)

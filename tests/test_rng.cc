@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "util/rng.hh"
@@ -188,4 +190,63 @@ TEST(BernoulliMask, LaneBitsMatchTheRate)
         EXPECT_NEAR((double)lane_ones[lane], draws * p,
                     6.0 * lane_sigma)
             << "lane " << lane;
+}
+
+TEST(BernoulliThreshold, MatchesBernoulliDrawForDraw)
+{
+    const double rates[] = {1e-4,
+                            5e-4,
+                            0x1.0p-53,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::nextafter(1.0, 0.0),
+                            0.0,
+                            1.0,
+                            0.3};
+    for (const double p : rates) {
+        const beer::util::BernoulliThreshold threshold(p);
+        Rng a(97);
+        Rng b(97);
+        std::uint64_t successes = 0;
+        for (int i = 0; i < 200000; ++i) {
+            const bool got = threshold(a);
+            ASSERT_EQ(got, b.bernoulli(p)) << "p " << p << " trial " << i;
+            successes += got;
+        }
+        if (p > 0.0 && p < 0.01) {
+            EXPECT_LT(successes, 200u) << p;
+        }
+        // Same draws consumed, including none at p = 0 and p = 1.
+        EXPECT_EQ(a.next(), b.next()) << p;
+    }
+}
+
+TEST(BernoulliThreshold, AcceptsExactlyTheDrawsBernoulliAccepts)
+{
+    // bernoulli(p) succeeds on a draw d iff (d >> 11) * 2^-53 < p.
+    // Check both outcomes on the 53-bit values around each threshold,
+    // where random trials at tiny or near-one rates never land.
+    const double rates[] = {1e-4, 5e-4, 0x1.0p-53,
+                            std::numeric_limits<double>::denorm_min(),
+                            std::nextafter(1.0, 0.0)};
+    const std::uint64_t top = (std::uint64_t{1} << 53) - 1;
+    for (const double p : rates) {
+        const beer::util::BernoulliThreshold threshold(p);
+        const std::uint64_t edge =
+            (std::uint64_t)std::floor(p * 0x1.0p53);
+        bool seen[2] = {false, false};
+        for (std::uint64_t x : {std::uint64_t{0}, std::uint64_t{1},
+                                edge - std::min<std::uint64_t>(edge, 1),
+                                edge, edge + 1, edge + 2, top - 1,
+                                top}) {
+            x = std::min(x, top);
+            const bool expected = (double)x * 0x1.0p-53 < p;
+            // The low 11 bits of the draw never matter.
+            EXPECT_EQ(threshold.accepts(x << 11), expected)
+                << "p " << p << " x " << x;
+            EXPECT_EQ(threshold.accepts((x << 11) | 0x7ff), expected)
+                << "p " << p << " x " << x;
+            seen[expected] = true;
+        }
+        EXPECT_TRUE(seen[0] && seen[1]) << p;
+    }
 }

@@ -131,6 +131,18 @@ TEST(SvcHttp, QueryParametersReachTheService)
         server.handle("POST", "/v1/jobs?parity=zebra", payload)
             .status,
         400);
+    // 2^64 and beyond are out of range, not wrapped to small values
+    // (2^64 + 5 would otherwise read back as parity 5).
+    for (const char *parity :
+         {"18446744073709551616", "18446744073709551621",
+          "99999999999999999999999", "184467440737095516150"}) {
+        const HttpResponse overflow = server.handle(
+            "POST", std::string("/v1/jobs?parity=") + parity, payload);
+        EXPECT_EQ(overflow.status, 400) << parity;
+        EXPECT_NE(overflow.body.find("bad parity parameter"),
+                  std::string::npos)
+            << parity;
+    }
 }
 
 TEST(SvcHttp, ErrorsMapToStatusCodes)
