@@ -10,6 +10,8 @@
  * far smaller than the paper's generic Z3 formulation). The shape to
  * reproduce: cost grows with k and jumps whenever k crosses a
  * parity-bit boundary, and uniqueness checking dominates total time.
+ * Exits nonzero when a full enumeration is incomplete or misses the
+ * generating code.
  */
 
 #include <chrono>
@@ -22,6 +24,7 @@
 
 #include "beer/profile.hh"
 #include "beer/solver.hh"
+#include "ecc/code_equiv.hh"
 #include "ecc/hamming.hh"
 #include "util/cli.hh"
 #include "util/stats.hh"
@@ -92,6 +95,10 @@ main(int argc, char **argv)
 
     std::ostringstream json_rows;
     bool first_row = true;
+    // Every full enumeration must run to completion and contain the
+    // generating code (up to equivalence); anything else is a solver
+    // bug, whatever the timing says.
+    bool all_correct = true;
 
     for (std::size_t k : k_list) {
         std::vector<double> determine_s;
@@ -128,6 +135,18 @@ main(int argc, char **argv)
                                  (1024.0 * 1024.0));
             conflicts.push_back((double)all.stats.conflicts);
             (void)first;
+            bool found = false;
+            for (const LinearCode &solution : all.solutions)
+                found = found || ecc::equivalent(solution, code);
+            if (!all.complete || !found) {
+                std::fprintf(stderr,
+                             "FAIL: k=%zu code %zu: enumeration %s, "
+                             "generating code %s\n",
+                             k, i,
+                             all.complete ? "complete" : "incomplete",
+                             found ? "found" : "missing");
+                all_correct = false;
+            }
         }
 
         table.addRowOf(k, ecc::parityBitsForDataBits(k),
@@ -177,5 +196,5 @@ main(int argc, char **argv)
             std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
         }
     }
-    return 0;
+    return all_correct ? 0 : 1;
 }

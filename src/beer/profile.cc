@@ -46,6 +46,27 @@ miscorrectionPossible(const ecc::LinearCode &code,
 }
 
 bool
+miscorrectionPossible(const std::vector<std::uint64_t> &columns,
+                      const TestPattern &pattern, std::size_t bit)
+{
+    std::uint64_t charged_parity = 0;
+    for (std::size_t i : pattern)
+        charged_parity ^= columns[i];
+    const std::size_t reduced =
+        pattern.empty() ? 0 : pattern.size() - 1;
+    for (std::size_t subset = 0; subset < ((std::size_t)1 << reduced);
+         ++subset) {
+        std::uint64_t v = columns[bit];
+        for (std::size_t i = 0; i < reduced; ++i)
+            if ((subset >> i) & 1)
+                v ^= columns[pattern[i + 1]];
+        if ((v & ~charged_parity) == 0)
+            return true;
+    }
+    return false;
+}
+
+bool
 miscorrectionPossibleBruteForce(const ecc::LinearCode &code,
                                 const TestPattern &pattern,
                                 std::size_t bit)

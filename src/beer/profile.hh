@@ -22,6 +22,7 @@
 #define BEER_BEER_PROFILE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <istream>
 #include <string>
 #include <vector>
@@ -80,6 +81,14 @@ struct MiscorrectionProfile
  * @p bit must not be one of the pattern's charged positions.
  */
 bool miscorrectionPossible(const ecc::LinearCode &code,
+                           const TestPattern &pattern, std::size_t bit);
+
+/**
+ * miscorrectionPossible() over H's data columns given as p-bit masks
+ * (bit r of @p columns[i] is H[r][i], so p <= 64): the form the
+ * solver's refinement evaluates on every candidate model.
+ */
+bool miscorrectionPossible(const std::vector<std::uint64_t> &columns,
                            const TestPattern &pattern, std::size_t bit);
 
 /**

@@ -344,19 +344,11 @@ Session::solveCore(PendingSolve &ps)
     std::size_t rebuilds_before = 0;
     auto start = Clock::now();
     if (config_.incrementalSolve && incremental_) {
-        // A context prebuilt during round 1 (pipelined mode) holds
-        // only the structural clauses; counting the first solve from
-        // zero keeps its per-round clause accounting identical to a
-        // serial session, whose first solve constructs the context
-        // itself.
-        if (stats_.solveCalls > 0) {
-            clauses_before =
-                incremental_->satSolver().stats().addedClauses;
-            rebuilds_before = incremental_->rebuilds();
-        }
+        clauses_before = incremental_->satSolver().stats().addedClauses;
+        rebuilds_before = incremental_->rebuilds();
     } else {
         // First round, or from-scratch mode: (re)build the context.
-        // Construction encodes the structural constraints.
+        // Construction encodes the eager structural constraints.
         incremental_.emplace(profile_.k,
                              ecc::parityBitsForDataBits(profile_.k),
                              config_.solver);
@@ -771,24 +763,6 @@ Session::runPipelined()
         pool = privatePool_.get();
     }
 
-    // The solver context's structural constraints (column validity,
-    // distinctness, symmetry breaking) depend only on the dataword
-    // geometry, never on measurements — so build the context on a
-    // worker while round 1 measures. Without this the session's first
-    // solve is its most expensive (construction dominates it) and
-    // runs fully exposed; with it, round 1's refresh pauses hide the
-    // construction and the first solve shrinks to round 1's encode
-    // and search. Pure wall-clock: the serial twin runs the identical
-    // construction inside its first solve.
-    util::ClaimableTask prebuild;
-    if (config_.incrementalSolve && !incremental_) {
-        const std::size_t k = mem_.datawordBits();
-        prebuild = util::ClaimableTask(*pool, [this, k] {
-            incremental_.emplace(k, ecc::parityBitsForDataBits(k),
-                                 config_.solver);
-        });
-    }
-
     // Round 1 has nothing else to overlap with (no solve exists yet),
     // and its solve joins inline too: the remaining first-solve work
     // is cheap (the search is underconstrained and the two-solution
@@ -796,7 +770,6 @@ Session::runPipelined()
     // round 2 keeps that round's partition fresh — the deferred
     // schedule would otherwise spend round 2 on an unranked pattern.
     measureRound();
-    prebuild.join();
     solve();
     if (repairNeeded() && !attemptRepair()) {
         notify(SessionStage::Done);

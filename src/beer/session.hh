@@ -27,7 +27,8 @@
  * Solver side, a session owns ONE beer::IncrementalSolver for its
  * whole lifetime (unless SessionConfig::incrementalSolve is off). The
  * structural constraints are encoded exactly once, each solve() round
- * encodes only the patterns measured since the previous round, learned
+ * registers only the patterns measured since the previous round (held
+ * constraints are encoded lazily, as models violate them), learned
  * clauses and branching activity persist across rounds, and the
  * uniqueness-check blocking clauses of round r are retracted before
  * round r+1 (see solver.hh for the group mechanics). Multi-round
@@ -118,9 +119,11 @@ struct SessionProgress
 /** Solver-side accounting for one Session::solve() round. */
 struct SolveRoundStats
 {
-    /** Seconds encoding constraints (CNF construction). */
+    /** Seconds encoding the eager constraints (CNF construction and
+     *  addProfile()). */
     double encodeSeconds = 0.0;
-    /** Seconds enumerating solutions (SAT search). */
+    /** Seconds enumerating solutions (SAT search, including the
+     *  refinement that encodes held constraints a model violates). */
     double searchSeconds = 0.0;
     /** Problem clauses added to the SAT context this round. */
     std::uint64_t clausesAdded = 0;
@@ -298,13 +301,16 @@ struct SessionConfig
      * at two — enough to decide uniqueness and rank the next round —
      * but a stale schedule ranks round r+1 on solve r-1's candidates,
      * some of which round r may already have eliminated, so widening
-     * the set gives the ranking pairs that are still plausible. In
-     * practice the default 2 wins: enumerating past two makes every
-     * tail solve pay the near-UNSAT proof that no further candidate
-     * exists (the expensive part of the final uniqueness check),
-     * which the refresh pauses cannot hide.
+     * the set gives the ranking pairs that are still plausible. The
+     * default is 3: the lazily encoded solver tends to surface a
+     * second candidate one P bit away from the first, so a stale pair
+     * alone says little about what the in-flight solve still has to
+     * decide (k=16, four-row chips, one pattern per round, seeds 1-60
+     * x vendors A/B/C: 9173 experiments per chip at 2 vs 7167 at 3),
+     * and the third candidate is cheap now that enumeration no longer
+     * pays for the full eager encoding.
      */
-    std::size_t deferredCandidates = 2;
+    std::size_t deferredCandidates = 3;
     /**
      * Pool that runs the pipelined solve tasks (at most one in flight
      * per session). Must outlive the session. nullptr = the session

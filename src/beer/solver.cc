@@ -86,19 +86,16 @@ encodeColumnWeights(Encoder &enc, const PVars &vars)
     }
 }
 
-/** Constraint 1 (continued): data columns pairwise distinct. */
+/** Constraint 1 (continued): data columns @p a and @p b differ. */
 void
-encodeDistinctColumns(Encoder &enc, const PVars &vars)
+encodeDistinctPair(Encoder &enc, const PVars &vars, std::size_t a,
+                   std::size_t b)
 {
-    for (std::size_t a = 0; a < vars.k; ++a) {
-        for (std::size_t b = a + 1; b < vars.k; ++b) {
-            std::vector<Lit> diffs;
-            diffs.reserve(vars.p);
-            for (std::size_t r = 0; r < vars.p; ++r)
-                diffs.push_back(enc.mkXor(vars.at(r, a), vars.at(r, b)));
-            enc.require(diffs); // some row differs
-        }
-    }
+    std::vector<Lit> diffs;
+    diffs.reserve(vars.p);
+    for (std::size_t r = 0; r < vars.p; ++r)
+        diffs.push_back(enc.mkXor(vars.at(r, a), vars.at(r, b)));
+    enc.require(diffs); // some row differs
 }
 
 /**
@@ -151,36 +148,47 @@ encodeMiscorrectionPossible(Encoder &enc, const PVars &vars,
     return enc.mkOr(conditions);
 }
 
-/** Constraint 3: one observed profile entry. */
+/** True iff bit @p j of @p entry is encoded eagerly: a positive
+ *  1-CHARGED bit, supp(col_j) subset-of supp(col_c), is pure 2-CNF. */
+bool
+eagerBit(const PatternProfile &entry, std::size_t j)
+{
+    return entry.pattern.size() == 1 && entry.miscorrectable.get(j);
+}
+
+/**
+ * Constraint 3: one observed profile entry's eager bits, or with
+ * @p held its held bits — a negative 1-CHARGED bit costs one small
+ * Tseitin OR, a multi-charged bit the full possible() circuit.
+ */
 void
-encodePatternEntry(Encoder &enc, const PVars &vars,
-                   const PatternProfile &entry)
+encodeEntryBits(Encoder &enc, const PVars &vars,
+                const PatternProfile &entry, bool held)
 {
     const TestPattern &pattern = entry.pattern;
     BEER_ASSERT(!pattern.empty());
 
     if (pattern.size() == 1) {
-        // Specialized 1-CHARGED encoding: possible(c, j) reduces to
-        // supp(col_j) subset-of supp(col_c): pure 2-CNF positives,
-        // one small Tseitin OR for negatives.
         const std::size_t c = pattern[0];
         for (std::size_t j = 0; j < vars.k; ++j) {
-            if (j == c)
+            if (j == c || eagerBit(entry, j) == held)
                 continue;
-            if (entry.miscorrectable.get(j)) {
+            if (!held) {
                 for (std::size_t r = 0; r < vars.p; ++r)
                     enc.require({~vars.at(r, j), vars.at(r, c)});
-            } else {
-                std::vector<Lit> violations;
-                violations.reserve(vars.p);
-                for (std::size_t r = 0; r < vars.p; ++r)
-                    violations.push_back(
-                        enc.mkAnd(vars.at(r, j), ~vars.at(r, c)));
-                enc.require(violations);
+                continue;
             }
+            std::vector<Lit> violations;
+            violations.reserve(vars.p);
+            for (std::size_t r = 0; r < vars.p; ++r)
+                violations.push_back(
+                    enc.mkAnd(vars.at(r, j), ~vars.at(r, c)));
+            enc.require(violations);
         }
         return;
     }
+    if (!held)
+        return;
 
     const std::vector<Lit> u = encodeChargedParity(enc, vars, pattern);
     for (std::size_t j = 0; j < vars.k; ++j) {
@@ -229,19 +237,28 @@ addBlockingClause(Solver &solver, const PVars &vars, const Matrix &model,
 
 struct IncrementalSolver::Impl
 {
+    static constexpr std::size_t kNoRound = SIZE_MAX;
+
     std::size_t k;
     std::size_t p;
     BeerSolverConfig config;
     Solver solver;
     Encoder enc;
     PVars vars;
-    /**
-     * Encoded entries in arrival order (rebuild replays these). Slots
-     * are stable: dropRound() tombstones entries (entryDropped) rather
-     * than erasing them, so round slot lists stay valid.
-     */
-    std::vector<PatternProfile> entries;
-    std::vector<bool> entryDropped;
+
+    /** One profile entry as the context holds it. */
+    struct Slot
+    {
+        PatternProfile entry;
+        /** Owning retractable round (kNoRound outside that mode). */
+        std::size_t round = kNoRound;
+        /** dropRound() tombstone; the slot index stays valid. */
+        bool dropped = false;
+        /** The entry's held bits have been encoded by refinement. */
+        bool held = false;
+    };
+    /** Entries in arrival order (rebuild replays these). */
+    std::vector<Slot> slots;
     std::map<TestPattern, std::size_t> entryIndex;
 
     /** One retractable clause group per addProfile() batch. */
@@ -255,29 +272,104 @@ struct IncrementalSolver::Impl
     /** Populated only when config.retractableProfile. */
     std::vector<Round> rounds;
 
+    /** distinct[a * k + b] (a < b): the pair's distinctness is
+     *  encoded. */
+    std::vector<bool> distinct;
+
     /** Group holding the current round's blocking clauses. */
     sat::GroupId blockGroup = sat::kGroupNone;
     std::size_t rebuilds = 0;
 
     Impl(std::size_t k_, std::size_t p_, const BeerSolverConfig &config_)
         : k(k_), p(p_), config(config_), enc(solver),
-          vars(makePVars(enc, p_, k_))
+          vars(makePVars(enc, p_, k_)), distinct(k_ * k_, false)
     {
         encodeColumnWeights(enc, vars);
-        encodeDistinctColumns(enc, vars);
         if (config.symmetryBreaking)
             encodeRowOrder(enc, vars);
     }
 
+    /** Encode the slot's eager or held bits into its round's group;
+     *  registering (eager) also indexes the pattern. */
     void
-    encodeEntry(const PatternProfile &entry)
+    encodeBits(std::size_t slot, bool held)
     {
-        entryIndex.emplace(entry.pattern, entries.size());
-        entries.push_back(entry);
-        entryDropped.push_back(false);
-        encodePatternEntry(enc, vars, entry);
-        if (!rounds.empty() && enc.group() != sat::kGroupNone)
-            rounds.back().slots.push_back(entries.size() - 1);
+        Slot &s = slots[slot];
+        if (!held)
+            entryIndex.emplace(s.entry.pattern, slot);
+        enc.setGroup(s.round == kNoRound ? sat::kGroupNone
+                                         : rounds[s.round].group);
+        encodeEntryBits(enc, vars, s.entry, held);
+        enc.setGroup(sat::kGroupNone);
+        if (held)
+            s.held = true;
+    }
+
+    /**
+     * Refinement: encode every held constraint the solver's current
+     * model violates (all of them with @p all) — the distinctness of
+     * each equal column pair (permanent: it is evidence-free), and
+     * all held bits of each live, unsuspended entry with a violated
+     * bit.
+     *
+     * @return true iff anything was encoded (the model was spurious)
+     */
+    bool
+    refine(bool all = false)
+    {
+        std::vector<std::uint64_t> columns(k, 0);
+        if (!all)
+            for (std::size_t r = 0; r < p; ++r)
+                for (std::size_t c = 0; c < k; ++c)
+                    if (solver.modelValue(vars.at(r, c).var()))
+                        columns[c] |= std::uint64_t{1} << r;
+
+        bool refined = false;
+        for (std::size_t a = 0; a < k; ++a)
+            for (std::size_t b = a + 1; b < k; ++b)
+                if ((all || columns[a] == columns[b]) &&
+                    !distinct[a * k + b]) {
+                    encodeDistinctPair(enc, vars, a, b);
+                    distinct[a * k + b] = refined = true;
+                }
+        for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+            const Slot &s = slots[slot];
+            if (s.held || s.dropped ||
+                (s.round != kNoRound && rounds[s.round].suspended))
+                continue;
+            bool violated = all;
+            for (std::size_t j = 0; j < k && !violated; ++j)
+                if (!patternContains(s.entry.pattern, j) &&
+                    !eagerBit(s.entry, j))
+                    violated = miscorrectionPossible(
+                                   columns, s.entry.pattern, j) !=
+                               s.entry.miscorrectable.get(j);
+            if (violated) {
+                encodeBits(slot, true);
+                refined = true;
+            }
+        }
+        return refined;
+    }
+
+    /** Solve, refining until the model (if any) is genuine. */
+    sat::SolveResult
+    solveRefined()
+    {
+        sat::SolveResult result;
+        do
+            result = solver.solve();
+        while (result == sat::SolveResult::Sat && refine());
+        return result;
+    }
+
+    /** Retract the previous enumeration's blocking clauses. */
+    void
+    releaseBlocking()
+    {
+        if (blockGroup != sat::kGroupNone)
+            solver.releaseGroup(blockGroup);
+        blockGroup = sat::kGroupNone;
     }
 };
 
@@ -286,7 +378,7 @@ IncrementalSolver::IncrementalSolver(std::size_t k,
                                      BeerSolverConfig config)
 {
     BEER_ASSERT(k >= 1);
-    BEER_ASSERT(num_parity_bits >= 1);
+    BEER_ASSERT(num_parity_bits >= 1 && num_parity_bits <= 64);
     impl_ = std::make_unique<Impl>(k, num_parity_bits, config);
 }
 
@@ -345,42 +437,29 @@ IncrementalSolver::solve(std::size_t max_solutions)
 void
 IncrementalSolver::rebuild()
 {
-    auto entries = std::move(impl_->entries);
-    auto dropped = std::move(impl_->entryDropped);
-    auto rounds = std::move(impl_->rounds);
-    const std::size_t rebuilds = impl_->rebuilds + 1;
-    auto fresh =
-        std::make_unique<Impl>(impl_->k, impl_->p, impl_->config);
-    fresh->rebuilds = rebuilds;
-    if (rounds.empty()) {
-        for (const PatternProfile &entry : entries)
-            fresh->encodeEntry(entry);
+    Impl &old = *impl_;
+    auto fresh = std::make_unique<Impl>(old.k, old.p, old.config);
+    fresh->rebuilds = old.rebuilds + 1;
+    // Round indices, entry slots, suspension and drop state all
+    // survive; held bits are re-encoded only as refinement finds
+    // them violated again.
+    fresh->slots = std::move(old.slots);
+    fresh->rounds = std::move(old.rounds);
+    for (Impl::Slot &slot : fresh->slots)
+        slot.held = false;
+    if (fresh->rounds.empty()) {
+        for (std::size_t slot = 0; slot < fresh->slots.size(); ++slot)
+            fresh->encodeBits(slot, false);
     } else {
-        // Retractable mode: replay round by round so round indices,
-        // entry slots, suspension, and drop state all survive the
-        // rebuild. Tombstoned slots are carried over un-encoded.
-        fresh->entries = std::move(entries);
-        fresh->entryDropped = std::move(dropped);
-        for (const Impl::Round &round : rounds) {
-            Impl::Round nr;
-            nr.slots = round.slots;
-            nr.suspended = round.suspended;
-            nr.dropped = round.dropped;
-            if (!round.dropped) {
-                nr.group = fresh->solver.newGroup();
-                fresh->enc.setGroup(nr.group);
-                for (std::size_t slot : nr.slots) {
-                    if (fresh->entryDropped[slot])
-                        continue;
-                    const PatternProfile &entry = fresh->entries[slot];
-                    fresh->entryIndex.emplace(entry.pattern, slot);
-                    encodePatternEntry(fresh->enc, fresh->vars, entry);
-                }
-                fresh->enc.setGroup(sat::kGroupNone);
-                if (nr.suspended)
-                    fresh->solver.suspendGroup(nr.group);
-            }
-            fresh->rounds.push_back(std::move(nr));
+        for (Impl::Round &round : fresh->rounds) {
+            if (round.dropped)
+                continue;
+            round.group = fresh->solver.newGroup();
+            for (std::size_t slot : round.slots)
+                if (!fresh->slots[slot].dropped)
+                    fresh->encodeBits(slot, false);
+            if (round.suspended)
+                fresh->solver.suspendGroup(round.group);
         }
     }
     impl_ = std::move(fresh);
@@ -399,34 +478,45 @@ IncrementalSolver::addProfile(const MiscorrectionProfile &profile)
     for (const PatternProfile &entry : profile.patterns) {
         const auto it = im.entryIndex.find(entry.pattern);
         if (it != im.entryIndex.end() &&
-            !(im.entries[it->second] == entry)) {
-            im.entries[it->second] = entry;
+            !(im.slots[it->second].entry == entry)) {
+            im.slots[it->second].entry = entry;
             changed = true;
         }
     }
     if (changed)
         rebuild();
 
+    Impl &cur = *impl_;
     std::size_t added = 0;
     bool opened = false;
     for (const PatternProfile &entry : profile.patterns) {
-        if (impl_->entryIndex.count(entry.pattern))
+        if (cur.entryIndex.count(entry.pattern))
             continue;
-        if (impl_->config.retractableProfile && !opened) {
+        if (cur.config.retractableProfile && !opened) {
             // First new pattern of this batch opens the round lazily,
             // so duplicate-only calls do not burn round slots.
             Impl::Round round;
-            round.group = impl_->solver.newGroup();
-            impl_->rounds.push_back(round);
-            impl_->enc.setGroup(round.group);
+            round.group = cur.solver.newGroup();
+            cur.rounds.push_back(round);
             opened = true;
         }
-        impl_->encodeEntry(entry);
+        Impl::Slot slot;
+        slot.entry = entry;
+        if (opened) {
+            slot.round = cur.rounds.size() - 1;
+            cur.rounds.back().slots.push_back(cur.slots.size());
+        }
+        cur.slots.push_back(std::move(slot));
+        cur.encodeBits(cur.slots.size() - 1, false);
         ++added;
     }
-    if (opened)
-        impl_->enc.setGroup(sat::kGroupNone);
     return added;
+}
+
+void
+IncrementalSolver::encodeHeldConstraints()
+{
+    impl_->refine(/*all=*/true);
 }
 
 std::size_t
@@ -445,8 +535,8 @@ IncrementalSolver::roundPatterns(std::size_t round) const
         return out;
     out.reserve(r.slots.size());
     for (std::size_t slot : r.slots)
-        if (!impl_->entryDropped[slot])
-            out.push_back(impl_->entries[slot].pattern);
+        if (!impl_->slots[slot].dropped)
+            out.push_back(impl_->slots[slot].entry.pattern);
     return out;
 }
 
@@ -500,10 +590,11 @@ IncrementalSolver::dropRound(std::size_t round)
     impl_->solver.releaseGroup(r.group);
     r.group = sat::kGroupNone;
     for (std::size_t slot : r.slots) {
-        if (impl_->entryDropped[slot])
+        Impl::Slot &s = impl_->slots[slot];
+        if (s.dropped)
             continue;
-        impl_->entryDropped[slot] = true;
-        impl_->entryIndex.erase(impl_->entries[slot].pattern);
+        s.dropped = true;
+        impl_->entryIndex.erase(s.entry.pattern);
     }
 }
 
@@ -511,19 +602,15 @@ sat::SolveResult
 IncrementalSolver::probe(std::uint64_t conflict_budget)
 {
     Impl &im = *impl_;
-    Solver &solver = im.solver;
     // Blocking clauses reflect a previous enumeration, not the
     // constraint set under test: retract them or a suspended-round
     // probe could report Unsat for a satisfiable set.
-    if (im.blockGroup != sat::kGroupNone) {
-        solver.releaseGroup(im.blockGroup);
-        im.blockGroup = sat::kGroupNone;
-    }
-    const std::uint64_t before = solver.stats().conflicts;
+    im.releaseBlocking();
     if (conflict_budget)
-        solver.setConflictLimit(before + conflict_budget);
-    const sat::SolveResult result = solver.solve();
-    solver.setConflictLimit(0);
+        im.solver.setConflictLimit(im.solver.stats().conflicts +
+                                   conflict_budget);
+    const sat::SolveResult result = im.solveRefined();
+    im.solver.setConflictLimit(0);
     return result;
 }
 
@@ -533,17 +620,11 @@ IncrementalSolver::warmStart(const MiscorrectionProfile &shared,
 {
     WarmStartStats stats;
     stats.patternsEncoded = addProfile(shared);
-
-    // addProfile can rebuild impl_; bind afterwards.
-    Solver &solver = impl_->solver;
-    const std::uint64_t before = solver.stats().conflicts;
-    if (conflict_budget)
-        solver.setConflictLimit(before + conflict_budget);
-    stats.presolveSat = solver.solve() == sat::SolveResult::Sat;
-    // The budget must not leak into the real solve; solve() re-arms
-    // its own limit from the config when one is set.
-    solver.setConflictLimit(0);
-    stats.conflicts = solver.stats().conflicts - before;
+    // addProfile can rebuild impl_; read the counter afterwards.
+    const std::uint64_t before = impl_->solver.stats().conflicts;
+    stats.presolveSat =
+        probe(conflict_budget) == sat::SolveResult::Sat;
+    stats.conflicts = impl_->solver.stats().conflicts - before;
     return stats;
 }
 
@@ -556,10 +637,11 @@ IncrementalSolver::solve()
     // Blocking clauses only reflect the evidence they were derived
     // under: retract the previous round's group so solutions blocked
     // while checking uniqueness reappear if still consistent.
-    if (im.blockGroup != sat::kGroupNone)
-        solver.releaseGroup(im.blockGroup);
+    im.releaseBlocking();
     im.blockGroup = solver.newGroup();
 
+    // One limit for the whole enumeration, refinement re-solves
+    // included.
     const sat::SolverStats before = solver.stats();
     if (im.config.conflictLimit)
         solver.setConflictLimit(before.conflicts +
@@ -569,7 +651,7 @@ IncrementalSolver::solve()
     std::set<std::string> seen; // canonical P serializations
 
     while (true) {
-        const sat::SolveResult sat_result = solver.solve();
+        const sat::SolveResult sat_result = im.solveRefined();
         if (sat_result == sat::SolveResult::Unknown) {
             result.complete = false;
             break;
@@ -620,18 +702,13 @@ ParityInference
 inferEccFunction(const MiscorrectionProfile &profile,
                  std::size_t max_parity, const BeerSolverConfig &config)
 {
-    ParityInference out;
     for (std::size_t p = ecc::parityBitsForDataBits(profile.k);
          p <= max_parity; ++p) {
-        out.result = solveForEccFunction(profile, p, config);
-        if (!out.result.solutions.empty()) {
-            out.parityBits = p;
-            return out;
-        }
+        BeerSolveResult result = solveForEccFunction(profile, p, config);
+        if (!result.solutions.empty())
+            return {p, std::move(result)};
     }
-    util::fatal("inferEccFunction: no consistent function with up to "
-                "%zu parity bits (noisy profile?)",
-                max_parity);
+    return {};
 }
 
 } // namespace beer

@@ -26,16 +26,29 @@
  *    discard. Internally it is a thin wrapper over a fresh
  *    IncrementalSolver.
  *  - IncrementalSolver is the persistent API for adaptive sessions
- *    (beer::Session): the structural constraints (column weights,
- *    distinctness, symmetry breaking) are encoded exactly once at
- *    construction; each addProfile() call encodes only constraints for
- *    patterns not seen before (profile constraints are monotone across
- *    measurement rounds); and each solve() call enumerates with warm
+ *    (beer::Session): each addProfile() call encodes only patterns
+ *    not seen before (profile constraints are monotone across
+ *    measurement rounds), and each solve() call enumerates with warm
  *    learned clauses and variable activity carried over from every
  *    previous round. Per-round blocking clauses live in a retractable
  *    sat::Solver group, so a solution blocked while checking
  *    uniqueness in round r is re-reported in round r+1 if it is still
  *    consistent with the grown profile.
+ *
+ * The encoding is lazy (counterexample-guided abstraction
+ * refinement). Only the cheap constraints are encoded up front:
+ * column weights and row-order symmetry breaking at construction,
+ * positive 1-CHARGED entries (pure 2-CNF) on addProfile(). Column
+ * distinctness, negative 1-CHARGED entries and every multi-charged
+ * entry are held back. After each model the held constraints are
+ * evaluated on the candidate P directly (profile.hh's predicate over
+ * p-bit column masks); each violated column pair gets its
+ * distinctness encoded, each pattern with a violated bit gets all of
+ * its held bits encoded, and the solver runs again. A model counts
+ * as a solution only once nothing is violated. The relaxed formula
+ * implies nothing the full one does not, so its UNSAT is the full
+ * formula's UNSAT and uniqueness proofs stay sound; solution sets
+ * are exactly the eager encoding's.
  *
  * Threading: neither engine uses global or static mutable state, so
  * distinct solver instances are independent, and ONE instance may be
@@ -76,13 +89,14 @@ struct BeerSolverConfig
     std::uint64_t conflictLimit = 0;
     /**
      * Encode each addProfile() batch into its own retractable clause
-     * group (a "round") instead of asserting it permanently. Rounds
-     * can then be suspended, probed, and dropped — the machinery the
-     * session's UNSAT-core repair uses to localize and retract
-     * measurement rounds poisoned by read noise. Off by default: the
-     * grouped encoding disables cross-round structural-hash gate
-     * sharing and adds one guard literal per profile clause, so clean
-     * pipelines keep the permanent encoding.
+     * group (a "round") instead of asserting it permanently; held
+     * bits refinement later encodes for the batch's patterns join the
+     * same group. Rounds can then be suspended, probed, and dropped —
+     * the machinery the session's UNSAT-core repair uses to localize
+     * and retract measurement rounds poisoned by read noise. Off by
+     * default: the grouped encoding disables cross-round
+     * structural-hash gate sharing and adds one guard literal per
+     * profile clause, so clean pipelines keep the permanent encoding.
      */
     bool retractableProfile = false;
 };
@@ -108,10 +122,11 @@ struct BeerSolveResult
 
 /**
  * Persistent incremental solve context; see the file comment for the
- * lifecycle. Construction encodes the structural constraints once;
- * addProfile() extends the CNF with newly measured patterns;
- * solve() enumerates all consistent ECC functions, retracting the
- * previous round's blocking clauses first.
+ * lifecycle. Construction encodes the eager structural constraints;
+ * addProfile() registers newly measured patterns; solve() enumerates
+ * all consistent ECC functions, refining held constraints as models
+ * violate them and retracting the previous round's blocking clauses
+ * first.
  */
 class IncrementalSolver
 {
@@ -126,8 +141,8 @@ class IncrementalSolver
     std::size_t parityBits() const;
 
     /**
-     * Encode constraints for every entry of @p profile not already
-     * encoded; previously seen patterns are skipped (their constraints
+     * Register every entry of @p profile not already registered and
+     * encode its eager bits; previously seen patterns are skipped (their constraints
      * are already in force). If a previously seen pattern re-arrives
      * with a *different* miscorrection bitmap (non-monotone evidence,
      * e.g. a threshold flip), the whole context is rebuilt from
@@ -139,7 +154,7 @@ class IncrementalSolver
 
     /**
      * Enumerate every ECC function consistent with all profile entries
-     * encoded so far. Blocking clauses from the previous solve() are
+     * registered so far. Blocking clauses from the previous solve() are
      * retracted first, so solutions suppressed by an earlier
      * enumeration reappear while they remain consistent. Returned
      * SolverStats are the delta for this call.
@@ -170,15 +185,25 @@ class IncrementalSolver
      * Seed the context from a fingerprint-cache near match: encode
      * @p shared — the subset of a new chip's profile that an earlier
      * solved chip also exhibited, so every constraint holds for the
-     * new chip too — and run one budgeted, single-model SAT probe.
-     * Learned clauses and branching activity from the probe persist
-     * (the point of the exercise), the probe's model is discarded,
+     * new chip too — and run one budgeted probe(). Learned clauses,
+     * branching activity and refined constraints from the probe
+     * persist (the point of the exercise), the probe's model is
+     * discarded,
      * and no blocking clauses are left behind, so subsequent
      * addProfile()/solve() rounds return exactly what a cold context
      * would. @p conflict_budget caps the probe (0 = unlimited).
      */
     WarmStartStats warmStart(const MiscorrectionProfile &shared,
                              std::uint64_t conflict_budget = 20000);
+
+    /**
+     * Encode every held constraint now — distinctness of every column
+     * pair and the held bits of every live, unsuspended entry — with
+     * the encoder refinement uses, so satSolver() holds the complete instance
+     * (e.g. for DIMACS export to an external solver). Solutions are
+     * unchanged; only the laziness is given up.
+     */
+    void encodeHeldConstraints();
 
     /** Adjust the enumeration cap for subsequent solve() calls. */
     void setMaxSolutions(std::size_t max_solutions);
@@ -222,8 +247,8 @@ class IncrementalSolver
 
     /**
      * Plain satisfiability check of the currently enforced constraint
-     * set (suspended rounds excluded) — no enumeration, no blocking
-     * clauses. Any blocking clauses left by a previous solve() are
+     * set (suspended rounds excluded), refined like solve() so Sat
+     * means a genuine model — no enumeration, no blocking clauses. Any blocking clauses left by a previous solve() are
      * retracted first so they cannot mask satisfiability.
      *
      * @param conflict_budget per-call conflict cap (0 = unlimited);
@@ -231,7 +256,7 @@ class IncrementalSolver
      */
     sat::SolveResult probe(std::uint64_t conflict_budget = 0);
 
-    /** Patterns whose constraints are currently encoded. */
+    /** Patterns currently registered (dropped rounds excluded). */
     std::size_t encodedPatterns() const;
     /** Times a non-monotone entry forced a from-scratch rebuild. */
     std::size_t rebuilds() const;
@@ -263,7 +288,10 @@ BeerSolveResult solveForEccFunction(const MiscorrectionProfile &profile,
 /** Result of a parity-count inference run. */
 struct ParityInference
 {
-    /** Smallest parity-bit count admitting a consistent function. */
+    /**
+     * Smallest parity-bit count admitting a consistent function; 0 if
+     * none up to the search bound does (result is then empty).
+     */
     std::size_t parityBits = 0;
     /** The solve at that count. */
     BeerSolveResult result;
@@ -277,8 +305,9 @@ struct ParityInference
  * answer — and real on-die ECC uses the minimum count for its
  * dataword length. Tries p from the SEC minimum for k upward.
  *
- * @param max_parity inclusive upper bound on the search (fatal if
- *                   exceeded without finding a solution)
+ * @param max_parity inclusive upper bound on the search; a profile
+ *                   no count up to it fits (e.g. a noisy one) yields
+ *                   parityBits == 0
  */
 ParityInference inferEccFunction(const MiscorrectionProfile &profile,
                                  std::size_t max_parity = 12,

@@ -60,6 +60,25 @@ TEST(ParityInference, LargerParityAlsoAdmitsSolutions)
     EXPECT_FALSE(at_plus_one.solutions.empty());
 }
 
+TEST(ParityInference, InconsistentProfileYieldsNoParityCount)
+{
+    // Charging bit 0 miscorrects bit 1 and vice versa: columns 0 and 1
+    // would have to be equal, which no SEC code of any size allows.
+    // The failure comes back as a value, not a process exit.
+    MiscorrectionProfile profile;
+    profile.k = 4;
+    for (std::size_t c : {0u, 1u}) {
+        PatternProfile entry;
+        entry.pattern = {c};
+        entry.miscorrectable = BitVec(4);
+        entry.miscorrectable.set(1 - c, true);
+        profile.patterns.push_back(entry);
+    }
+    const auto inferred = inferEccFunction(profile, 6);
+    EXPECT_EQ(inferred.parityBits, 0u);
+    EXPECT_TRUE(inferred.result.solutions.empty());
+}
+
 // ---- stuck-at faults (Section 7.1.5) ---------------------------------
 
 TEST(StuckAtFaults, IndistinguishableFromCertainRetention)

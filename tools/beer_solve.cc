@@ -180,7 +180,10 @@ main(int argc, char **argv)
     const std::string dimacs_path = cli.getString("dimacs-out");
     if (!dimacs_path.empty()) {
         // Export before enumeration so the CNF is the pure instance,
-        // free of blocking clauses and their group guards.
+        // free of blocking clauses and their group guards, and with
+        // every lazily held constraint encoded: the relaxed formula
+        // would let an external solver answer wrongly.
+        incremental.encodeHeldConstraints();
         std::ofstream out(dimacs_path);
         if (!out)
             util::fatal("cannot open DIMACS file '%s'",
