@@ -2,18 +2,21 @@
  * @file
  * Recovery-service throughput bench: quantifies what the fingerprint
  * cache buys a fleet that keeps re-testing chips with the same on-die
- * ECC function.
+ * ECC function, and checks every answer.
  *
  * Three rounds against one in-process svc::RecoveryService:
  *
- *  1. cold   — every profile is new: full SAT solve per job;
- *  2. exact  — the same profiles again: cache hits, zero SAT solves;
- *  3. near   — each profile minus its last two patterns (a sibling
- *              chip with less measurement coverage): warm-started
- *              solves.
+ *  1. cold      — every profile is new: full SAT solve per job;
+ *  2. exact     — the same profiles again: cache hits, zero SAT
+ *                 solves;
+ *  3. truncated — each profile minus its last two patterns (a sibling
+ *                 chip with less measurement coverage): a different
+ *                 profile, so a cache miss and a cold solve.
  *
- * Emits an aligned table, or JSON with --json for the README numbers
- * and CI trend tracking.
+ * Every job must succeed with a unique function equivalent to the
+ * code that generated its profile; the bench exits 1 otherwise.
+ * Emits an aligned table, or JSON with --json for CI trend tracking
+ * (the truncated round keeps the historical "near_*" keys).
  */
 
 #include <chrono>
@@ -22,6 +25,7 @@
 
 #include "beer/patterns.hh"
 #include "beer/profile.hh"
+#include "ecc/code_equiv.hh"
 #include "ecc/hamming.hh"
 #include "svc/service.hh"
 #include "util/cli.hh"
@@ -33,23 +37,50 @@ using namespace beer;
 namespace
 {
 
+/**
+ * Submit every profile, drain, and check each job's answer against
+ * @p codes (same order). Failures are reported on stderr and counted
+ * into @p wrong.
+ *
+ * @return wall-clock seconds from the first submission to the drain
+ */
 double
 submitAll(svc::RecoveryService &service,
           const std::vector<MiscorrectionProfile> &profiles,
-          const svc::SubmitOptions &options = {})
+          const std::vector<ecc::LinearCode> &codes, const char *round,
+          std::size_t &wrong)
 {
     const auto start = std::chrono::steady_clock::now();
+    std::vector<svc::JobId> ids;
     for (const MiscorrectionProfile &profile : profiles) {
-        const svc::SubmitOutcome outcome =
-            service.submitProfile(profile, options);
+        const svc::SubmitOutcome outcome = service.submitProfile(profile);
         if (!outcome.accepted)
             util::fatal("bench submission rejected: %s",
                         outcome.error.c_str());
+        ids.push_back(outcome.id);
     }
     service.drain();
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const std::optional<svc::JobStatus> status = service.job(ids[i]);
+        if (status && status->state == svc::JobState::Done &&
+            status->succeeded && status->solutions == 1 &&
+            status->complete && status->code &&
+            ecc::equivalent(*status->code, codes[i]))
+            continue;
+        ++wrong;
+        std::fprintf(stderr,
+                     "service_throughput: %s job %zu: wrong answer "
+                     "(%s)\n",
+                     round, i,
+                     !status ? "no status"
+                     : !status->error.empty()
+                         ? status->error.c_str()
+                         : svc::jobErrorCodeName(status->errorCode));
+    }
+    return seconds;
 }
 
 } // anonymous namespace
@@ -58,7 +89,7 @@ int
 main(int argc, char **argv)
 {
     util::Cli cli("Recovery-service throughput: SAT solve vs "
-                  "fingerprint-cache hit latency");
+                  "fingerprint-cache hit latency, every answer checked");
     cli.addOption("k", "16", "dataword length in bits");
     cli.addOption("chips", "8", "distinct ECC functions to recover");
     cli.addOption("threads", "0",
@@ -72,11 +103,12 @@ main(int argc, char **argv)
     util::Rng rng((std::uint64_t)cli.getInt("seed"));
 
     const auto patterns = chargedPatternUnion(k, {1, 2});
+    std::vector<ecc::LinearCode> codes;
     std::vector<MiscorrectionProfile> profiles;
     std::vector<MiscorrectionProfile> truncated;
     for (std::size_t i = 0; i < chips; ++i) {
-        const ecc::LinearCode code = ecc::randomSecCode(k, rng);
-        profiles.push_back(exhaustiveProfile(code, patterns));
+        codes.push_back(ecc::randomSecCode(k, rng));
+        profiles.push_back(exhaustiveProfile(codes.back(), patterns));
         MiscorrectionProfile partial = profiles.back();
         partial.patterns.resize(partial.patterns.size() - 2);
         truncated.push_back(std::move(partial));
@@ -86,19 +118,25 @@ main(int argc, char **argv)
     config.threads = (std::size_t)cli.getInt("threads");
     svc::RecoveryService service(config);
 
-    const double cold_s = submitAll(service, profiles);
+    std::size_t wrong = 0;
+    const double cold_s =
+        submitAll(service, profiles, codes, "cold", wrong);
     const std::uint64_t cold_solves = service.health().satSolves;
 
-    const double exact_s = submitAll(service, profiles);
+    const double exact_s =
+        submitAll(service, profiles, codes, "exact", wrong);
     const std::uint64_t exact_solves =
         service.health().satSolves - cold_solves;
 
-    const double near_s = submitAll(service, truncated);
+    const double truncated_s =
+        submitAll(service, truncated, codes, "truncated", wrong);
     const svc::HealthReport health = service.health();
+    const std::uint64_t truncated_solves =
+        health.satSolves - cold_solves - exact_solves;
 
     const double cold_ms = 1e3 * cold_s / (double)chips;
     const double exact_ms = 1e3 * exact_s / (double)chips;
-    const double near_ms = 1e3 * near_s / (double)chips;
+    const double truncated_ms = 1e3 * truncated_s / (double)chips;
 
     if (cli.getBool("json")) {
         std::printf(
@@ -112,34 +150,38 @@ main(int argc, char **argv)
             "  \"exact_speedup\": %.1f,\n"
             "  \"cold_sat_solves\": %llu,\n"
             "  \"exact_sat_solves\": %llu,\n"
+            "  \"truncated_sat_solves\": %llu,\n"
             "  \"exact_hits\": %llu,\n"
-            "  \"near_hits\": %llu\n"
+            "  \"near_hits\": %llu,\n"
+            "  \"wrong_answers\": %zu\n"
             "}\n",
-            k, chips, patterns.size(), cold_ms, exact_ms, near_ms,
+            k, chips, patterns.size(), cold_ms, exact_ms, truncated_ms,
             exact_ms > 0.0 ? cold_ms / exact_ms : 0.0,
             (unsigned long long)cold_solves,
             (unsigned long long)exact_solves,
+            (unsigned long long)truncated_solves,
             (unsigned long long)health.cache.exactHits,
-            (unsigned long long)health.cache.nearHits);
-        return 0;
+            (unsigned long long)health.cache.nearHits, wrong);
+    } else {
+        std::printf("recovery-service throughput: k=%zu, %zu chips, %zu "
+                    "patterns/profile\n",
+                    k, chips, patterns.size());
+        std::printf("  %-26s %10.3f ms/job  (%llu SAT solves)\n",
+                    "cold solve", cold_ms,
+                    (unsigned long long)cold_solves);
+        std::printf("  %-26s %10.3f ms/job  (%llu SAT solves, %llu "
+                    "exact hits)\n",
+                    "exact cache hit", exact_ms,
+                    (unsigned long long)exact_solves,
+                    (unsigned long long)health.cache.exactHits);
+        std::printf("  %-26s %10.3f ms/job  (%llu SAT solves)\n",
+                    "truncated sibling (cold)", truncated_ms,
+                    (unsigned long long)truncated_solves);
+        if (exact_ms > 0.0)
+            std::printf("  exact-hit speedup: %.1fx\n",
+                        cold_ms / exact_ms);
+        std::printf("  wrong answers: %zu of %zu jobs\n", wrong,
+                    3 * chips);
     }
-
-    std::printf("recovery-service throughput: k=%zu, %zu chips, %zu "
-                "patterns/profile\n",
-                k, chips, patterns.size());
-    std::printf("  %-22s %10.3f ms/job  (%llu SAT solves)\n",
-                "cold solve", cold_ms,
-                (unsigned long long)cold_solves);
-    std::printf("  %-22s %10.3f ms/job  (%llu SAT solves, %llu "
-                "exact hits)\n",
-                "exact cache hit", exact_ms,
-                (unsigned long long)exact_solves,
-                (unsigned long long)health.cache.exactHits);
-    std::printf("  %-22s %10.3f ms/job  (%llu near hits)\n",
-                "near-match warm start", near_ms,
-                (unsigned long long)health.cache.nearHits);
-    if (exact_ms > 0.0)
-        std::printf("  exact-hit speedup: %.1fx\n",
-                    cold_ms / exact_ms);
-    return 0;
+    return wrong == 0 ? 0 : 1;
 }

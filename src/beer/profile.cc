@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <string_view>
 
 #include "util/logging.hh"
 
@@ -137,14 +138,16 @@ serializeProfile(const MiscorrectionProfile &profile)
                                       : kProfileFormatVersion) +
            "\n";
     out += "k " + std::to_string(profile.k) + "\n";
+    out.reserve(out.size() + profile.patterns.size() * (profile.k + 8));
     for (const PatternProfile &entry : profile.patterns) {
-        std::string charged;
-        for (std::size_t bit : entry.pattern) {
-            if (!charged.empty())
-                charged += ',';
-            charged += std::to_string(bit);
+        for (std::size_t i = 0; i < entry.pattern.size(); ++i) {
+            if (i)
+                out += ',';
+            out += std::to_string(entry.pattern[i]);
         }
-        out += charged + " " + entry.miscorrectable.toString();
+        out += ' ';
+        for (std::size_t j = 0; j < entry.miscorrectable.size(); ++j)
+            out += entry.miscorrectable.get(j) ? '1' : '0';
         if (entry.suspect)
             out += " ?";
         out += "\n";
@@ -167,14 +170,57 @@ formatError(const char *fmt, ...)
     return buf;
 }
 
+/** The characters std::istream's >> skips in the "C" locale. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (unsigned char)(c - '\t') <= '\r' - '\t';
+}
+
+/** Next whitespace-delimited token at or after @p pos (empty when
+ *  none is left); @p pos moves past it. */
+std::string_view
+nextToken(std::string_view line, std::size_t &pos)
+{
+    while (pos < line.size() && isSpace(line[pos]))
+        ++pos;
+    const std::size_t start = pos;
+    while (pos < line.size() && !isSpace(line[pos]))
+        ++pos;
+    return line.substr(start, pos - start);
+}
+
+/**
+ * One charged-bit item, read exactly as std::strtoul(item, &end, 10)
+ * with the whole item consumed (so an empty item reads as 0, "+3" as
+ * 3 and "-1" as ULONG_MAX). Plain digit strings skip the copy.
+ */
+bool
+parseChargedBit(std::string_view item, unsigned long &bit)
+{
+    if (item.size() <= 19) {
+        unsigned long value = 0;
+        std::size_t i = 0;
+        for (; i < item.size() && item[i] >= '0' && item[i] <= '9'; ++i)
+            value = 10 * value + (unsigned long)(item[i] - '0');
+        if (i == item.size()) {
+            bit = value;
+            return true;
+        }
+    }
+    const std::string copy(item);
+    char *end = nullptr;
+    bit = std::strtoul(copy.c_str(), &end, 10);
+    return end && *end == '\0';
+}
+
 } // anonymous namespace
 
 ProfileParseStatus
-tryParseProfile(std::istream &in, MiscorrectionProfile &out)
+tryParseProfile(std::string_view text, MiscorrectionProfile &out)
 {
     MiscorrectionProfile profile;
     ProfileParseStatus status;
-    std::string line;
     std::size_t line_no = 0;
     bool have_k = false;
     bool have_version = false;
@@ -185,36 +231,43 @@ tryParseProfile(std::istream &in, MiscorrectionProfile &out)
         return status;
     };
 
-    while (std::getline(in, line)) {
+    profile.patterns.reserve(
+        (std::size_t)std::count(text.begin(), text.end(), '\n'));
+    for (std::size_t next = 0; next < text.size();) {
+        std::size_t eol = text.find('\n', next);
+        if (eol == std::string_view::npos)
+            eol = text.size();
+        std::string_view line = text.substr(next, eol - next);
+        next = eol + 1;
         ++line_no;
         // Strip comments and whitespace-only lines.
-        const auto hash = line.find('#');
-        if (hash != std::string::npos)
-            line = line.substr(0, hash);
-        std::istringstream ss(line);
-        std::string first;
-        if (!(ss >> first))
+        line = line.substr(0, line.find('#'));
+        std::size_t pos = 0;
+        const std::string_view first = nextToken(line, pos);
+        if (first.empty())
             continue;
-
-        // Optional "version <n>" line ahead of the k header; its
-        // absence means the legacy version-1 format.
-        if (!have_k && !have_version && first == "version") {
-            std::size_t version = 0;
-            if (!(ss >> version) || version == 0)
-                return fail(formatError(
-                    "profile line %zu: expected 'version <n>'",
-                    line_no));
-            if (version > kProfileFormatVersionMax)
-                return fail(formatError(
-                    "profile line %zu: unsupported format version %zu "
-                    "(this build reads versions up to %zu)",
-                    line_no, version, kProfileFormatVersionMax));
-            status.version = version;
-            have_version = true;
-            continue;
-        }
 
         if (!have_k) {
+            // Header lines keep stream extraction for its number
+            // syntax (sign, overflow, trailing text).
+            std::istringstream ss{std::string(line.substr(pos))};
+            // Optional "version <n>" line ahead of the k header; its
+            // absence means the legacy version-1 format.
+            if (!have_version && first == "version") {
+                std::size_t version = 0;
+                if (!(ss >> version) || version == 0)
+                    return fail(formatError(
+                        "profile line %zu: expected 'version <n>'",
+                        line_no));
+                if (version > kProfileFormatVersionMax)
+                    return fail(formatError(
+                        "profile line %zu: unsupported format version "
+                        "%zu (this build reads versions up to %zu)",
+                        line_no, version, kProfileFormatVersionMax));
+                status.version = version;
+                have_version = true;
+                continue;
+            }
             std::size_t k = 0;
             if (first != "k" || !(ss >> k) || k == 0)
                 return fail(formatError(
@@ -225,8 +278,8 @@ tryParseProfile(std::istream &in, MiscorrectionProfile &out)
             continue;
         }
 
-        std::string bitmap;
-        if (!(ss >> bitmap))
+        const std::string_view bitmap = nextToken(line, pos);
+        if (bitmap.empty())
             return fail(formatError(
                 "profile line %zu: expected '<charged-csv> <bitmap>'",
                 line_no));
@@ -234,22 +287,42 @@ tryParseProfile(std::istream &in, MiscorrectionProfile &out)
             return fail(formatError(
                 "profile line %zu: bitmap has %zu bits, expected %zu",
                 line_no, bitmap.size(), profile.k));
-        for (char c : bitmap)
-            if (c != '0' && c != '1')
+        PatternProfile entry;
+        entry.miscorrectable = BitVec(profile.k);
+        // Packed a word at a time. '0'/'1' map to 0/1; any other
+        // character sets a higher bit of `bad`.
+        for (std::size_t base = 0; base < bitmap.size(); base += 64) {
+            const std::size_t n =
+                std::min<std::size_t>(64, bitmap.size() - base);
+            std::uint64_t word = 0;
+            unsigned char bad = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const unsigned char bit =
+                    (unsigned char)(bitmap[base + i] - '0');
+                bad |= bit;
+                word |= std::uint64_t(bit & 1) << i;
+            }
+            if (bad > 1)
                 return fail(formatError(
                     "profile line %zu: bitmap must be 0/1", line_no));
+            entry.miscorrectable.words()[base / 64] = word;
+        }
 
-        PatternProfile entry;
-        std::istringstream charged(first);
-        std::string item;
-        while (std::getline(charged, item, ',')) {
-            char *end = nullptr;
-            const unsigned long bit = std::strtoul(item.c_str(), &end,
-                                                   10);
-            if (!end || *end != '\0' || bit >= profile.k)
+        // Items split like std::getline(first, item, ','): a trailing
+        // empty item after the last comma is not one.
+        entry.pattern.reserve(
+            1 + (std::size_t)std::count(first.begin(), first.end(), ','));
+        for (std::size_t at = 0; at < first.size();) {
+            std::size_t comma = first.find(',', at);
+            if (comma == std::string_view::npos)
+                comma = first.size();
+            const std::string_view item = first.substr(at, comma - at);
+            at = comma + 1;
+            unsigned long bit = 0;
+            if (!parseChargedBit(item, bit) || bit >= profile.k)
                 return fail(formatError(
                     "profile line %zu: bad charged bit '%s'", line_no,
-                    item.c_str()));
+                    std::string(item).c_str()));
             entry.pattern.push_back(bit);
         }
         if (entry.pattern.empty())
@@ -257,7 +330,6 @@ tryParseProfile(std::istream &in, MiscorrectionProfile &out)
                                     line_no));
         std::sort(entry.pattern.begin(), entry.pattern.end());
 
-        entry.miscorrectable = BitVec::fromString(bitmap);
         for (std::size_t bit : entry.pattern)
             if (entry.miscorrectable.get(bit))
                 return fail(formatError(
@@ -267,18 +339,18 @@ tryParseProfile(std::istream &in, MiscorrectionProfile &out)
         // Optional version-3 suspect marker; anything else trailing
         // is malformed (older parsers silently ignored trailing
         // tokens, which is exactly how payload corruption hides).
-        std::string marker;
-        if (ss >> marker) {
+        const std::string_view marker = nextToken(line, pos);
+        if (!marker.empty()) {
             if (marker != "?")
                 return fail(formatError(
                     "profile line %zu: unexpected trailing token '%s'",
-                    line_no, marker.c_str()));
+                    line_no, std::string(marker).c_str()));
             entry.suspect = true;
-            std::string extra;
-            if (ss >> extra)
+            const std::string_view extra = nextToken(line, pos);
+            if (!extra.empty())
                 return fail(formatError(
                     "profile line %zu: unexpected trailing token '%s'",
-                    line_no, extra.c_str()));
+                    line_no, std::string(extra).c_str()));
         }
         profile.patterns.push_back(std::move(entry));
     }
@@ -288,6 +360,16 @@ tryParseProfile(std::istream &in, MiscorrectionProfile &out)
     status.ok = true;
     out = std::move(profile);
     return status;
+}
+
+ProfileParseStatus
+tryParseProfile(std::istream &in, MiscorrectionProfile &out)
+{
+    std::string text;
+    char buf[4096];
+    while (in.read(buf, sizeof buf) || in.gcount() > 0)
+        text.append(buf, (std::size_t)in.gcount());
+    return tryParseProfile(std::string_view(text), out);
 }
 
 MiscorrectionProfile

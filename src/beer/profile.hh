@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <istream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "beer/patterns.hh"
@@ -48,11 +49,9 @@ struct PatternProfile
      * Measurement-quality metadata: quorum votes disagreed at least
      * once while this pattern was measured (ProfileCounts::suspect),
      * so its row may carry noise residue even after majority voting.
-     * The repair-aware fingerprint cache excludes suspect rows from a
-     * chip's canonical fingerprint so a repaired chip still matches
-     * its clean sibling. Not part of equality — two profiles with the
-     * same evidence are the same profile regardless of how noisy the
-     * runs that produced them were.
+     * Not part of equality — two profiles with the same evidence are
+     * the same profile regardless of how noisy the runs that produced
+     * them were.
      */
     bool suspect = false;
 
@@ -153,6 +152,10 @@ std::string serializeProfile(const MiscorrectionProfile &profile);
  * input parses as the legacy version 1.
  */
 ProfileParseStatus tryParseProfile(std::istream &in,
+                                   MiscorrectionProfile &out);
+
+/** tryParseProfile() over text already in memory (no stream copy). */
+ProfileParseStatus tryParseProfile(std::string_view text,
                                    MiscorrectionProfile &out);
 
 /**

@@ -410,19 +410,6 @@ Session::solve()
     return *solve_;
 }
 
-void
-Session::warmStart(const MiscorrectionProfile &shared)
-{
-    if (!config_.incrementalSolve || shared.patterns.empty())
-        return;
-    if (!incremental_) {
-        const std::size_t k = mem_.datawordBits();
-        incremental_.emplace(k, ecc::parityBitsForDataBits(k),
-                             config_.solver);
-    }
-    incremental_->warmStart(shared);
-}
-
 bool
 Session::repairNeeded() const
 {

@@ -450,17 +450,6 @@ class Session
     /** Drive measure/solve/escalate to completion and report. */
     RecoveryReport run();
 
-    /**
-     * Seed the session's solver context from a fingerprint-cache near
-     * match before any measurement: @p shared is the profile subset a
-     * previously solved sibling chip also exhibited (see
-     * IncrementalSolver::warmStart). Call before run(); no-op when
-     * @p shared is empty or incremental solving is off. The repaired
-     * sibling of a cached chip re-enters recovery through this hook
-     * instead of cold-solving.
-     */
-    void warmStart(const MiscorrectionProfile &shared);
-
     /** True iff solved unique, or nothing is left to measure or try. */
     bool finished() const;
 

@@ -238,6 +238,9 @@ addBlockingClause(Solver &solver, const PVars &vars, const Matrix &model,
 struct IncrementalSolver::Impl
 {
     static constexpr std::size_t kNoRound = SIZE_MAX;
+    /** Conflicts one search of a relaxed formula may spend; see
+     *  solveRefined(). */
+    static constexpr std::uint64_t kRelaxedConflicts = 1000;
 
     std::size_t k;
     std::size_t p;
@@ -279,6 +282,11 @@ struct IncrementalSolver::Impl
     /** Group holding the current round's blocking clauses. */
     sat::GroupId blockGroup = sat::kGroupNone;
     std::size_t rebuilds = 0;
+    /** Absolute conflict count solveRefined() stops at (0 = none). */
+    std::uint64_t conflictCap = 0;
+    /** Multi-charged entries the next multi-only refinement encodes;
+     *  doubles per such pass, back to 1 at each solve() and probe(). */
+    std::size_t multiBatch = 1;
 
     Impl(std::size_t k_, std::size_t p_, const BeerSolverConfig &config_)
         : k(k_), p(p_), config(config_), enc(solver),
@@ -306,11 +314,14 @@ struct IncrementalSolver::Impl
     }
 
     /**
-     * Refinement: encode every held constraint the solver's current
-     * model violates (all of them with @p all) — the distinctness of
-     * each equal column pair (permanent: it is evidence-free), and
-     * all held bits of each live, unsuspended entry with a violated
-     * bit.
+     * Refinement, cheapest first: encode the distinctness of each
+     * equal column pair (permanent: it is evidence-free) and all held
+     * bits of each live, unsuspended 1-CHARGED entry with a violated
+     * bit. Only when none of those is violated, encode the first
+     * multiBatch violated multi-charged entries in slot order: their
+     * possible() circuits are large, and the 1-CHARGED evidence
+     * usually settles the function alone. With @p all, every held
+     * constraint.
      *
      * @return true iff anything was encoded (the model was spurious)
      */
@@ -332,10 +343,14 @@ struct IncrementalSolver::Impl
                     encodeDistinctPair(enc, vars, a, b);
                     distinct[a * k + b] = refined = true;
                 }
+        std::vector<std::size_t> multi; // violated multi-charged slots
         for (std::size_t slot = 0; slot < slots.size(); ++slot) {
             const Slot &s = slots[slot];
+            const bool single = s.entry.pattern.size() == 1;
             if (s.held || s.dropped ||
-                (s.round != kNoRound && rounds[s.round].suspended))
+                (s.round != kNoRound && rounds[s.round].suspended) ||
+                (!all && !single &&
+                 (refined || multi.size() == multiBatch)))
                 continue;
             bool violated = all;
             for (std::size_t j = 0; j < k && !violated; ++j)
@@ -344,23 +359,64 @@ struct IncrementalSolver::Impl
                     violated = miscorrectionPossible(
                                    columns, s.entry.pattern, j) !=
                                s.entry.miscorrectable.get(j);
-            if (violated) {
+            if (!violated)
+                continue;
+            if (all || single) {
                 encodeBits(slot, true);
                 refined = true;
+            } else {
+                multi.push_back(slot);
             }
         }
-        return refined;
+        if (refined || multi.empty())
+            return refined;
+        for (std::size_t slot : multi)
+            encodeBits(slot, true);
+        multiBatch *= 2;
+        return true;
     }
 
-    /** Solve, refining until the model (if any) is genuine. */
+    /** True iff some live, unsuspended multi-charged entry is not
+     *  yet encoded. */
+    bool
+    multiHeldBack() const
+    {
+        for (const Slot &s : slots)
+            if (!s.held && !s.dropped && s.entry.pattern.size() > 1 &&
+                (s.round == kNoRound || !rounds[s.round].suspended))
+                return true;
+        return false;
+    }
+
+    /**
+     * Solve, refining until the model (if any) is genuine. While
+     * multi-charged entries are held back, a search that runs past
+     * kRelaxedConflicts gives up on laziness: a few of them can leave
+     * an UNSAT proof far harder than the complete formula's, so every
+     * held constraint is encoded and the search resumes. conflictCap,
+     * when set, bounds the whole loop.
+     */
     sat::SolveResult
     solveRefined()
     {
-        sat::SolveResult result;
-        do
-            result = solver.solve();
-        while (result == sat::SolveResult::Sat && refine());
-        return result;
+        bool lazy = multiHeldBack();
+        while (true) {
+            const std::uint64_t budget =
+                solver.stats().conflicts + kRelaxedConflicts;
+            const bool budgeted =
+                lazy && (conflictCap == 0 || budget < conflictCap);
+            solver.setConflictLimit(budgeted ? budget : conflictCap);
+            const sat::SolveResult result = solver.solve();
+            if (result == sat::SolveResult::Unknown && budgeted) {
+                refine(/*all=*/true);
+                lazy = false;
+                continue;
+            }
+            if (result == sat::SolveResult::Sat && refine())
+                continue;
+            solver.setConflictLimit(0);
+            return result;
+        }
     }
 
     /** Retract the previous enumeration's blocking clauses. */
@@ -606,26 +662,11 @@ IncrementalSolver::probe(std::uint64_t conflict_budget)
     // constraint set under test: retract them or a suspended-round
     // probe could report Unsat for a satisfiable set.
     im.releaseBlocking();
-    if (conflict_budget)
-        im.solver.setConflictLimit(im.solver.stats().conflicts +
-                                   conflict_budget);
-    const sat::SolveResult result = im.solveRefined();
-    im.solver.setConflictLimit(0);
-    return result;
-}
-
-IncrementalSolver::WarmStartStats
-IncrementalSolver::warmStart(const MiscorrectionProfile &shared,
-                             std::uint64_t conflict_budget)
-{
-    WarmStartStats stats;
-    stats.patternsEncoded = addProfile(shared);
-    // addProfile can rebuild impl_; read the counter afterwards.
-    const std::uint64_t before = impl_->solver.stats().conflicts;
-    stats.presolveSat =
-        probe(conflict_budget) == sat::SolveResult::Sat;
-    stats.conflicts = impl_->solver.stats().conflicts - before;
-    return stats;
+    im.multiBatch = 1;
+    im.conflictCap = conflict_budget
+                         ? im.solver.stats().conflicts + conflict_budget
+                         : 0;
+    return im.solveRefined();
 }
 
 BeerSolveResult
@@ -639,13 +680,14 @@ IncrementalSolver::solve()
     // while checking uniqueness reappear if still consistent.
     im.releaseBlocking();
     im.blockGroup = solver.newGroup();
+    im.multiBatch = 1;
 
     // One limit for the whole enumeration, refinement re-solves
     // included.
     const sat::SolverStats before = solver.stats();
-    if (im.config.conflictLimit)
-        solver.setConflictLimit(before.conflicts +
-                                im.config.conflictLimit);
+    im.conflictCap = im.config.conflictLimit
+                         ? before.conflicts + im.config.conflictLimit
+                         : 0;
 
     BeerSolveResult result;
     std::set<std::string> seen; // canonical P serializations

@@ -42,10 +42,17 @@
  * distinctness, negative 1-CHARGED entries and every multi-charged
  * entry are held back. After each model the held constraints are
  * evaluated on the candidate P directly (profile.hh's predicate over
- * p-bit column masks); each violated column pair gets its
- * distinctness encoded, each pattern with a violated bit gets all of
- * its held bits encoded, and the solver runs again. A model counts
- * as a solution only once nothing is violated. The relaxed formula
+ * p-bit column masks) and refined cheapest first: each violated
+ * column pair gets its distinctness encoded and each 1-CHARGED entry
+ * with a violated bit gets all of its held bits encoded; only when
+ * none of those is violated does the first violated multi-charged
+ * entry get its (much larger) encoding, with twice as many entries
+ * on each further such pass of one solve() or probe(). The solver
+ * then runs again. A model counts as a solution only once nothing is
+ * violated. A search of the relaxed formula that runs past a fixed
+ * conflict budget stops the laziness: every held constraint is
+ * encoded and the search goes on, since a few held entries can leave
+ * an UNSAT proof much harder than the complete formula's. The relaxed formula
  * implies nothing the full one does not, so its UNSAT is the full
  * formula's UNSAT and uniqueness proofs stay sound; solution sets
  * are exactly the eager encoding's.
@@ -169,32 +176,6 @@ class IncrementalSolver
      * that would have to be sequenced across the handoff.
      */
     BeerSolveResult solve(std::size_t max_solutions);
-
-    /** Outcome of a warmStart() presolve. */
-    struct WarmStartStats
-    {
-        /** Entries of the shared subset newly encoded. */
-        std::size_t patternsEncoded = 0;
-        /** True iff the budgeted presolve reached a model. */
-        bool presolveSat = false;
-        /** Conflicts the presolve spent. */
-        std::uint64_t conflicts = 0;
-    };
-
-    /**
-     * Seed the context from a fingerprint-cache near match: encode
-     * @p shared — the subset of a new chip's profile that an earlier
-     * solved chip also exhibited, so every constraint holds for the
-     * new chip too — and run one budgeted probe(). Learned clauses,
-     * branching activity and refined constraints from the probe
-     * persist (the point of the exercise), the probe's model is
-     * discarded,
-     * and no blocking clauses are left behind, so subsequent
-     * addProfile()/solve() rounds return exactly what a cold context
-     * would. @p conflict_budget caps the probe (0 = unlimited).
-     */
-    WarmStartStats warmStart(const MiscorrectionProfile &shared,
-                             std::uint64_t conflict_budget = 20000);
 
     /**
      * Encode every held constraint now — distinctness of every column

@@ -1,7 +1,10 @@
 #include "svc/fingerprint_cache.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -11,54 +14,50 @@ namespace beer::svc
 namespace
 {
 
-/** Canonical "<charged-csv> <bitmap>" rendering of one entry. */
-std::string
-canonicalLine(const PatternProfile &entry)
-{
-    std::string line;
-    for (std::size_t bit : entry.pattern) {
-        if (!line.empty())
-            line += ',';
-        line += std::to_string(bit);
-    }
-    line += ' ';
-    line += entry.miscorrectable.toString();
-    return line;
-}
-
 /**
- * Sorted canonical lines of a profile (pattern order independent).
- * With @p skip_suspect, rows flagged by quorum disagreement are left
- * out — the "surviving rounds" view a repaired chip is fingerprinted
- * on, so it can still match the entry its clean sibling cached.
+ * The profile's entries as "<charged-csv> <bitmap>\n" lines, sorted
+ * (pattern order independent), in one string. '\n' sorts below every
+ * character a line holds, so the order is that of the bare lines.
  */
-std::vector<std::string>
-canonicalLines(const MiscorrectionProfile &profile,
-               bool skip_suspect = false)
+std::string
+canonicalText(const MiscorrectionProfile &profile)
 {
-    std::vector<std::string> lines;
-    lines.reserve(profile.patterns.size());
+    using Span = std::pair<std::size_t, std::size_t>; // offset, length
+    std::string lines;
+    lines.reserve(profile.patterns.size() * (profile.k + 8));
+    std::vector<Span> spans;
+    spans.reserve(profile.patterns.size());
     for (const PatternProfile &entry : profile.patterns) {
-        if (skip_suspect && entry.suspect)
-            continue;
-        lines.push_back(canonicalLine(entry));
+        const std::size_t start = lines.size();
+        for (std::size_t i = 0; i < entry.pattern.size(); ++i) {
+            if (i)
+                lines += ',';
+            char digits[20];
+            lines.append(digits, std::to_chars(digits, digits + 20,
+                                               entry.pattern[i])
+                                     .ptr);
+        }
+        lines += ' ';
+        const std::uint64_t *words = entry.miscorrectable.words();
+        for (std::size_t j = 0; j < entry.miscorrectable.size(); ++j)
+            lines += (words[j / 64] >> (j % 64)) & 1 ? '1' : '0';
+        lines += '\n';
+        spans.emplace_back(start, lines.size() - start);
     }
-    std::sort(lines.begin(), lines.end());
-    return lines;
-}
-
-/** Whether any row carries the quorum-disagreement suspect mark. */
-bool
-anySuspect(const MiscorrectionProfile &profile)
-{
-    for (const PatternProfile &entry : profile.patterns)
-        if (entry.suspect)
-            return true;
-    return false;
+    const auto line = [&lines](const Span &span) {
+        return std::string_view(lines).substr(span.first, span.second);
+    };
+    std::sort(spans.begin(), spans.end(),
+              [&](const Span &a, const Span &b) { return line(a) < line(b); });
+    std::string text;
+    text.reserve(lines.size());
+    for (const Span &span : spans)
+        text += line(span);
+    return text;
 }
 
 std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &text)
+fnv1a(std::uint64_t hash, std::string_view text)
 {
     for (unsigned char c : text) {
         hash ^= c;
@@ -69,14 +68,12 @@ fnv1a(std::uint64_t hash, const std::string &text)
 
 std::uint64_t
 hashCanonical(std::size_t k, std::size_t parity_bits,
-              const std::vector<std::string> &lines)
+              const std::string &text)
 {
     std::uint64_t hash = 0xcbf29ce484222325ull;
     hash = fnv1a(hash, "k " + std::to_string(k) + " p " +
                            std::to_string(parity_bits));
-    for (const std::string &line : lines)
-        hash = fnv1a(hash, line + "\n");
-    return hash;
+    return fnv1a(hash, text);
 }
 
 } // anonymous namespace
@@ -90,111 +87,23 @@ std::uint64_t
 FingerprintCache::fingerprint(const MiscorrectionProfile &profile,
                               std::size_t parity_bits)
 {
-    return hashCanonical(profile.k, parity_bits,
-                         canonicalLines(profile));
+    return hashCanonical(profile.k, parity_bits, canonicalText(profile));
 }
 
 FingerprintCache::Hit
-FingerprintCache::lookupLocked(const MiscorrectionProfile &profile,
-                               std::size_t parity_bits)
+FingerprintCache::lookupLocked(std::uint64_t hash, std::size_t k,
+                               std::size_t parity_bits,
+                               const std::string &text)
 {
     Hit hit;
-    const std::vector<std::string> lines = canonicalLines(profile);
-    const std::uint64_t hash =
-        hashCanonical(profile.k, parity_bits, lines);
-
     const auto it = byHash_.find(hash);
-    if (it != byHash_.end() && it->second->k == profile.k &&
+    if (it != byHash_.end() && it->second->k == k &&
         it->second->parityBits == parity_bits &&
-        it->second->lines == lines) {
+        it->second->text == text) {
         entries_.splice(entries_.begin(), entries_, it->second);
         hit.kind = Hit::Kind::Exact;
         hit.code = it->second->code;
-        hit.overlap = 1.0;
         ++stats_.exactHits;
-        return hit;
-    }
-
-    // Near match: best shared-line fraction over same-dimension
-    // entries. The cache is LRU-bounded, so the scan is over a small,
-    // hot working set.
-    //
-    // Repair-aware view: when the query carries suspect rows (quorum
-    // disagreed during their measurement — the signature of a chip
-    // that needed repair), the overlap is ALSO scored against only
-    // the clean rows, with the clean-row count as denominator. A
-    // repaired chip whose suspect rows retained noise residue then
-    // still scores ~1.0 against its clean sibling's entry instead of
-    // being dragged under the threshold by rows everyone agrees are
-    // untrustworthy. Sound, because the shared subset fed to
-    // warmStart() is still the query chip's own (clean) evidence.
-    const bool suspects = anySuspect(profile);
-    const std::vector<std::string> clean_lines =
-        suspects ? canonicalLines(profile, /*skip_suspect=*/true)
-                 : lines;
-    const Entry *best = nullptr;
-    double best_overlap = 0.0;
-    bool best_repair_aware = false;
-    std::vector<std::string> shared;
-    std::vector<std::string> best_shared;
-    for (const Entry &entry : entries_) {
-        if (entry.k != profile.k || entry.parityBits != parity_bits)
-            continue;
-        shared.clear();
-        std::set_intersection(lines.begin(), lines.end(),
-                              entry.lines.begin(), entry.lines.end(),
-                              std::back_inserter(shared));
-        double overlap =
-            (double)shared.size() /
-            (double)std::max(lines.size(), entry.lines.size());
-        bool repair_aware = false;
-        if (suspects && !clean_lines.empty()) {
-            shared.clear();
-            std::set_intersection(clean_lines.begin(),
-                                  clean_lines.end(),
-                                  entry.lines.begin(),
-                                  entry.lines.end(),
-                                  std::back_inserter(shared));
-            const double clean_overlap =
-                (double)shared.size() / (double)clean_lines.size();
-            if (clean_overlap > overlap) {
-                overlap = clean_overlap;
-                repair_aware = true;
-            }
-        }
-        if (overlap > best_overlap) {
-            best_overlap = overlap;
-            best = &entry;
-            best_repair_aware = repair_aware;
-            if (!repair_aware) {
-                // `shared` currently holds the clean intersection
-                // when suspects exist; recompute the full one.
-                shared.clear();
-                std::set_intersection(lines.begin(), lines.end(),
-                                      entry.lines.begin(),
-                                      entry.lines.end(),
-                                      std::back_inserter(shared));
-            }
-            best_shared = shared;
-        }
-    }
-
-    if (best && best_overlap >= config_.nearMatchThreshold &&
-        !best_shared.empty()) {
-        hit.kind = Hit::Kind::Near;
-        hit.overlap = best_overlap;
-        hit.shared.k = profile.k;
-        for (const PatternProfile &entry : profile.patterns) {
-            if (best_repair_aware && entry.suspect)
-                continue;
-            if (std::binary_search(best_shared.begin(),
-                                   best_shared.end(),
-                                   canonicalLine(entry)))
-                hit.shared.patterns.push_back(entry);
-        }
-        ++stats_.nearHits;
-        if (best_repair_aware)
-            ++stats_.repairAwareHits;
         return hit;
     }
 
@@ -206,21 +115,33 @@ FingerprintCache::Hit
 FingerprintCache::lookup(const MiscorrectionProfile &profile,
                          std::size_t parity_bits)
 {
+    const std::string text = canonicalText(profile);
+    const std::uint64_t hash = hashCanonical(profile.k, parity_bits, text);
     std::lock_guard<std::mutex> lock(mutex_);
-    return lookupLocked(profile, parity_bits);
+    return lookupLocked(hash, profile.k, parity_bits, text);
 }
 
 std::vector<FingerprintCache::Hit>
 FingerprintCache::lookupMany(const std::vector<LookupRequest> &requests)
 {
+    // Canonicalize outside the lock; only the table probe is shared.
+    std::vector<std::string> texts;
+    texts.reserve(requests.size());
+    for (const LookupRequest &request : requests)
+        texts.push_back(canonicalText(*request.profile));
+
     std::vector<Hit> hits;
     hits.reserve(requests.size());
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.batchedPasses;
     stats_.batchedRequests += requests.size();
-    for (const LookupRequest &request : requests)
-        hits.push_back(
-            lookupLocked(*request.profile, request.parityBits));
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        const LookupRequest &request = requests[i];
+        const std::size_t k = request.profile->k;
+        hits.push_back(lookupLocked(
+            hashCanonical(k, request.parityBits, texts[i]), k,
+            request.parityBits, texts[i]));
+    }
     return hits;
 }
 
@@ -249,12 +170,11 @@ FingerprintCache::insert(const MiscorrectionProfile &profile,
                          std::size_t parity_bits,
                          const ecc::LinearCode &code)
 {
-    std::vector<std::string> lines = canonicalLines(profile);
-    const std::uint64_t hash =
-        hashCanonical(profile.k, parity_bits, lines);
+    std::string text = canonicalText(profile);
+    const std::uint64_t hash = hashCanonical(profile.k, parity_bits, text);
     std::lock_guard<std::mutex> lock(mutex_);
-    insertLocked(Entry{hash, profile.k, parity_bits, std::move(lines),
-                       code});
+    insertLocked(Entry{hash, profile.k, parity_bits,
+                       profile.patterns.size(), std::move(text), code});
 }
 
 std::size_t
@@ -286,9 +206,7 @@ FingerprintCache::flushToDisk() const
         for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
             content += "entry " + std::to_string(it->k) + ' ' +
                        std::to_string(it->parityBits) + ' ' +
-                       std::to_string(it->lines.size()) + '\n';
-            for (const std::string &line : it->lines)
-                content += line + '\n';
+                       std::to_string(it->lines) + '\n' + it->text;
             const gf2::Matrix &p = it->code.pMatrix();
             for (std::size_t r = 0; r < p.rows(); ++r)
                 content += "P " + p.row(r).toString() + '\n';
@@ -343,15 +261,14 @@ FingerprintCache::loadFromDisk()
             return corrupt("malformed entry header");
 
         // Reuse the profile parser for the per-pattern lines.
-        std::string text = "k " + std::to_string(k) + "\n";
+        std::string profile_text = "k " + std::to_string(k) + "\n";
         for (std::size_t i = 0; i < count; ++i) {
             if (!std::getline(in, line))
                 return corrupt("truncated entry");
-            text += line + "\n";
+            profile_text += line + "\n";
         }
-        std::istringstream profile_in(text);
         MiscorrectionProfile profile;
-        if (!beer::tryParseProfile(profile_in, profile).ok)
+        if (!beer::tryParseProfile(profile_text, profile).ok)
             return corrupt("malformed profile lines");
 
         gf2::Matrix p(parity, k);
@@ -367,11 +284,11 @@ FingerprintCache::loadFromDisk()
             }
         }
 
-        std::vector<std::string> lines = canonicalLines(profile);
-        const std::uint64_t hash = hashCanonical(k, parity, lines);
+        std::string text = canonicalText(profile);
+        const std::uint64_t hash = hashCanonical(k, parity, text);
         std::lock_guard<std::mutex> lock(mutex_);
-        insertLocked(Entry{hash, k, parity, std::move(lines),
-                           ecc::LinearCode(p)});
+        insertLocked(Entry{hash, k, parity, profile.patterns.size(),
+                           std::move(text), ecc::LinearCode(p)});
         ++loaded;
     }
 

@@ -11,11 +11,9 @@
  *  - an EXACT hit (same canonical profile, byte-for-byte — the hash is
  *    verified against the stored canonical form, never trusted alone)
  *    returns the previously solved function with zero SAT work;
- *  - a NEAR match (same dimensions, per-pattern line overlap above a
- *    configurable threshold) returns the shared entry subset, which
- *    the solve path feeds to IncrementalSolver::warmStart() — sound
- *    because every shared line is evidence from the NEW chip, merely
- *    replayed in an order that lets learned clauses transfer;
+ *  - anything else is a miss, which the service solves cold: a warm
+ *    start from a partially overlapping entry measured slower than a
+ *    cold solve, so there is no partial matching;
  *  - entries are LRU-bounded, and can be persisted to a text file
  *    (loaded at service start, flushed at shutdown) so a restarted
  *    server keeps its accumulated population knowledge.
@@ -49,11 +47,6 @@ struct FingerprintCacheConfig
     std::size_t capacity = 256;
     /** Persistence file; empty disables load/flush. */
     std::string path;
-    /**
-     * Minimum shared-line fraction (shared / max(lines_a, lines_b))
-     * for a near match. 1.0 effectively disables near matching.
-     */
-    double nearMatchThreshold = 0.5;
     /** I/O seam for load/flush; nullptr uses FileIo::system(). */
     FileIo *io = nullptr;
 };
@@ -63,6 +56,8 @@ struct FingerprintCacheStats
 {
     std::size_t entries = 0;
     std::uint64_t exactHits = 0;
+    /** Always 0: near matching is gone. Kept only because the
+     *  end-to-end benchmark (perfbench/) still reads it. */
     std::uint64_t nearHits = 0;
     std::uint64_t misses = 0;
     std::uint64_t inserts = 0;
@@ -74,13 +69,6 @@ struct FingerprintCacheStats
     /** Individual lookups those passes carried; exceeding
      * batchedPasses proves requests actually combined. */
     std::uint64_t batchedRequests = 0;
-    /**
-     * Near hits won through the repair-aware view: the query carried
-     * suspect (quorum-disagreed) rows and matching on its clean rows
-     * alone beat the plain overlap — a repaired chip warm-starting
-     * from its clean sibling's entry instead of cold-solving.
-     */
-    std::uint64_t repairAwareHits = 0;
 };
 
 /** LRU cache of profile fingerprint -> solved ECC function. */
@@ -96,18 +84,10 @@ class FingerprintCache
         {
             Miss,
             Exact,
-            Near,
         };
         Kind kind = Kind::Miss;
         /** The solved function (Exact only). */
         std::optional<ecc::LinearCode> code;
-        /**
-         * Entries of the queried profile also present (same pattern,
-         * same bitmap) in the best near-match entry (Near only).
-         */
-        MiscorrectionProfile shared;
-        /** Shared-line fraction of the best candidate (Near only). */
-        double overlap = 0.0;
     };
 
     /**
@@ -168,13 +148,16 @@ class FingerprintCache
         std::uint64_t hash = 0;
         std::size_t k = 0;
         std::size_t parityBits = 0;
-        /** Canonical "<charged-csv> <bitmap>" lines, sorted. */
-        std::vector<std::string> lines;
+        /** Entry count of the profile. */
+        std::size_t lines = 0;
+        /** Its canonical "<charged-csv> <bitmap>\n" lines, sorted. */
+        std::string text;
         ecc::LinearCode code;
     };
 
-    Hit lookupLocked(const MiscorrectionProfile &profile,
-                     std::size_t parity_bits);
+    Hit lookupLocked(std::uint64_t hash, std::size_t k,
+                     std::size_t parity_bits,
+                     const std::string &text);
     void insertLocked(Entry entry);
 
     FingerprintCacheConfig config_;

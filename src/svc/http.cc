@@ -172,14 +172,12 @@ healthJson(const HealthReport &health)
         << ",\"quarantined\":" << health.jobStates.quarantined
         << "}},\"cache\":{\"entries\":" << health.cache.entries
         << ",\"exact_hits\":" << health.cache.exactHits
-        << ",\"near_hits\":" << health.cache.nearHits
         << ",\"misses\":" << health.cache.misses
         << ",\"inserts\":" << health.cache.inserts
         << ",\"evictions\":" << health.cache.evictions
         << ",\"loaded\":" << health.cache.loadedEntries
         << ",\"batched_passes\":" << health.cache.batchedPasses
         << ",\"batched_requests\":" << health.cache.batchedRequests
-        << ",\"repair_aware_hits\":" << health.cache.repairAwareHits
         << "},\"journal\":{\"bytes\":" << health.journal.bytes
         << ",\"records\":" << health.journal.records
         << ",\"live_records\":" << health.journal.liveRecords

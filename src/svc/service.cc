@@ -102,6 +102,17 @@ struct RecoveryService::JobRecord
     SessionSubmitOptions sessionOptions;
     std::mutex mutex;
     JobStatus status;
+
+    /** Drop the job's inputs once it is terminal (no attempt is left
+     *  to read them); the record then holds only its status. */
+    void
+    releaseInputs()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        profile = {};
+        tracePath = {};
+        sessionOptions = {};
+    }
 };
 
 RecoveryService::RecoveryService(ServiceConfig config)
@@ -125,10 +136,14 @@ RecoveryService::RecoveryService(ServiceConfig config)
     journal_ = std::make_unique<JobJournal>(journal);
     SchedulerConfig sched;
     sched.maxQueuedJobs = config_.maxQueuedJobs;
-    if (journal_->enabled())
-        sched.onTerminal = [this](JobId id, JobState state) {
+    sched.onTerminal = [this](JobId id, JobState state) {
+        if (journal_->enabled())
             journal_->appendTerminal(id, state == JobState::Done);
-        };
+        std::lock_guard<std::mutex> lock(jobsMutex_);
+        const auto it = jobs_.find(id);
+        if (it != jobs_.end())
+            it->second->releaseInputs();
+    };
     scheduler_ = std::make_unique<SessionScheduler>(*pool_, sched);
     replayJournal();
 }
@@ -205,6 +220,11 @@ RecoveryService::scheduleRecord(std::unique_ptr<JobRecord> record,
     {
         std::lock_guard<std::mutex> lock(jobsMutex_);
         jobs_.emplace(id, std::move(record));
+        // A job that finished before it was registered here found no
+        // record to release in onTerminal.
+        const std::optional<JobState> state = scheduler_->state(id);
+        if (state != JobState::Queued && state != JobState::Running)
+            ptr->releaseInputs();
     }
     SubmitOutcome outcome;
     outcome.accepted = true;
@@ -255,9 +275,8 @@ SubmitOutcome
 RecoveryService::submitPayload(const std::string &payload,
                                const SubmitOptions &options)
 {
-    std::istringstream in(payload);
     MiscorrectionProfile profile;
-    const ProfileParseStatus status = tryParseProfile(in, profile);
+    const ProfileParseStatus status = tryParseProfile(payload, profile);
     if (!status.ok)
         return rejected(SubmitOutcome::Reject::BadPayload,
                         status.error);
@@ -357,9 +376,9 @@ RecoveryService::replayJournal()
         options.bypassCache = bypass != 0;
         SubmitOutcome outcome;
         if (kind == "profile") {
-            std::istringstream text(unescapeJournalField(payload));
             MiscorrectionProfile profile;
-            if (!tryParseProfile(text, profile).ok) {
+            if (!tryParseProfile(unescapeJournalField(payload), profile)
+                     .ok) {
                 util::warn("svc: journal job %llu: unreadable "
                               "profile record, dropped",
                               (unsigned long long)job.id);
@@ -590,14 +609,8 @@ RecoveryService::runJob(JobRecord &record)
             result.codeString = hit.code->toString();
             result.cache = CacheOutcome::Exact;
         } else {
-            IncrementalSolver solver(profile.k, parity,
-                                     config_.solver);
-            if (hit.kind == FingerprintCache::Hit::Kind::Near) {
-                solver.warmStart(hit.shared);
-                result.cache = CacheOutcome::Near;
-            }
-            solver.addProfile(profile);
-            const BeerSolveResult solve = solver.solve();
+            const BeerSolveResult solve =
+                solveForEccFunction(profile, parity, config_.solver);
             satSolves_.fetch_add(1, std::memory_order_relaxed);
             result.succeeded = solve.unique();
             result.solutions = solve.solutions.size();

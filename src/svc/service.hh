@@ -20,10 +20,11 @@
  * Every job consults the fingerprint cache first: an exact hit
  * returns the previously solved function with zero SAT solver
  * invocations (satSolves in HealthReport is the proof the acceptance
- * test asserts on), a near match warm-starts the incremental solver
- * with the shared profile subset, and unique solves are inserted for
- * the next member of the fleet. shutdown() drains the scheduler and
- * flushes the cache to disk; the destructor does the same.
+ * test asserts on), anything else is solved cold, and unique solves
+ * are inserted for the next member of the fleet. Once a job is
+ * terminal its record keeps only its status, not its parsed profile.
+ * shutdown() drains the scheduler and flushes the cache to disk; the
+ * destructor does the same.
  */
 
 #ifndef BEER_SVC_SERVICE_HH
@@ -121,7 +122,8 @@ enum class CacheOutcome
     None,
     /** Returned from the cache with zero solver invocations. */
     Exact,
-    /** SAT solve warm-started from a near-match shared subset. */
+    /** Never produced: near matching is gone. Kept only because the
+     *  end-to-end benchmark (perfbench/) still names it. */
     Near,
 };
 

@@ -3,9 +3,10 @@
  * Differential tests of the lazily refined beer::IncrementalSolver
  * against the eager reference model (tests/ref/eager_beer_solve.hh):
  * canonical solution sets must be identical on fig5-style profiles,
- * on every round of real session trajectories, under retractable
- * rounds (suspend, probe, drop), across a non-monotone rebuild, and
- * in the complete instance exported for external solvers.
+ * on the recovery service's capped one-shot solves, on every round of
+ * real session trajectories, under retractable rounds (suspend,
+ * probe, drop), across a non-monotone rebuild, and in the complete
+ * instance exported for external solvers.
  */
 
 #include <gtest/gtest.h>
@@ -119,6 +120,38 @@ TEST(LazySolver, Fig5StyleProfilesMatchEager)
                         std::to_string(counts.size()) + "/" +
                         std::to_string(counts.front()));
             }
+        }
+    }
+}
+
+TEST(LazySolver, ServiceSolveShapeMatchesEager)
+{
+    // The recovery service's one-shot solve: a k=16 {1,2}-CHARGED
+    // profile capped at 16 solutions, whole and as a sibling chip
+    // missing its last two patterns. Multi-charged entries are refined
+    // one at a time, only once no cheaper constraint is violated.
+    constexpr std::size_t kCap = 16;
+    const auto patterns = chargedPatternUnion(16, {1, 2});
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        Rng rng(seed);
+        const LinearCode code = randomSecCode(16, rng);
+        const std::size_t p = code.numParityBits();
+        const MiscorrectionProfile full = exhaustiveProfile(code, patterns);
+        const MiscorrectionProfile truncated =
+            slice(full, 0, full.patterns.size() - 2);
+        BeerSolverConfig config;
+        config.maxSolutions = kCap;
+        for (const MiscorrectionProfile *profile : {&full, &truncated}) {
+            const std::string where =
+                "seed " + std::to_string(seed) + " patterns " +
+                std::to_string(profile->patterns.size());
+            const BeerSolveResult lazy =
+                solveForEccFunction(*profile, p, config);
+            expectSameSolutions(lazy, eagerBeerSolve(*profile, p, kCap),
+                                where);
+            ASSERT_TRUE(lazy.unique()) << where;
+            EXPECT_TRUE(ecc::equivalent(lazy.solutions.front(), code))
+                << where;
         }
     }
 }

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "beer/profile.hh"
 #include "ecc/hamming.hh"
+#include "ref/stream_profile_parser.hh"
 #include "util/rng.hh"
 
 using namespace beer;
@@ -204,6 +207,246 @@ TEST(ProfileIo, TrailingGarbageTokenRejected)
         EXPECT_NE(status.error.find("trailing token"),
                   std::string::npos)
             << status.error;
+    }
+}
+
+namespace
+{
+
+/** One of @p options, uniformly. */
+std::string
+pick(Rng &rng, const std::vector<std::string> &options)
+{
+    return options[rng.below(options.size())];
+}
+
+/**
+ * A header block. Tame headers vary only in what the format allows
+ * (comments, blank lines, tabs, CR, an optional version); wild ones
+ * also draw the malformed and borderline header lines.
+ */
+std::string
+randomHeader(Rng &rng, std::size_t k, bool wild)
+{
+    const std::string ks = std::to_string(k);
+    std::string out = pick(
+        rng, {"", "", "# BEER miscorrection profile\n", "\n", "\r\n",
+              "\t \n", "#\n"});
+    std::vector<std::string> versions = {
+        "", "", "version 1\n", "version 2\n", "version 3\n",
+        "version 3\r\n", "\tversion\t2 \n", "version 2 # c\n"};
+    std::vector<std::string> headers = {
+        "k " + ks + "\n", "k " + ks + "\n", "k " + ks + "\r\n",
+        "\tk\t" + ks + " \n", "k " + ks + "# c\n"};
+    if (wild) {
+        versions.insert(versions.end(),
+                        {"version 0\n", "version 4\n", "version\n",
+                         "version -1\n", "version +2\n",
+                         "version 2 extra\n", "version 2x\n",
+                         "version 99999999999999999999\n",
+                         "version 2\nversion 2\n", "Version 2\n",
+                         "version#2\n"});
+        headers.insert(headers.end(),
+                       {"k " + ks + " junk\n", "k +" + ks + "\n",
+                        "k 0" + ks + "\n", "k 0\n", "k\n", "k -4\n",
+                        "k" + ks + "\n", "K " + ks + "\n", "k x\n", ""});
+    }
+    return out + pick(rng, versions) + pick(rng, headers);
+}
+
+/** One pattern line over @p k bits; wild lines may be malformed. */
+std::string
+randomPatternLine(Rng &rng, std::size_t k, bool wild)
+{
+    const double odd = wild ? 0.15 : 0.0;
+    std::string csv;
+    const std::size_t items = 1 + rng.below(3);
+    for (std::size_t i = 0; i < items; ++i) {
+        if (i)
+            csv += ',';
+        if (!rng.bernoulli(odd))
+            csv += std::to_string(rng.below(k));
+        else
+            csv += pick(rng, {"", "+3", "-1", "0x1", "1a", "00",
+                              std::to_string(k),
+                              "99999999999999999999",
+                              std::string("1\0" "2", 3)});
+    }
+    if (rng.bernoulli(odd / 3))
+        csv += ',';
+
+    std::size_t bits = k;
+    if (rng.bernoulli(odd / 3))
+        bits = rng.bernoulli(0.5) ? k + 1 : k - 1;
+    std::string bitmap;
+    for (std::size_t i = 0; i < bits; ++i)
+        bitmap += rng.bernoulli(0.7) ? '0' : '1';
+    // Clear the charged positions (wild lines: most of the time) so
+    // that lines get past the miscorrectable-charged-bit check.
+    if (!rng.bernoulli(odd))
+        for (std::size_t at = 0; at < csv.size();) {
+            std::size_t comma = csv.find(',', at);
+            if (comma == std::string::npos)
+                comma = csv.size();
+            const std::string item = csv.substr(at, comma - at);
+            at = comma + 1;
+            if (!item.empty() &&
+                item.find_first_not_of("0123456789") == std::string::npos &&
+                item.size() < 6 && std::stoul(item) < bitmap.size())
+                bitmap[std::stoul(item)] = '0';
+        }
+    if (!bitmap.empty() && rng.bernoulli(odd / 3))
+        bitmap[rng.below(bitmap.size())] = rng.bernoulli(0.5) ? '2' : 'x';
+
+    const std::string sep =
+        pick(rng, {" ", " ", "\t", "  ", " \t", "\v", "\f"});
+    std::string line = pick(rng, {"", "", "", " ", "\t"}) + csv;
+    if (!rng.bernoulli(odd / 3))
+        line += sep + bitmap;
+    line += pick(rng, {"", "", "", "", " ?", "\t?", " ? "});
+    if (rng.bernoulli(odd / 3))
+        line += pick(rng, {" extra", " x", "?", " ?"});
+    line += pick(rng, {"", "", "", " # note", "#", "#?", " #"});
+    return line;
+}
+
+/** A payload: header, pattern lines, stray blank and comment lines. */
+std::string
+randomPayload(Rng &rng)
+{
+    const bool wild = rng.bernoulli(0.5);
+    const std::size_t k =
+        rng.bernoulli(0.1) ? 70 : 1 + rng.below(rng.bernoulli(0.5) ? 16 : 8);
+    std::string text = randomHeader(rng, k, wild);
+    const std::size_t lines = rng.below(12);
+    for (std::size_t i = 0; i < lines; ++i) {
+        if (rng.bernoulli(0.08))
+            text += pick(rng, {"", "  ", "\t", "# comment", "\r"});
+        else
+            text += randomPatternLine(rng, k, wild);
+        const bool last = i + 1 == lines;
+        text += last ? pick(rng, {"\n", "\n", "", "\r\n", "\n\n"})
+                     : pick(rng, {"\n", "\n", "\n", "\r\n"});
+    }
+    return text;
+}
+
+/** Parse @p text with both parsers into a sentinel-filled profile. */
+void
+expectParsersAgree(const std::string &text, const std::string &where)
+{
+    MiscorrectionProfile sentinel;
+    sentinel.k = 999;
+    MiscorrectionProfile fast = sentinel;
+    MiscorrectionProfile reference = sentinel;
+    std::istringstream ref_in(text);
+    const ProfileParseStatus want =
+        beer::test::ref::streamTryParseProfile(ref_in, reference);
+    const ProfileParseStatus got = tryParseProfile(text, fast);
+
+    ASSERT_EQ(got.ok, want.ok) << where << "\n" << want.error;
+    EXPECT_EQ(got.version, want.version) << where;
+    EXPECT_EQ(got.error, want.error) << where;
+    // On failure both leave the output untouched.
+    ASSERT_EQ(fast, reference) << where;
+    ASSERT_EQ(fast.patterns.size(), reference.patterns.size()) << where;
+    for (std::size_t i = 0; i < fast.patterns.size(); ++i)
+        EXPECT_EQ(fast.patterns[i].suspect, reference.patterns[i].suspect)
+            << where << " line " << i;
+
+    // The stream overload is the same parser behind a read.
+    MiscorrectionProfile streamed = sentinel;
+    std::istringstream in(text);
+    const ProfileParseStatus via_stream = tryParseProfile(in, streamed);
+    EXPECT_EQ(via_stream.ok, want.ok) << where;
+    EXPECT_EQ(via_stream.error, want.error) << where;
+    EXPECT_EQ(streamed, reference) << where;
+}
+
+} // anonymous namespace
+
+TEST(ProfileIo, ParserMatchesStreamReferenceOnEdgeCases)
+{
+    const std::vector<std::string> cases = {
+        "",
+        "\n",
+        "k 4",
+        "k 4\n0 0111",
+        "k 4\r\n0 0111\r\n1,2 0000\r\n",
+        "k 4\n\t0\t0111\t\n",
+        "k 4\n0 0111 # c ? x\n",
+        "k 4\n# 0 0111\n",
+        "k 4\n1,,2 0000\n",
+        "k 4\n,1 0000\n",
+        "k 4\n1, 0000\n",
+        "k 4\n, 0000\n",
+        "k 4\n+3 0000\n",
+        "k 4\n-1 0000\n",
+        "k 4\n3,1 1000\n",
+        "k 4\n1,1 0000\n",
+        "k 4\n0 0111 ?\n",
+        "k 4\n0 0111 ? ?\n",
+        "k 4\n0 0111 ?x\n",
+        "k 4\n0 0111 x y\n",
+        "k 4\n0 011\n",
+        "k 4\n0 01111\n",
+        "k 4\n0 0121\n",
+        "k 4\n0\n",
+        "k 4\nversion 2\n",
+        "k 4\nk 4\n",
+        "version 2\n",
+        "version 2\nversion 2\nk 4\n",
+        "version 3\nk 4\n0 0111 ?\n",
+        "version 0\nk 4\n",
+        "version 4\nk 4\n",
+        "version -1\nk 4\n",
+        "version +2\nk 4\n",
+        "version 2junk\nk 4\n",
+        "version 99999999999999999999\nk 4\n",
+        "k 0\n",
+        "k -4\n",
+        "k +4\n0 0111\n",
+        "k 4 trailing\n0 0111\n",
+        "k4\n",
+        "k 70\n69 " + std::string(70, '0') + "\n",
+        "k 70\n0,64 0" + std::string(63, '1') + "0" + std::string(5, '1') +
+            "\n",
+        std::string("k 4\n1\0" "2 0000\n", 14),
+        std::string("k 4\n0 0111\0\n", 12),
+        "k 4\n99999999999999999999 0000\n",
+        "k 4\n0x1 0000\n",
+    };
+    for (const std::string &text : cases)
+        expectParsersAgree(text, "case '" + text + "'");
+}
+
+TEST(ProfileIo, ParserMatchesStreamReferenceOnSeededCorpus)
+{
+    Rng rng(2026);
+    std::size_t accepted = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::string text = randomPayload(rng);
+        expectParsersAgree(text, "payload " + std::to_string(i) + ":\n" +
+                                     text);
+        MiscorrectionProfile parsed;
+        accepted += tryParseProfile(text, parsed).ok;
+    }
+    // The corpus must exercise both outcomes in earnest.
+    EXPECT_GT(accepted, 400u);
+    EXPECT_LT(accepted, 3600u);
+}
+
+TEST(ProfileIo, ParserMatchesStreamReferenceOnServicePayloads)
+{
+    Rng rng(5);
+    for (std::size_t k : {4u, 16u, 32u, 70u}) {
+        const auto code = randomSecCode(k, rng);
+        auto profile =
+            exhaustiveProfile(code, chargedPatternUnion(k, {1, 2}));
+        for (std::size_t i = 0; i < profile.patterns.size(); i += 5)
+            profile.patterns[i].suspect = true;
+        expectParsersAgree(serializeProfile(profile),
+                           "k=" + std::to_string(k));
     }
 }
 

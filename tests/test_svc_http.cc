@@ -199,14 +199,14 @@ TEST(SvcHttp, SocketRoundTrip)
     serving.join();
 }
 
-TEST(SvcHttp, HealthExposesJournalQuorumAndRepairAwareCounters)
+TEST(SvcHttp, HealthExposesJournalAndQuorumCounters)
 {
     RecoveryService service;
     HttpServer server(service);
 
     // The fault-tolerance observability surface: journal byte/record/
-    // compaction counters, adaptive-quorum vote totals, and the
-    // repair-aware cache-hit counter, in both /health and /v1/stats.
+    // compaction counters and adaptive-quorum vote totals, in both
+    // /health and /v1/stats.
     for (const char *route : {"/health", "/v1/stats"}) {
         const HttpResponse response =
             server.handle("GET", route, "");
@@ -215,8 +215,7 @@ TEST(SvcHttp, HealthExposesJournalQuorumAndRepairAwareCounters)
              {"\"journal\":{", "\"bytes\":", "\"records\":",
               "\"compactions\":", "\"crc_skipped\":",
               "\"torn_tail\":", "\"append_failures\":",
-              "\"quorum\":{", "\"votes_spent\":", "\"escalations\":",
-              "\"repair_aware_hits\":"})
+              "\"quorum\":{", "\"votes_spent\":", "\"escalations\":"})
             EXPECT_NE(response.body.find(key), std::string::npos)
                 << route << " missing " << key;
     }

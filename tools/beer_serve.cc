@@ -12,6 +12,9 @@
  *     curl -s http://127.0.0.1:8117/v1/jobs/1    # poll until "done"
  *     curl -s http://127.0.0.1:8117/health       # observability
  *
+ * Every job is answered from the fingerprint cache on an exact
+ * profile match and by a cold SAT solve otherwise.
+ *
  * SIGINT/SIGTERM shut down gracefully: the accept loop exits, in-
  * flight jobs drain, and the fingerprint cache is flushed to disk so
  * the next start answers repeat profiles without a SAT solve. A
@@ -49,10 +52,9 @@ main(int argc, char **argv)
                   "fingerprint cache persistence path (loaded on "
                   "start, flushed on shutdown)");
     cli.addOption("cache-capacity", "256",
-                  "max fingerprint cache entries (LRU eviction)");
-    cli.addOption("near-threshold", "0.5",
-                  "min shared-profile fraction for a near-match "
-                  "warm start");
+                  "max fingerprint cache entries (LRU eviction); "
+                  "a profile matching one exactly skips the SAT "
+                  "solve, any other profile is solved cold");
     cli.addOption("max-solutions", "16",
                   "per-job solution cap (0 = enumerate all)");
     cli.addFlag("reject-legacy",
@@ -100,7 +102,6 @@ main(int argc, char **argv)
     config.maxQueuedJobs = (std::size_t)cli.getInt("max-queued");
     config.cache.path = cli.getString("cache-file");
     config.cache.capacity = (std::size_t)cli.getInt("cache-capacity");
-    config.cache.nearMatchThreshold = cli.getDouble("near-threshold");
     config.solver.maxSolutions =
         (std::size_t)cli.getInt("max-solutions");
     config.rejectLegacyPayloads = cli.getBool("reject-legacy");
@@ -181,13 +182,12 @@ main(int argc, char **argv)
     const svc::HealthReport health = service.health();
     std::fprintf(stderr,
                  "beer_serve: served %llu jobs (%llu SAT solves, "
-                 "%llu exact cache hits, %llu near hits, %llu "
-                 "retries, %llu quarantined, %llu journal replays, "
-                 "%llu journal compactions)\n",
+                 "%llu exact cache hits, %llu retries, %llu "
+                 "quarantined, %llu journal replays, %llu journal "
+                 "compactions)\n",
                  (unsigned long long)health.scheduler.completed,
                  (unsigned long long)health.satSolves,
                  (unsigned long long)health.cache.exactHits,
-                 (unsigned long long)health.cache.nearHits,
                  (unsigned long long)health.retries,
                  (unsigned long long)health.quarantined,
                  (unsigned long long)health.journalReplays,
