@@ -9,7 +9,9 @@
 #include <unordered_map>
 
 #include "dram/types.hh"
+#include "sim/stats_reduce.hh"
 #include "sim/word_sim.hh"
+#include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/signal.hh"
 #include "util/thread_pool.hh"
@@ -210,34 +212,31 @@ emptyCounts(std::size_t k, const std::vector<TestPattern> &patterns)
 /**
  * Count per-bit mismatches of one planar read batch against the
  * written dataword, adding into @p error_counts. Plane pos mismatches
- * where its lane bits differ from data[pos], so the count is a
- * popcount of row XOR fill — the per-(word, bit) mismatch count, 64
- * words at a time. Planes are independent and
- * the adds are integer, so sharding over @p pool is bit-identical at
- * any thread count.
+ * where its lane bits differ from data[pos]: one @p popcount row
+ * reduction over the full lane words (complemented when data[pos] is
+ * set) plus the tail-masked last lane word. Planes are independent
+ * and the adds are integer, so sharding over @p pool is bit-identical
+ * at any thread count and under every kernel.
  */
 void
 countMismatchesPlanar(const dram::PlanarReadBatch &batch,
                       const BitVec &data, std::size_t k,
+                      const sim::StatsReduceKernel &popcount,
                       std::vector<std::uint64_t> &error_counts,
                       util::ThreadPool *pool)
 {
-    const std::size_t lanes = batch.laneWords;
+    if (batch.laneWords == 0)
+        return;
+    const std::size_t full = batch.laneWords - 1;
     const std::uint64_t tail =
-        batch.count % 64 == 0
-            ? ~std::uint64_t{0}
-            : (~std::uint64_t{0} >> (64 - batch.count % 64));
+        ~std::uint64_t{0} >> ((64 - batch.count % 64) % 64);
     const auto countPlane = [&](std::size_t pos) {
         const std::uint64_t *row = batch.row(pos);
         const bool expected = data.get(pos);
-        std::uint64_t mismatches = 0;
-        for (std::size_t lw = 0; lw < lanes; ++lw) {
-            std::uint64_t v = row[lw];
-            if (expected)
-                v ^= lw + 1 == lanes ? tail : ~std::uint64_t{0};
-            mismatches += (std::uint64_t)__builtin_popcountll(v);
-        }
-        error_counts[pos] += mismatches;
+        const std::uint64_t set = popcount.rowPopcount(row, full);
+        error_counts[pos] +=
+            (expected ? 64 * full - set : set) +
+            (std::uint64_t)util::popcount64(row[full] ^ (expected ? tail : 0));
     };
     if (pool)
         pool->parallelFor(k, countPlane);
@@ -389,12 +388,14 @@ measureProfile(dram::MemoryInterface &mem,
     // The caller supplies that subset — from discoverCellTypes() on
     // real/unknown backends, or dram::trueCellWords() in simulation; an
     // empty selection means "every word" (all-true-cell backends).
-    std::vector<std::size_t> words = words_under_test;
-    if (words.empty()) {
-        words.resize(mem.numWords());
-        std::iota(words.begin(), words.end(), (std::size_t)0);
-    }
+    std::vector<std::size_t> every_word(
+        words_under_test.empty() ? mem.numWords() : 0);
+    std::iota(every_word.begin(), every_word.end(), (std::size_t)0);
+    const std::vector<std::size_t> &words =
+        words_under_test.empty() ? every_word : words_under_test;
     BEER_ASSERT(!words.empty());
+    // Resolved once per call: resolution reads the environment.
+    const sim::StatsReduceKernel &popcount = sim::statsReduceKernel();
 
     // Fill and read through the batched interface seams: on the
     // transposed simulated chip both run on whole lane words (fills
@@ -460,7 +461,7 @@ measureProfile(dram::MemoryInterface &mem,
                 }
                 ++experiments;
                 counts.wordsTested[p] += words.size();
-                countMismatchesPlanar(batch, data, k,
+                countMismatchesPlanar(batch, data, k, popcount,
                                       counts.errorCounts[p],
                                       config.pool);
             }
@@ -485,29 +486,17 @@ namespace
 
 using dram::formatTraceDouble;
 
-/** Parse an unsigned integer from trace metadata; fatal on garbage. */
-std::size_t
-parseMetaSize(const std::string &text, const char *what)
+/**
+ * Parse a trace-meta number with @p parse (std::stoul or std::stod);
+ * fatal on garbage or trailing characters.
+ */
+template <typename Parse>
+auto
+parseMeta(const std::string &text, const char *what, Parse parse)
 {
     try {
         std::size_t consumed = 0;
-        const unsigned long value = std::stoul(text, &consumed);
-        if (consumed != text.size())
-            throw std::invalid_argument(text);
-        return (std::size_t)value;
-    } catch (const std::exception &) {
-        util::fatal("trace meta: malformed %s value '%s'", what,
-                    text.c_str());
-    }
-}
-
-/** Parse a double from trace metadata; fatal on garbage. */
-double
-parseMetaDouble(const std::string &text, const char *what)
-{
-    try {
-        std::size_t consumed = 0;
-        const double value = std::stod(text, &consumed);
+        const auto value = parse(text, &consumed);
         if (consumed != text.size())
             throw std::invalid_argument(text);
         return value;
@@ -517,18 +506,64 @@ parseMetaDouble(const std::string &text, const char *what)
     }
 }
 
-std::string
-serializePattern(const TestPattern &pattern)
+std::size_t
+parseMetaSize(const std::string &text, const char *what)
 {
-    if (pattern.empty())
-        return "-";
+    return parseMeta(text, what, [](const std::string &t, std::size_t *n) {
+        return (std::size_t)std::stoul(t, n);
+    });
+}
+
+double
+parseMetaDouble(const std::string &text, const char *what)
+{
+    return parseMeta(text, what, [](const std::string &t, std::size_t *n) {
+        return std::stod(t, n);
+    });
+}
+
+/** @p items, each rendered by @p format, joined with @p sep. */
+template <typename Items, typename Format>
+std::string
+joinFields(const Items &items, char sep, Format format)
+{
     std::string out;
-    for (std::size_t i = 0; i < pattern.size(); ++i) {
+    for (std::size_t i = 0; i < items.size(); ++i) {
         if (i)
-            out += ',';
-        out += std::to_string(pattern[i]);
+            out += sep;
+        out += format(items[i]);
     }
     return out;
+}
+
+/** Comma-separated decimals of @p values, or @p if_empty. */
+std::string
+joinSizes(const std::vector<std::size_t> &values, const char *if_empty)
+{
+    if (values.empty())
+        return if_empty;
+    return joinFields(values, ',',
+                      [](std::size_t v) { return std::to_string(v); });
+}
+
+/**
+ * Fields of @p text split at @p sep. An empty last field counts only
+ * when @p keep_empty_last is set, so "" splits into one empty field
+ * then and into none otherwise.
+ */
+std::vector<std::string>
+splitFields(const std::string &text, char sep, bool keep_empty_last)
+{
+    std::vector<std::string> fields;
+    std::size_t pos = 0;
+    while (pos < text.size() || (keep_empty_last && pos == text.size())) {
+        std::size_t next = text.find(sep, pos);
+        if (next == std::string::npos)
+            next = text.size();
+        fields.push_back(text.substr(pos, next - pos));
+        pos = next + 1;
+    }
+    return fields;
 }
 
 TestPattern
@@ -537,32 +572,9 @@ parsePattern(const std::string &text)
     TestPattern pattern;
     if (text == "-")
         return pattern;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t next = text.find(',', pos);
-        if (next == std::string::npos)
-            next = text.size();
-        pattern.push_back(parseMetaSize(text.substr(pos, next - pos),
-                                        "pattern bit"));
-        pos = next + 1;
-    }
+    for (const std::string &field : splitFields(text, ',', false))
+        pattern.push_back(parseMetaSize(field, "pattern bit"));
     return pattern;
-}
-
-std::vector<double>
-parseDoubleCsv(const std::string &text, const char *what)
-{
-    std::vector<double> out;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t next = text.find(',', pos);
-        if (next == std::string::npos)
-            next = text.size();
-        out.push_back(
-            parseMetaDouble(text.substr(pos, next - pos), what));
-        pos = next + 1;
-    }
-    return out;
 }
 
 /** Value of the meta line "<key> <value>", if present. */
@@ -602,13 +614,9 @@ recordProfileTrace(dram::MemoryInterface &mem,
 {
     dram::TraceRecorder recorder(mem, out, trace_options);
 
-    std::string pauses;
-    for (std::size_t i = 0; i < config.pausesSeconds.size(); ++i) {
-        if (i)
-            pauses += ',';
-        pauses += formatTraceDouble(config.pausesSeconds[i]);
-    }
-    recorder.writeMeta("measure-pauses " + pauses);
+    recorder.writeMeta("measure-pauses " +
+                       joinFields(config.pausesSeconds, ',',
+                                  formatTraceDouble));
     recorder.writeMeta("measure-temp " + formatTraceDouble(config.temperatureC));
     recorder.writeMeta("measure-repeats " +
                        std::to_string(config.repeatsPerPause));
@@ -636,21 +644,11 @@ recordProfileTrace(dram::MemoryInterface &mem,
         recorder.writeMeta(meta);
     }
 
-    std::string serialized;
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-        if (i)
-            serialized += ';';
-        serialized += serializePattern(patterns[i]);
-    }
-    recorder.writeMeta("patterns " + serialized);
-
-    std::string words;
-    for (std::size_t i = 0; i < words_under_test.size(); ++i) {
-        if (i)
-            words += ',';
-        words += std::to_string(words_under_test[i]);
-    }
-    recorder.writeMeta("words " + (words.empty() ? "all" : words));
+    recorder.writeMeta(
+        "patterns " + joinFields(patterns, ';', [](const TestPattern &p) {
+            return joinSizes(p, "-");
+        }));
+    recorder.writeMeta("words " + joinSizes(words_under_test, "all"));
 
     return measureProfile(recorder, patterns, config, words_under_test);
 }
@@ -667,7 +665,9 @@ traceMeasureConfig(const dram::TraceReplayBackend &trace)
                     "recordProfileTrace()?");
 
     MeasureConfig config;
-    config.pausesSeconds = parseDoubleCsv(*pauses, "measure-pauses");
+    for (const std::string &field : splitFields(*pauses, ',', false))
+        config.pausesSeconds.push_back(
+            parseMetaDouble(field, "measure-pauses"));
     config.temperatureC = parseMetaDouble(*temp, "measure-temp");
     config.repeatsPerPause =
         parseMetaSize(*repeats, "measure-repeats");
@@ -675,15 +675,7 @@ traceMeasureConfig(const dram::TraceReplayBackend &trace)
         config.thresholdProbability =
             parseMetaDouble(*threshold, "measure-threshold");
     if (const auto quorum = metaValue(trace, "measure-quorum")) {
-        std::vector<std::string> fields;
-        std::size_t pos = 0;
-        while (pos <= quorum->size()) {
-            std::size_t next = quorum->find(',', pos);
-            if (next == std::string::npos)
-                next = quorum->size();
-            fields.push_back(quorum->substr(pos, next - pos));
-            pos = next + 1;
-        }
+        const auto fields = splitFields(*quorum, ',', true);
         if (fields.size() < 2 ||
             (fields.size() > 2 &&
              (fields.size() != 7 || fields[2] != "adaptive")))
@@ -719,29 +711,14 @@ replayProfileTrace(dram::TraceReplayBackend &trace,
     if (!serialized)
         util::fatal("trace carries no 'patterns' meta line");
     std::vector<TestPattern> patterns;
-    std::size_t pos = 0;
-    while (pos <= serialized->size()) {
-        std::size_t next = serialized->find(';', pos);
-        if (next == std::string::npos)
-            next = serialized->size();
-        patterns.push_back(
-            parsePattern(serialized->substr(pos, next - pos)));
-        pos = next + 1;
-    }
+    for (const std::string &field : splitFields(*serialized, ';', true))
+        patterns.push_back(parsePattern(field));
 
     std::vector<std::size_t> words;
     const auto words_text = metaValue(trace, "words");
-    if (words_text && *words_text != "all") {
-        std::size_t at = 0;
-        while (at < words_text->size()) {
-            std::size_t next = words_text->find(',', at);
-            if (next == std::string::npos)
-                next = words_text->size();
-            words.push_back(parseMetaSize(
-                words_text->substr(at, next - at), "words"));
-            at = next + 1;
-        }
-    }
+    if (words_text && *words_text != "all")
+        for (const std::string &field : splitFields(*words_text, ',', false))
+            words.push_back(parseMetaSize(field, "words"));
 
     ProfileCounts counts = measureProfile(trace, patterns, config, words);
     if (!trace.atEnd())

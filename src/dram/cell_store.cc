@@ -86,29 +86,24 @@ TransposedCellStore::decayBit(std::size_t w, std::size_t pos)
 
 void
 TransposedCellStore::broadcastWrite(const BitVec &codeword,
-                                    const std::vector<std::uint64_t> &sel)
+                                    const std::uint64_t *sel,
+                                    std::size_t jb, std::size_t je)
 {
-    BEER_ASSERT(codeword.size() == n_ && sel.size() >= laneWords_);
-    // Touch only the selected lane words: a sparse word subset (a
-    // wordsUnderTest list covering a sliver of a big chip) must not
-    // pay a full-plane traversal per row.
-    touchedScratch_.clear();
-    for (std::size_t j = 0; j < laneWords_; ++j)
-        if (sel[j])
-            touchedScratch_.push_back(j);
+    BEER_ASSERT(codeword.size() == n_ && jb <= je && je <= laneWords_);
     for (std::size_t pos = 0; pos < n_; ++pos) {
         std::uint64_t *ref = &ref_[pos * stride_];
         std::uint64_t *err = &err_[pos * stride_];
-        if (codeword.get(pos)) {
-            for (const std::size_t j : touchedScratch_) {
-                ref[j] |= sel[j];
-                err[j] &= ~sel[j];
-            }
-        } else {
-            for (const std::size_t j : touchedScratch_) {
-                ref[j] &= ~sel[j];
-                err[j] &= ~sel[j];
-            }
+        const std::uint64_t bit = codeword.get(pos) ? ~std::uint64_t{0} : 0;
+        // Leave a row already holding the codeword error-free unwritten:
+        // a store would claim lines other cores' reads still share.
+        std::uint64_t stale = 0;
+        for (std::size_t j = jb; j < je; ++j)
+            stale |= ((ref[j] ^ bit) | err[j]) & sel[j];
+        if (!stale)
+            continue;
+        for (std::size_t j = jb; j < je; ++j) {
+            ref[j] = (ref[j] & ~sel[j]) | (bit & sel[j]);
+            err[j] &= ~sel[j];
         }
     }
 }
@@ -116,7 +111,7 @@ TransposedCellStore::broadcastWrite(const BitVec &codeword,
 void
 TransposedCellStore::broadcastWriteAll(const BitVec &codeword)
 {
-    broadcastWrite(codeword, valid_);
+    broadcastWrite(codeword, valid_.data(), 0, laneWords_);
 }
 
 void

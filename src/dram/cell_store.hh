@@ -108,11 +108,13 @@ class TransposedCellStore
     // ---- wide paths --------------------------------------------------
     /**
      * Write the same @p codeword into every lane selected by @p sel
-     * (numLaneWords() masks): references updated, errors cleared, one
-     * lane-word operation per (row, lane word).
+     * (indexed by lane word) within lane words [@p jb, @p je):
+     * references updated, errors cleared, one branch-free pass per
+     * row over the span. Lane words outside the span are untouched.
      */
     void broadcastWrite(const gf2::BitVec &codeword,
-                        const std::vector<std::uint64_t> &sel);
+                        const std::uint64_t *sel, std::size_t jb,
+                        std::size_t je);
 
     /** broadcastWrite selecting every stored word. */
     void broadcastWriteAll(const gf2::BitVec &codeword);
@@ -122,19 +124,11 @@ class TransposedCellStore
     {
         return &err_[pos * stride_];
     }
-    std::uint64_t *errRow(std::size_t pos)
-    {
-        return &err_[pos * stride_];
-    }
     /** Reference plane row @p pos. */
     const std::uint64_t *refRow(std::size_t pos) const
     {
         return &ref_[pos * stride_];
     }
-    /** Lanes of lane word @p j lying in anti-cell rows. */
-    std::uint64_t antiMask(std::size_t j) const { return anti_[j]; }
-    /** Lanes of lane word @p j holding real words (w < numWords). */
-    std::uint64_t validMask(std::size_t j) const { return valid_[j]; }
 
     /** CHARGED lanes of (row @p pos, lane word @p j). */
     std::uint64_t chargedMaskWord(std::size_t pos, std::size_t j) const
@@ -188,8 +182,6 @@ class TransposedCellStore
     std::vector<std::uint64_t> ref_;
     std::vector<std::uint64_t> anti_;
     std::vector<std::uint64_t> valid_;
-    /** Selected lane-word indices of the current broadcastWrite. */
-    std::vector<std::size_t> touchedScratch_;
 };
 
 template <typename Fails>

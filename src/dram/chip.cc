@@ -107,18 +107,50 @@ SimulatedChip::writeDatawordsBroadcast(const std::size_t *words,
                                        std::size_t count,
                                        const BitVec &data)
 {
-    if (!store_) {
+    if (!store_ || count == 0) {
         MemoryInterface::writeDatawordsBroadcast(words, count, data);
         return;
     }
-    const BitVec codeword = config_.code.encode(data);
-    broadcastSel_.assign(store_->numLaneWords(), 0);
-    for (std::size_t i = 0; i < count; ++i) {
-        BEER_ASSERT(words[i] < numWords());
-        broadcastSel_[words[i] / 64] |= (std::uint64_t)1
-                                        << (words[i] & 63);
+    // Consecutive fills of one experiment plan repeat the dataword.
+    if (!(data == broadcastData_)) {
+        broadcastData_ = data;
+        broadcastCodeword_ = config_.code.encode(data);
     }
-    store_->broadcastWrite(codeword, broadcastSel_);
+    broadcastSel_.assign(store_->numLaneWords(), 0);
+    std::uint64_t *sel = broadcastSel_.data();
+    const std::size_t first = words[0];
+    std::size_t jb = first / 64;
+    std::size_t je = jb + 1;
+    std::size_t gaps = 0; // zero iff words is one ascending run
+    for (std::size_t i = 0; i < count; ++i)
+        gaps |= words[i] ^ (first + i);
+    if (gaps == 0) {
+        // The whole-chip case: whole lane words between partial ends.
+        const std::size_t last = first + count - 1;
+        BEER_ASSERT(last < numWords());
+        je = last / 64 + 1;
+        std::fill(sel + jb, sel + je, ~std::uint64_t{0});
+        sel[jb] &= ~std::uint64_t{0} << (first & 63);
+        sel[je - 1] &= ~std::uint64_t{0} >> (63 - (last & 63));
+    } else {
+        // One pass: each lane word's bits gather in a register and are
+        // stored when the lane word changes.
+        std::size_t lane = jb;
+        std::uint64_t bits = 0;
+        for (std::size_t i = 0; i < count; ++i) {
+            BEER_ASSERT(words[i] < numWords());
+            if (words[i] / 64 != lane) {
+                sel[lane] |= bits;
+                lane = words[i] / 64;
+                bits = 0;
+                jb = std::min(jb, lane);
+                je = std::max(je, lane + 1);
+            }
+            bits |= (std::uint64_t)1 << (words[i] & 63);
+        }
+        sel[lane] |= bits;
+    }
+    store_->broadcastWrite(broadcastCodeword_, sel, jb, je);
 }
 
 bool

@@ -262,8 +262,11 @@ class SimulatedChip : public MemoryInterface
     WideReadScratch readScratch_;
     /** Frame readDatawordsPlanar serves (k rows of lane words). */
     std::vector<std::uint64_t> readFrame_;
-    /** Selection-mask scratch for writeDatawordsBroadcast. */
+    /** Lane-selection scratch for writeDatawordsBroadcast. */
     std::vector<std::uint64_t> broadcastSel_;
+    /** Last broadcast dataword and its encoding. */
+    gf2::BitVec broadcastData_;
+    gf2::BitVec broadcastCodeword_;
     std::uint64_t pauseEpoch_ = 0;
     std::uint64_t rawErrors_ = 0;
 };

@@ -9,10 +9,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "beer/measure.hh"
+#include "beer/patterns.hh"
 #include "beer/profile.hh"
 #include "dram/chip.hh"
 #include "dram/fault_proxy.hh"
@@ -30,6 +34,7 @@ using beer::dram::ChipConfig;
 using beer::dram::makeVendorConfig;
 using beer::ecc::LinearCode;
 using beer::ecc::randomSecCode;
+using beer::gf2::BitVec;
 using beer::util::Rng;
 
 TEST(Measure, SimProfileConvergesToExhaustive)
@@ -422,6 +427,64 @@ TEST(Measure, QuorumCountsMatchWhenTheBackendDeclinesPlanarReads)
         EXPECT_EQ(planar.injectedFlips(), scalar.injectedFlips());
         EXPECT_EQ(planar.readOps(), scalar.readOps());
         EXPECT_EQ(planar.injectedFlips(), threaded.injectedFlips());
+    }
+}
+
+TEST(Measure, CountsMatchUnderEveryPopcountKernel)
+{
+    // 1317 words (not a multiple of 64) starting mid-lane: the planar
+    // count reduces 20 full lane words per row through the dispatched
+    // kernel and tail-masks the last. Both forced kernels must match
+    // a per-word BitVec count of the same experiments.
+    ChipConfig config = makeVendorConfig('A', 32, 17);
+    config.map.rows = 700;
+    config.iidErrors = true;
+    std::vector<std::size_t> words(1317);
+    std::iota(words.begin(), words.end(), (std::size_t)5);
+    auto patterns = chargedPatterns(32, 1);
+    patterns.resize(6);
+    MeasureConfig mc;
+    mc.repeatsPerPause = 2;
+    Chip counted(config);
+    for (const double ber : {0.05, 0.3})
+        mc.pausesSeconds.push_back(
+            counted.retentionModel().pauseForBitErrorRate(ber, 80.0));
+
+    // The experiments measureProfile runs, counted word by word.
+    std::vector<std::vector<std::uint64_t>> expected(
+        patterns.size(), std::vector<std::uint64_t>(32, 0));
+    std::vector<BitVec> reads;
+    for (std::size_t p = 0; p < patterns.size(); ++p) {
+        const BitVec data =
+            datawordForPattern(patterns[p], 32, dram::CellType::True);
+        for (const double pause : mc.pausesSeconds)
+            for (std::size_t rep = 0; rep < mc.repeatsPerPause; ++rep) {
+                counted.writeDatawordsBroadcast(words.data(),
+                                                words.size(), data);
+                counted.pauseRefresh(pause, mc.temperatureC);
+                counted.readDatawords(words.data(), words.size(), reads);
+                for (const BitVec &read : reads)
+                    for (std::size_t bit = 0; bit < 32; ++bit)
+                        expected[p][bit] += read.get(bit) != data.get(bit);
+            }
+    }
+
+    const char *outer = std::getenv("BEER_POPCNT");
+    const std::string restore = outer ? outer : "";
+    for (const char *kernel : {"portable", "vpopcntdq"}) {
+        setenv("BEER_POPCNT", kernel, 1);
+        Chip chip(config);
+        const ProfileCounts counts =
+            measureProfile(chip, patterns, mc, words);
+        if (outer)
+            setenv("BEER_POPCNT", restore.c_str(), 1);
+        else
+            unsetenv("BEER_POPCNT");
+        EXPECT_EQ(counts.errorCounts, expected) << kernel;
+        EXPECT_EQ(counts.wordsTested,
+                  std::vector<std::uint64_t>(patterns.size(),
+                                             4 * words.size()))
+            << kernel;
     }
 }
 

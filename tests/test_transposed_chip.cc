@@ -14,6 +14,8 @@
  *    planar frame readDatawordsPlanar serves, and the transient-noise
  *    Rng stream shared by all three;
  *  - the byte read-modify-write path (which must not scrub errors);
+ *  - broadcast fills over every word-list shape, against per-word
+ *    writes;
  *  - measureProfile counts, including SIMD-backend and thread-count
  *    invariance and trace record/replay round-trips;
  *  - the beep::MemoryWordUnderTest adapter;
@@ -471,33 +473,6 @@ TEST(TransposedChip, ByteInterfaceMatchesScalarStorage)
     expectSameCells(ref, transposed);
 }
 
-TEST(TransposedChip, BroadcastWriteMatchesPerWordWrites)
-{
-    ChipConfig config = diffConfig('A', 8, 0x66);
-    SimulatedChip broadcast(config);
-    SimulatedChip loop(config);
-
-    // Error state on both chips; the broadcast must clear it only on
-    // the written words.
-    for (SimulatedChip *chip : {&broadcast, &loop}) {
-        chip->fill(0xFF);
-        chip->pauseRefresh(
-            chip->retentionModel().pauseForBitErrorRate(0.2, 80.0),
-            80.0);
-    }
-    expectSameCells(broadcast, loop);
-
-    std::vector<std::size_t> words;
-    for (std::size_t w = 0; w < broadcast.numWords(); w += 3)
-        words.push_back(w);
-    Rng data_rng(5);
-    const BitVec data = randomData(8, data_rng);
-    broadcast.writeDatawordsBroadcast(words.data(), words.size(), data);
-    for (const std::size_t w : words)
-        loop.writeDataword(w, data);
-    expectSameCells(broadcast, loop);
-}
-
 TEST(TransposedChip, MeasureProfileMatchesScalarStorage)
 {
     for (const std::size_t k : kChipWordSizes) {
@@ -731,10 +706,10 @@ frameWords(const dram::PlanarReadBatch &frame, std::size_t k)
 }
 
 /**
- * Word lists a batched read must serve in input order: every word,
- * the true-cell words (gapped row blocks on vendor C), reversed,
- * shuffled, duplicated, and a prefix whose count is not a multiple
- * of 64.
+ * Word lists a batched read must serve in input order, and a
+ * broadcast fill must select: every word, the true-cell words (gapped
+ * row blocks on vendor C), reversed, shuffled, duplicated, and a
+ * prefix whose count is not a multiple of 64.
  */
 std::vector<std::vector<std::size_t>>
 readOrders(const SimulatedChip &chip, std::uint64_t seed)
@@ -787,6 +762,51 @@ constexpr Backend kAllBackends[] = {Backend::U64x1, Backend::U64x2,
                                     Backend::U64x4, Backend::U64x8};
 
 } // anonymous namespace
+
+TEST(TransposedChip, BroadcastWriteMatchesPerWordWrites)
+{
+    // Every word-list shape of the planar-read tests, plus runs that
+    // start and end mid-lane (one spanning lane words, one inside a
+    // single lane word), written over a decayed chip: the broadcast
+    // must clear errors on the written words only. Every other fill
+    // repeats the previous dataword.
+    for (const char vendor : {'A', 'B', 'C'}) {
+        for (const std::size_t threads : {1u, 4u}) {
+            ChipConfig config = makeVendorConfig(vendor, 16, 0x66);
+            config.map.rows = 1000; // 2000 words: four retention shards
+            config.iidErrors = true;
+            config.injection = InjectionMode::SkipSample;
+            config.threads = threads;
+            SimulatedChip broadcast(config);
+            SimulatedChip loop(config);
+            auto orders = readOrders(broadcast, 0x67);
+            for (const auto &[begin, end] :
+                 {std::pair{70u, 270u}, std::pair{130u, 141u}}) {
+                orders.emplace_back();
+                for (std::size_t w = begin; w < end; ++w)
+                    orders.back().push_back(w);
+            }
+            Rng data_rng(5);
+            BitVec data;
+            for (std::size_t o = 0; o < orders.size(); ++o) {
+                SCOPED_TRACE(testing::Message()
+                             << vendor << " threads " << threads
+                             << " order " << o);
+                for (SimulatedChip *chip : {&broadcast, &loop})
+                    programAndDecay(*chip);
+                expectSameCells(broadcast, loop);
+                if (o % 2 == 0)
+                    data = randomData(16, data_rng);
+                const auto &words = orders[o];
+                broadcast.writeDatawordsBroadcast(words.data(),
+                                                  words.size(), data);
+                for (const std::size_t w : words)
+                    loop.writeDataword(w, data);
+                expectSameCells(broadcast, loop);
+            }
+        }
+    }
+}
 
 TEST(TransposedChip, PlanarFrameMatchesBatchedAndSequentialReads)
 {
