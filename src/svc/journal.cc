@@ -78,6 +78,13 @@ recoverRecord(const std::string &line, std::string &payload,
     return false;
 }
 
+/** The framed `submit <id> <payload>` record. */
+std::string
+submitRecord(JobId id, const std::string &payload)
+{
+    return frameRecord("submit " + std::to_string(id) + " " + payload);
+}
+
 } // anonymous namespace
 
 JobJournal::JobJournal(JournalConfig config)
@@ -153,8 +160,8 @@ JobJournal::replay()
     for (auto &[id, payload] : seen.pending) {
         if (seen.finished.count(id))
             continue;
-        out.push_back({id, payload});
-        live_.emplace(id, std::move(payload));
+        live_.emplace(id, submitRecord(id, payload));
+        out.push_back({id, std::move(payload)});
     }
 
     // Restart compaction: begin the new epoch from a minimal journal
@@ -164,9 +171,8 @@ JobJournal::replay()
 }
 
 bool
-JobJournal::appendLine(const std::string &payload)
+JobJournal::appendLine(const std::string &framed)
 {
-    const std::string framed = frameRecord(payload);
     const int fd = io_.open(config_.path.c_str(),
                             O_WRONLY | O_APPEND | O_CREAT, 0644);
     if (fd < 0) {
@@ -192,12 +198,13 @@ JobJournal::appendSubmit(JobId id, const std::string &payload)
     if (!enabled())
         return true;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!appendLine("submit " + std::to_string(id) + " " + payload)) {
+    std::string record = submitRecord(id, payload);
+    if (!appendLine(record)) {
         util::warn("svc: journal append failed for job %llu ('%s')",
                    (unsigned long long)id, config_.path.c_str());
         return false;
     }
-    live_.emplace(id, payload);
+    live_.emplace(id, std::move(record));
     return true;
 }
 
@@ -213,11 +220,16 @@ JobJournal::appendTerminal(JobId id, bool done)
     // Retire locally even if the append fails: replay would re-run a
     // finished job (at-least-once for terminals), but the next
     // compaction rewrites the file without it.
+    const std::string terminal =
+        frameRecord((done ? "done " : "failed ") + std::to_string(id));
+    retiredBytes_ += it->second.size() + terminal.size();
     live_.erase(it);
-    ++retiredSinceCompact_;
-    appendLine((done ? "done " : "failed ") + std::to_string(id));
+    appendLine(terminal);
+    // A rewrite is due only once the bytes retired since the last one
+    // reach what that one wrote; otherwise a live backlog larger than
+    // maxBytes would rewrite the whole file on every terminal record.
     if (config_.maxBytes > 0 && stats_.bytes > config_.maxBytes &&
-        retiredSinceCompact_ > 0)
+        retiredBytes_ >= rewriteBytes_)
         compactLocked();
 }
 
@@ -225,9 +237,8 @@ void
 JobJournal::compactLocked()
 {
     std::string content;
-    for (const auto &[id, payload] : live_)
-        content +=
-            frameRecord("submit " + std::to_string(id) + " " + payload);
+    for (const auto &[id, record] : live_)
+        content += record;
     if (!writeFileAtomic(io_, config_.path, content)) {
         util::warn("svc: journal compaction failed ('%s')",
                    config_.path.c_str());
@@ -236,7 +247,8 @@ JobJournal::compactLocked()
     stats_.bytes = content.size();
     stats_.records = live_.size();
     ++stats_.compactions;
-    retiredSinceCompact_ = 0;
+    rewriteBytes_ = content.size();
+    retiredBytes_ = 0;
 }
 
 void

@@ -24,11 +24,13 @@
  *    job exactly once.
  *
  * Size bound: the journal tracks which submit records are still live
- * (no terminal record yet). When the file exceeds maxBytes and at
- * least one record has retired since the last rewrite, it is compacted
- * — atomically rewritten to hold only the live submit records, in
- * original submission order. Replay also compacts, so a restart always
- * begins from a minimal journal. With this, 1k jobs of churn keep the
+ * (no terminal record yet). When the file exceeds maxBytes and the
+ * records retired since the last rewrite outweigh what it wrote, the
+ * file is compacted — atomically rewritten to hold only the live
+ * submit records, in original submission order — so a rewrite costs
+ * amortized O(1) per record even when live records exceed maxBytes.
+ * Replay also compacts, so a restart always begins from a minimal
+ * journal. With this, 1k jobs of churn keep the
  * file within the bound while every unfinished job survives a crash.
  *
  * All file access goes through the svc::FileIo seam, so the chaos
@@ -65,9 +67,9 @@ struct JournalConfig
     /** Journal file path; empty disables the journal entirely. */
     std::string path;
     /**
-     * Compact when the file grows past this many bytes and some
-     * record has retired since the last rewrite (0 = never compact
-     * online; replay-time compaction still runs).
+     * Compact when the file grows past this many bytes and the bytes
+     * retired since the last rewrite reach that rewrite's size (0 =
+     * never compact online; replay-time compaction still runs).
      */
     std::size_t maxBytes = 256 * 1024;
     /** I/O seam; nullptr uses FileIo::system(). */
@@ -145,20 +147,22 @@ class JobJournal
     JournalStats stats() const;
 
   private:
-    /** Frame @p payload and append it; updates bytes/records. */
-    bool appendLine(const std::string &payload);
+    /** Append one framed record; updates bytes/records. */
+    bool appendLine(const std::string &framed);
     /** Rewrite the file to the live records only (caller holds lock). */
     void compactLocked();
 
     JournalConfig config_;
     FileIo &io_;
     mutable std::mutex mutex_;
-    /** Live submit payloads keyed by id; ids are monotonic, so map
-     *  order is submission order — the order compaction preserves. */
+    /** Live submit records, framed as in the file, keyed by id; ids
+     *  are monotonic, so map order is submission order — the order
+     *  compaction preserves. */
     std::map<JobId, std::string> live_;
-    /** Retirements since the last rewrite; compaction is pointless
-     *  (and would storm) while this is zero. */
-    std::uint64_t retiredSinceCompact_ = 0;
+    /** Bytes the last rewrite wrote, and bytes of the records retired
+     *  since; compaction waits until the second reaches the first. */
+    std::uint64_t rewriteBytes_ = 0;
+    std::uint64_t retiredBytes_ = 0;
     JournalStats stats_;
 };
 

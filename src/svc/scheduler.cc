@@ -7,19 +7,6 @@
 namespace beer::svc
 {
 
-namespace
-{
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-} // anonymous namespace
-
 SessionScheduler::SessionScheduler(util::ThreadPool &pool,
                                    SchedulerConfig config)
     : pool_(pool), config_(std::move(config))
@@ -39,6 +26,28 @@ SessionScheduler::allocateId()
 }
 
 JobId
+SessionScheduler::takeId(JobId force_id)
+{
+    // Organic ids must never collide with replayed ones.
+    const JobId id = force_id ? force_id : nextId_;
+    nextId_ = std::max(nextId_, id + 1);
+    return id;
+}
+
+JobId
+SessionScheduler::submitDone(JobId force_id)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const JobId id = takeId(force_id);
+    Job &job = jobs_[id];
+    job.state = JobState::Done;
+    job.attempts = 1;
+    ++stats_.submitted;
+    ++stats_.completed;
+    return id;
+}
+
+JobId
 SessionScheduler::submit(std::function<void(JobId)> work,
                          JobPolicy policy, JobId force_id)
 {
@@ -50,13 +59,7 @@ SessionScheduler::submit(std::function<void(JobId)> work,
             ++stats_.rejected;
             return 0;
         }
-        if (force_id) {
-            id = force_id;
-            // Organic ids must never collide with replayed ones.
-            nextId_ = std::max(nextId_, force_id + 1);
-        } else {
-            id = nextId_++;
-        }
+        id = takeId(force_id);
         Job job;
         job.policy = policy;
         job.submitted = std::chrono::steady_clock::now();

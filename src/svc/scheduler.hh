@@ -46,6 +46,15 @@ namespace beer::svc
 /** Monotonically increasing job identity; 0 is "no job" (rejected). */
 using JobId = std::uint64_t;
 
+/** Steady-clock seconds elapsed since @p start. */
+inline double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
 /** Lifecycle of a scheduled job. */
 enum class JobState
 {
@@ -164,6 +173,16 @@ class SessionScheduler
     JobId allocateId();
 
     /**
+     * Register a job whose answer the caller already has (the
+     * service's inline exact cache hit): it is Done with one attempt,
+     * so wait(), state(), attempts() and stateCounts() see it like
+     * any finished job. It never takes a queue slot, never reaches
+     * the pool, and onTerminal is not invoked — the caller owns its
+     * terminal side effects. @p force_id as for submit().
+     */
+    JobId submitDone(JobId force_id);
+
+    /**
      * Block until @p id reaches a terminal state (Done, Failed, or
      * Quarantined).
      *
@@ -194,6 +213,8 @@ class SessionScheduler
         std::chrono::steady_clock::time_point submitted;
     };
 
+    /** @p force_id, or the next organic id (caller holds mutex_). */
+    JobId takeId(JobId force_id);
     void runJob(JobId id, const std::function<void(JobId)> &work);
     /** Terminal transition + notify; returns the hook to invoke. */
     void finishJob(std::unique_lock<std::mutex> &lock, Job &job,

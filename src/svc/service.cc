@@ -31,6 +31,19 @@ rejected(SubmitOutcome::Reject why, std::string error)
     return outcome;
 }
 
+/** The answer an exact fingerprint hit gives: the cached function,
+ * without a solve. The submit path and the worker path share it. */
+void
+answerFromExactHit(JobStatus &status, const FingerprintCache::Hit &hit)
+{
+    status.succeeded = true;
+    status.solutions = 1;
+    status.complete = true;
+    status.code = hit.code;
+    status.codeString = hit.code->toString();
+    status.cache = CacheOutcome::Exact;
+}
+
 /** One journal field may span the rest of its line; newlines and
  * backslashes inside it are escaped so records stay one-per-line. */
 std::string
@@ -259,8 +272,35 @@ RecoveryService::enqueue(MiscorrectionProfile profile,
     record->status.k = profile.k;
     record->status.parityBits = parity;
     record->status.patterns = profile.patterns.size();
-    record->profile = std::move(profile);
 
+    // An exact hit is answered here, on the caller's thread: the job
+    // is registered already Done, with no journal record, queue slot
+    // or worker hop (see ServiceConfig::journalPath).
+    if (!options.bypassCache) {
+        const auto lookup_start = std::chrono::steady_clock::now();
+        const FingerprintCache::Hit hit = batchedLookup(profile, parity);
+        if (hit.kind == FingerprintCache::Hit::Kind::Exact) {
+            answerFromExactHit(record->status, hit);
+            record->status.seconds = secondsSince(lookup_start);
+            record->status.state = JobState::Done;
+            const JobId id = scheduler_->submitDone(force_id);
+            record->status.id = id;
+            {
+                std::lock_guard<std::mutex> lock(jobsMutex_);
+                jobs_.emplace(id, std::move(record));
+            }
+            // A replayed job's submit record is live, and no worker
+            // will report its end: retire it here.
+            if (force_id)
+                journal_->appendTerminal(force_id, /*done=*/true);
+            SubmitOutcome outcome;
+            outcome.accepted = true;
+            outcome.id = id;
+            return outcome;
+        }
+    }
+
+    record->profile = std::move(profile);
     return scheduleRecord(std::move(record), force_id, journal);
 }
 
@@ -560,10 +600,7 @@ RecoveryService::runJob(JobRecord &record)
                     JobErrorCode::MeasurementFailed;
                 throw;
             }
-            const double seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - wall_start)
-                    .count();
+            const double seconds = secondsSince(wall_start);
             std::lock_guard<std::mutex> lock(record.mutex);
             record.status.seconds = seconds;
             record.status.state = JobState::Done;
@@ -602,12 +639,7 @@ RecoveryService::runJob(JobRecord &record)
 
         JobStatus result;
         if (hit.kind == FingerprintCache::Hit::Kind::Exact) {
-            result.succeeded = true;
-            result.solutions = 1;
-            result.complete = true;
-            result.code = hit.code;
-            result.codeString = hit.code->toString();
-            result.cache = CacheOutcome::Exact;
+            answerFromExactHit(result, hit);
         } else {
             const BeerSolveResult solve =
                 solveForEccFunction(profile, parity, config_.solver);
@@ -633,10 +665,7 @@ RecoveryService::runJob(JobRecord &record)
                                    ? JobErrorCode::Unsatisfiable
                                    : JobErrorCode::Ambiguous;
 
-        const double seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - wall_start)
-                .count();
+        const double seconds = secondsSince(wall_start);
         std::lock_guard<std::mutex> lock(record.mutex);
         record.status.succeeded = result.succeeded;
         record.status.solutions = result.solutions;
@@ -733,10 +762,7 @@ RecoveryService::health() const
 {
     HealthReport report;
     report.ok = !stopped_.load();
-    report.uptimeSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - start_)
-            .count();
+    report.uptimeSeconds = secondsSince(start_);
     report.poolThreads = pool_->size() - 1;
     report.poolQueuedTasks = pool_->queuedTasks();
     report.poolActiveTasks = pool_->activeTasks();

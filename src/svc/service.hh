@@ -21,8 +21,13 @@
  * returns the previously solved function with zero SAT solver
  * invocations (satSolves in HealthReport is the proof the acceptance
  * test asserts on), anything else is solved cold, and unique solves
- * are inserted for the next member of the fleet. Once a job is
- * terminal its record keeps only its status, not its parsed profile.
+ * are inserted for the next member of the fleet. A profile or
+ * payload submission looks itself up on the caller's thread, and an
+ * exact hit is Done before the submit call returns: no queue slot,
+ * worker hop or journal record. The worker's lookup still serves
+ * traces and repeats that raced a still-running cold solve. Once a
+ * job is terminal its record keeps only its status, not its parsed
+ * profile.
  * shutdown() drains the scheduler and flushes the cache to disk; the
  * destructor does the same.
  */
@@ -249,7 +254,8 @@ struct ServiceConfig
 {
     /** Scheduler worker threads (0 = hardware concurrency). */
     std::size_t threads = 0;
-    /** Bounded job queue; submissions beyond it are load-shed. */
+    /** Bounded job queue; submissions beyond it are load-shed.
+     *  Inline exact hits take no slot and are never shed. */
     std::size_t maxQueuedJobs = 256;
     FingerprintCacheConfig cache;
     /** Solver knobs applied to every job. */
@@ -271,7 +277,11 @@ struct ServiceConfig
      * their original ids (HealthReport::journalReplays) — queued work
      * survives restarts without duplicate side effects. Session
      * (chip-endpoint) jobs are not journaled: a live chip pointer
-     * cannot be re-created from disk.
+     * cannot be re-created from disk. Neither are inline exact hits:
+     * they are terminal before submit returns, so replay would have
+     * nothing to redo, and a submit/done pair would only be written
+     * to be compacted away. A replayed job that is now an exact hit
+     * is answered inline and its submit record retired.
      */
     std::string journalPath;
     /**
@@ -287,7 +297,8 @@ struct ServiceConfig
      * exactly-once job contract differentially.
      */
     FileIo *fileIo = nullptr;
-    /** Test/observability hook: runs on the worker as a job starts. */
+    /** Test/observability hook: runs on the worker as a job starts.
+     *  Inline exact hits never start on a worker and never call it. */
     std::function<void(JobId)> onJobStart;
 };
 

@@ -322,3 +322,31 @@ TEST(SvcHttp, TaxonomyAndResilienceFieldsSurface)
               std::string::npos);
     EXPECT_NE(health.body.find("\"expired\":0"), std::string::npos);
 }
+
+TEST(SvcHttp, CachedProfileIsDoneOnTheFirstPoll)
+{
+    RecoveryService service;
+    HttpServer server(service);
+    const std::string payload = plantedPayload(8, 59);
+
+    const HttpResponse cold = server.handle("POST", "/v1/jobs", payload);
+    ASSERT_EQ(cold.status, 202) << cold.body;
+    service.drain();
+
+    // The response to a cached profile is the same 202 {"job_id":N}.
+    const HttpResponse hit = server.handle("POST", "/v1/jobs", payload);
+    ASSERT_EQ(hit.status, 202) << hit.body;
+    EXPECT_EQ(hit.contentType, cold.contentType);
+    const std::uint64_t id = parseJobId(hit.body);
+    EXPECT_EQ(hit.body, "{\"job_id\":" + std::to_string(id) + "}");
+
+    // No drain, no polling: the first GET already has the answer.
+    const HttpResponse poll =
+        server.handle("GET", "/v1/jobs/" + std::to_string(id), "");
+    EXPECT_EQ(poll.status, 200);
+    EXPECT_NE(poll.body.find("\"state\":\"done\""), std::string::npos)
+        << poll.body;
+    EXPECT_NE(poll.body.find("\"cache\":\"exact\""), std::string::npos)
+        << poll.body;
+    EXPECT_NE(poll.body.find("\"succeeded\":true"), std::string::npos);
+}

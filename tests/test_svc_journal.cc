@@ -4,8 +4,9 @@
  * unfinished submissions, a torn tail is dropped without losing the
  * records before it, a bit-flipped mid-file record is skipped and
  * counted, a duplicated submit replays exactly once, compaction
- * preserves submission order, and a thousand jobs of churn stay within
- * the size bound with compactions visible in the stats.
+ * preserves submission order, a thousand jobs of churn stay within
+ * the size bound with compactions visible in the stats, and a live
+ * backlog larger than the bound does not rewrite the file per record.
  */
 
 #include <gtest/gtest.h>
@@ -280,4 +281,31 @@ TEST(SvcJournal, RestartSurvivesChurnMidFlight)
     ASSERT_EQ(jobs.size(), 100u);
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(jobs[i].id, 2 * i + 1);
+}
+
+TEST(SvcJournal, LiveBacklogOverTheBoundDoesNotCompactPerRecord)
+{
+    // Twenty live 300-byte submits already exceed maxBytes. Retiring
+    // them must not rewrite the whole file on every terminal record
+    // (that was 17 rewrites): a rewrite waits until as many bytes have
+    // retired as the previous rewrite wrote.
+    JournalConfig config;
+    config.path = tempJournalPath("backlog");
+    config.maxBytes = 1024;
+    JobJournal journal(config);
+    EXPECT_TRUE(journal.replay().empty());
+
+    const std::string payload(300, 'p');
+    for (beer::svc::JobId id = 1; id <= 20; ++id)
+        ASSERT_TRUE(journal.appendSubmit(id, payload));
+    for (beer::svc::JobId id = 1; id <= 20; ++id)
+        journal.appendTerminal(id, /*done=*/true);
+
+    const JournalStats stats = journal.stats();
+    EXPECT_GE(stats.compactions, 1u);
+    EXPECT_LE(stats.compactions, 2u);
+    EXPECT_EQ(stats.liveRecords, 0u);
+    EXPECT_EQ(stats.appendFailures, 0u);
+    JobJournal restarted(config);
+    EXPECT_TRUE(restarted.replay().empty());
 }

@@ -3,8 +3,8 @@
  * Tests for the session scheduler: jobs shard across pool workers and
  * genuinely run concurrently (peakConcurrent), the bounded queue
  * load-sheds instead of backlogging, execution follows submission
- * order, and a throwing job is recorded Failed without killing its
- * worker.
+ * order, a throwing job is recorded Failed without killing its
+ * worker, and a job registered already Done never runs.
  */
 
 #include <gtest/gtest.h>
@@ -354,4 +354,38 @@ TEST(SvcScheduler, TerminalHookFiresOncePerJob)
         EXPECT_TRUE(id == retried || id == plain);
         EXPECT_EQ(state, JobState::Done);
     }
+}
+
+TEST(SvcScheduler, SubmitDoneRegistersAFinishedJobWithoutRunningIt)
+{
+    std::atomic<int> hooks{0};
+    SchedulerConfig config;
+    config.maxQueuedJobs = 1;
+    config.onTerminal = [&](JobId, JobState) { ++hooks; };
+    ThreadPool pool(2);
+    SessionScheduler scheduler(pool, config);
+
+    const JobId organic = scheduler.submitDone(0);
+    const JobId forced = scheduler.submitDone(/*force_id=*/9);
+    EXPECT_EQ(forced, 9u);
+    EXPECT_GT(scheduler.allocateId(), 9u);
+    for (const JobId id : {organic, forced}) {
+        EXPECT_TRUE(scheduler.wait(id));
+        EXPECT_EQ(scheduler.state(id), JobState::Done);
+        EXPECT_EQ(scheduler.attempts(id), 1u);
+    }
+    const beer::svc::SchedulerStats stats = scheduler.stats();
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.completed, 2u);
+    EXPECT_EQ(stats.queued, 0u);
+    EXPECT_EQ(stats.running, 0u);
+    EXPECT_EQ(scheduler.stateCounts().done, 2u);
+    // Nothing reached the pool, the caller owns the terminal side
+    // effects, and the queue bound is untouched.
+    EXPECT_EQ(pool.queuedTasks() + pool.activeTasks() +
+                  pool.completedTasks(),
+              0u);
+    EXPECT_EQ(hooks.load(), 0);
+    EXPECT_NE(scheduler.submit([](JobId) {}), 0u);
+    scheduler.drain();
 }

@@ -19,6 +19,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "beer/measure.hh"
 #include "beer/patterns.hh"
@@ -739,4 +740,191 @@ TEST(SvcService, JournalReplayResumesUnfinishedJobs)
     EXPECT_GT(organic.id, 5u);
     service.drain();
     std::remove(path.c_str());
+}
+
+TEST(SvcService, ExactHitIsAnsweredOnTheSubmitPath)
+{
+    Rng rng(89);
+    const LinearCode code = randomSecCode(8, rng);
+    const std::string payload =
+        serializeProfile(plantedProfile(code, {1, 2}));
+    const std::string path = tempJournalPath();
+    std::remove(path.c_str());
+
+    std::atomic<std::size_t> starts{0};
+    ServiceConfig config;
+    config.journalPath = path;
+    config.onJobStart = [&](svc::JobId) { ++starts; };
+    RecoveryService service(config);
+
+    const SubmitOutcome cold = service.submitPayload(payload);
+    ASSERT_TRUE(cold.accepted) << cold.error;
+    // drain(), not waitForJob(): the done record is appended after
+    // the job turns Done.
+    service.drain();
+    const auto before = service.health();
+    EXPECT_EQ(before.satSolves, 1u);
+    EXPECT_EQ(starts.load(), 1u);
+
+    const SubmitOutcome hit = service.submitPayload(payload);
+    ASSERT_TRUE(hit.accepted) << hit.error;
+    // No waitForJob: the job is terminal when submit returns.
+    const auto job = service.job(hit.id);
+    ASSERT_TRUE(job.has_value());
+    EXPECT_EQ(job->state, JobState::Done);
+    EXPECT_TRUE(job->succeeded);
+    EXPECT_EQ(job->cache, CacheOutcome::Exact);
+    EXPECT_EQ(job->attempts, 1u);
+    EXPECT_GE(job->seconds, 0.0);
+    ASSERT_TRUE(job->code.has_value());
+    EXPECT_TRUE(equivalent(*job->code, code));
+    EXPECT_EQ(job->codeString, service.job(cold.id)->codeString);
+
+    // No solve, no journal record, no worker; every view sees the job.
+    const auto after = service.health();
+    EXPECT_EQ(after.satSolves, before.satSolves);
+    EXPECT_EQ(after.journal.records, before.journal.records);
+    EXPECT_EQ(after.journal.liveRecords, 0u);
+    EXPECT_EQ(after.cache.exactHits, before.cache.exactHits + 1);
+    EXPECT_EQ(after.jobStates.done, 2u);
+    EXPECT_EQ(after.scheduler.completed, 2u);
+    EXPECT_EQ(starts.load(), 1u);
+    EXPECT_TRUE(service.waitForJob(hit.id));
+    const svc::JobPage page = service.listJobs(0, 10);
+    ASSERT_EQ(page.total, 2u);
+    EXPECT_EQ(page.jobs[1].id, hit.id);
+    EXPECT_EQ(page.jobs[1].cache, CacheOutcome::Exact);
+
+    // bypassCache still solves on a worker, journaled like any miss.
+    SubmitOptions no_cache;
+    no_cache.bypassCache = true;
+    const SubmitOutcome bypass = service.submitPayload(payload, no_cache);
+    ASSERT_TRUE(bypass.accepted) << bypass.error;
+    service.drain();
+    EXPECT_EQ(service.job(bypass.id)->cache, CacheOutcome::None);
+    EXPECT_TRUE(service.job(bypass.id)->succeeded);
+    EXPECT_EQ(starts.load(), 2u);
+    EXPECT_EQ(service.health().satSolves, before.satSolves + 1);
+    EXPECT_EQ(service.health().journal.records,
+              after.journal.records + 2);
+    service.shutdown();
+    std::remove(path.c_str());
+}
+
+TEST(SvcService, ExactHitIsAcceptedWhileTheQueueIsFull)
+{
+    Rng rng(97);
+    const MiscorrectionProfile cached =
+        plantedProfile(randomSecCode(8, rng), {1, 2});
+    std::vector<MiscorrectionProfile> misses;
+    for (int i = 0; i < 3; ++i)
+        misses.push_back(plantedProfile(randomSecCode(8, rng), {1, 2}));
+
+    // While `hold` is set, every job that starts parks its worker.
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool hold = false;
+    std::size_t held = 0;
+    ServiceConfig config;
+    config.threads = 1;
+    config.maxQueuedJobs = 1;
+    config.onJobStart = [&](svc::JobId) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (!hold)
+            return;
+        ++held;
+        cv.notify_all();
+        cv.wait(lock, [&] { return !hold; });
+    };
+    RecoveryService service(config);
+    ASSERT_TRUE(service.submitProfile(cached).accepted);
+    service.drain();
+
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        hold = true;
+    }
+    const SubmitOutcome running = service.submitProfile(misses[0]);
+    ASSERT_TRUE(running.accepted) << running.error;
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return held == 1; });
+    }
+    const SubmitOutcome queued = service.submitProfile(misses[1]);
+    ASSERT_TRUE(queued.accepted) << queued.error;
+
+    // The queue is full: a miss is shed, an exact hit is answered.
+    const SubmitOutcome shed = service.submitProfile(misses[2]);
+    const SubmitOutcome hit = service.submitProfile(cached);
+    const auto hit_job = service.job(hit.id);
+    const std::uint64_t depth = service.health().queueDepth;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        hold = false;
+    }
+    cv.notify_all();
+    service.drain();
+
+    EXPECT_FALSE(shed.accepted);
+    EXPECT_EQ(shed.reject, SubmitOutcome::Reject::Overloaded);
+    ASSERT_TRUE(hit.accepted) << hit.error;
+    ASSERT_TRUE(hit_job.has_value());
+    EXPECT_EQ(hit_job->state, JobState::Done);
+    EXPECT_EQ(hit_job->cache, CacheOutcome::Exact);
+    EXPECT_EQ(depth, 1u);
+    EXPECT_TRUE(service.job(running.id)->succeeded);
+    EXPECT_TRUE(service.job(queued.id)->succeeded);
+    EXPECT_EQ(service.health().satSolves, 3u);
+}
+
+TEST(SvcService, ReplayedJobThatIsNowAnExactHitIsAnsweredInline)
+{
+    Rng rng(101);
+    const LinearCode code = randomSecCode(8, rng);
+    const MiscorrectionProfile profile = plantedProfile(code, {1, 2});
+    ServiceConfig config;
+    config.journalPath = tempJournalPath();
+    config.cache.path = config.journalPath + ".cache";
+    std::remove(config.journalPath.c_str());
+    std::remove(config.cache.path.c_str());
+
+    // A clean run solves the profile and flushes the cache...
+    {
+        RecoveryService service(config);
+        ASSERT_TRUE(service.submitProfile(profile).accepted);
+        service.shutdown();
+    }
+    // ...and a later run is killed with the same profile journaled
+    // under id 7 (a repeat that raced its own cold solve).
+    {
+        std::ofstream out(config.journalPath, std::ios::trunc);
+        out << journalFrame("submit 7 profile 0 0 " +
+                            journalEscape(serializeProfile(profile)));
+    }
+
+    {
+        RecoveryService service(config);
+        const auto health = service.health();
+        EXPECT_EQ(health.journalReplays, 1u);
+        EXPECT_EQ(health.satSolves, 0u);
+        // The replayed record was retired by a done record.
+        EXPECT_EQ(health.journal.liveRecords, 0u);
+        const auto job = service.job(7);
+        ASSERT_TRUE(job.has_value());
+        EXPECT_EQ(job->state, JobState::Done);
+        EXPECT_EQ(job->cache, CacheOutcome::Exact);
+        ASSERT_TRUE(job->code.has_value());
+        EXPECT_TRUE(equivalent(*job->code, code));
+        const SubmitOutcome organic = service.submitProfile(profile);
+        ASSERT_TRUE(organic.accepted);
+        EXPECT_GT(organic.id, 7u);
+    }
+
+    // Nothing is left to replay.
+    RecoveryService restarted(config);
+    EXPECT_EQ(restarted.health().journalReplays, 0u);
+    EXPECT_FALSE(restarted.job(7).has_value());
+    restarted.shutdown();
+    std::remove(config.journalPath.c_str());
+    std::remove(config.cache.path.c_str());
 }

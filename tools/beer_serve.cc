@@ -13,7 +13,8 @@
  *     curl -s http://127.0.0.1:8117/health       # observability
  *
  * Every job is answered from the fingerprint cache on an exact
- * profile match and by a cold SAT solve otherwise.
+ * profile match (already done when the POST returns) and by a cold
+ * SAT solve otherwise.
  *
  * SIGINT/SIGTERM shut down gracefully: the accept loop exits, in-
  * flight jobs drain, and the fingerprint cache is flushed to disk so
