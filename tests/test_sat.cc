@@ -11,6 +11,12 @@
 #include <sstream>
 #include <vector>
 
+#include "beer/patterns.hh"
+#include "beer/profile.hh"
+#include "beer/session.hh"
+#include "beer/solver.hh"
+#include "dram/chip.hh"
+#include "ecc/hamming.hh"
 #include "sat/dimacs.hh"
 #include "sat/solver.hh"
 #include "util/rng.hh"
@@ -550,4 +556,133 @@ TEST(Dimacs, LoadIntoSolver)
     ASSERT_EQ(s.solve(), SolveResult::Sat);
     EXPECT_TRUE(s.modelValue(0));
     EXPECT_TRUE(s.modelValue(1));
+}
+
+namespace
+{
+
+/** The search counters a trajectory is pinned by. */
+struct Trajectory
+{
+    std::uint64_t decisions;
+    std::uint64_t propagations;
+    std::uint64_t conflicts;
+    std::uint64_t learnedClauses;
+};
+
+Trajectory
+trajectoryOf(const SolverStats &s)
+{
+    return {s.decisions, s.propagations, s.conflicts, s.learnedClauses};
+}
+
+void
+expectTrajectory(const Trajectory &got, const Trajectory &want,
+                 const char *name)
+{
+    EXPECT_EQ(got.decisions, want.decisions) << name;
+    EXPECT_EQ(got.propagations, want.propagations) << name;
+    EXPECT_EQ(got.conflicts, want.conflicts) << name;
+    EXPECT_EQ(got.learnedClauses, want.learnedClauses) << name;
+}
+
+/** SessionStats::sat of one perfbench `recover`-shape chip. */
+SolverStats
+recoverShapeSessionStats(std::size_t item)
+{
+    const char vendor = "ABC"[item % 3];
+    beer::dram::ChipConfig config = beer::dram::makeVendorConfig(
+        vendor, 32, 1001 * 1000003ULL + item);
+    config.map.rows = 64;
+    config.iidErrors = true;
+    beer::dram::SimulatedChip chip(config);
+
+    beer::SessionConfig session_config;
+    for (double ber : {0.05, 0.15, 0.3})
+        session_config.measure.pausesSeconds.push_back(
+            chip.retentionModel().pauseForBitErrorRate(ber, 80.0));
+    session_config.measure.repeatsPerPause = 25;
+    session_config.measure.thresholdProbability = 1e-4;
+    session_config.wordsUnderTest = beer::dram::trueCellWords(chip);
+    beer::Session session(chip, session_config);
+    const beer::RecoveryReport report = session.run();
+    EXPECT_TRUE(report.succeeded()) << "item " << item;
+    return report.stats.sat;
+}
+
+} // anonymous namespace
+
+/**
+ * The solver's search is pinned: every decision, propagation and
+ * learned clause on these instances is part of the contract, because
+ * session schedules, experiment counts and recovered functions all
+ * follow from it. A hot-path change to the solver must leave these
+ * counters exactly as they are; a deliberate search change updates
+ * them and says so.
+ */
+TEST(Sat, SearchTrajectoryIsPinned)
+{
+    {
+        // Random 3-SAT near the phase transition.
+        Rng rng(1234);
+        Solver s;
+        const std::size_t num_vars = 150;
+        for (std::size_t v = 0; v < num_vars; ++v)
+            s.newVar();
+        for (std::size_t c = 0; c < 630; ++c) {
+            std::vector<Lit> clause;
+            for (int j = 0; j < 3; ++j)
+                clause.push_back(mkLit((Var)rng.below(num_vars),
+                                       rng.bernoulli(0.5)));
+            s.addClause(clause);
+        }
+        s.solve();
+        expectTrajectory(trajectoryOf(s.stats()), {1558, 41405, 1277, 1275},
+                         "random 3-SAT");
+    }
+    {
+        // PHP(7, 6).
+        const int holes = 6;
+        const int pigeons = 7;
+        Solver s;
+        std::vector<std::vector<Var>> var(pigeons,
+                                          std::vector<Var>(holes));
+        for (int p = 0; p < pigeons; ++p)
+            for (int h = 0; h < holes; ++h)
+                var[p][h] = s.newVar();
+        for (int p = 0; p < pigeons; ++p) {
+            std::vector<Lit> clause;
+            for (int h = 0; h < holes; ++h)
+                clause.push_back(mkLit(var[p][h]));
+            s.addClause(clause);
+        }
+        for (int h = 0; h < holes; ++h)
+            for (int p1 = 0; p1 < pigeons; ++p1)
+                for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+                    s.addClause(mkLit(var[p1][h], true),
+                                mkLit(var[p2][h], true));
+        ASSERT_EQ(s.solve(), SolveResult::Unsat);
+        expectTrajectory(trajectoryOf(s.stats()), {735, 7140, 604, 601},
+                         "pigeonhole");
+    }
+    for (std::size_t k : {16, 32}) {
+        Rng rng(7);
+        const beer::ecc::LinearCode code = beer::ecc::randomSecCode(k, rng);
+        const auto profile = beer::exhaustiveProfile(
+            code, beer::chargedPatterns(k, 1));
+        const beer::BeerSolveResult result =
+            beer::solveForEccFunction(profile, code.numParityBits());
+        ASSERT_TRUE(result.unique());
+        expectTrajectory(trajectoryOf(result.stats),
+                         k == 16 ? Trajectory{242, 6042, 23, 21}
+                                 : Trajectory{1121, 39242, 54, 47},
+                         k == 16 ? "BEER k=16" : "BEER k=32");
+    }
+    {
+        SolverStats sum;
+        for (std::size_t item = 0; item < 6; ++item)
+            sum.accumulate(recoverShapeSessionStats(item));
+        expectTrajectory(trajectoryOf(sum), {31849, 774390, 1452, 1426},
+                         "recover sessions");
+    }
 }
