@@ -29,6 +29,7 @@ BM_SatRandom3Sat(benchmark::State &state)
     const auto num_vars = (std::size_t)state.range(0);
     const auto num_clauses = (std::size_t)(num_vars * 3.5);
     util::Rng rng(42);
+    std::uint64_t propagations = 0;
 
     for (auto _ : state) {
         Solver solver;
@@ -42,7 +43,10 @@ BM_SatRandom3Sat(benchmark::State &state)
             solver.addClause(clause);
         }
         benchmark::DoNotOptimize(solver.solve());
+        propagations += solver.stats().propagations;
     }
+    state.counters["propagations"] = benchmark::Counter(
+        (double)propagations, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SatRandom3Sat)->Arg(50)->Arg(100)->Arg(200);
 
@@ -73,13 +77,19 @@ BM_BeerSolve(benchmark::State &state)
     const ecc::LinearCode code = ecc::randomSecCode(k, rng);
     const auto patterns = chargedPatterns(k, 1);
     const auto profile = exhaustiveProfile(code, patterns);
+    std::uint64_t propagations = 0;
 
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            solveForEccFunction(profile, code.numParityBits()));
+        const BeerSolveResult result =
+            solveForEccFunction(profile, code.numParityBits());
+        benchmark::DoNotOptimize(result);
+        propagations += result.stats.propagations;
     }
+    // Per-call solver cost, comparable across k and commits.
+    state.counters["propagations"] = benchmark::Counter(
+        (double)propagations, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_BeerSolve)->Arg(8)->Arg(16)->Arg(26);
+BENCHMARK(BM_BeerSolve)->Arg(8)->Arg(16)->Arg(26)->Arg(32);
 
 /** Ablation: structured predicate vs brute-force enumeration. */
 void

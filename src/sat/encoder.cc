@@ -20,36 +20,9 @@ Encoder::fresh()
 }
 
 void
-Encoder::emit(std::vector<Lit> lits)
+Encoder::emit(const Lit *lits, std::size_t size)
 {
-    if (group_ == kGroupNone)
-        solver_.addClause(std::move(lits));
-    else
-        solver_.addClause(std::move(lits), group_);
-}
-
-void
-Encoder::emit(Lit a)
-{
-    emit(std::vector<Lit>{a});
-}
-
-void
-Encoder::emit(Lit a, Lit b)
-{
-    emit(std::vector<Lit>{a, b});
-}
-
-void
-Encoder::emit(Lit a, Lit b, Lit c)
-{
-    emit(std::vector<Lit>{a, b, c});
-}
-
-void
-Encoder::emit(Lit a, Lit b, Lit c, Lit d)
-{
-    emit(std::vector<Lit>{a, b, c, d});
+    solver_.addClause(lits, size, group_);
 }
 
 std::uint64_t
@@ -113,7 +86,7 @@ Encoder::mkAnd(const std::vector<Lit> &lits)
         big.push_back(~l);
     }
     big.push_back(y);
-    emit(std::move(big));
+    emit(big.data(), big.size());
     return y;
 }
 
@@ -211,7 +184,7 @@ Encoder::mkIte(Lit cond, Lit t, Lit f)
 void
 Encoder::require(const std::vector<Lit> &lits)
 {
-    emit(lits);
+    emit(lits.data(), lits.size());
 }
 
 void

@@ -111,11 +111,13 @@ class Encoder
     static std::uint64_t pairKey(Lit a, Lit b);
 
     /** Emit a clause, honoring the active clause group. */
-    void emit(std::vector<Lit> lits);
-    void emit(Lit a);
-    void emit(Lit a, Lit b);
-    void emit(Lit a, Lit b, Lit c);
-    void emit(Lit a, Lit b, Lit c, Lit d);
+    void emit(const Lit *lits, std::size_t size);
+    template <typename... Lits>
+    void emit(Lit first, Lits... rest)
+    {
+        const Lit lits[] = {first, rest...};
+        emit(lits, 1 + sizeof...(rest));
+    }
 
     Solver &solver_;
     Lit trueLit_;

@@ -60,8 +60,9 @@ Solver::newVar()
     const Var v = numVars_++;
     watches_.emplace_back();
     watches_.emplace_back();
-    assigns_.push_back(LBool::Undef);
-    polarity_.push_back(0);
+    litVals_.push_back(LBool::Undef);
+    litVals_.push_back(LBool::Undef);
+    polarity_.push_back(1);
     levels_.push_back(0);
     reasons_.push_back(kCRefUndef);
     activity_.push_back(0.0);
@@ -95,6 +96,7 @@ CRef
 Solver::allocClause(const std::vector<Lit> &lits, bool learned)
 {
     const CRef ref = (CRef)arena_.size();
+    BEER_ASSERT(ref < (1u << 31)); // watchers tag the ref's top bit away
     arena_.push_back(learned ? kLearnedBit : 0);
     arena_.push_back((std::uint32_t)lits.size());
     arena_.push_back(0); // activity
@@ -105,7 +107,7 @@ Solver::allocClause(const std::vector<Lit> &lits, bool learned)
 }
 
 bool
-Solver::addClause(std::vector<Lit> lits)
+Solver::addClause(const Lit *lits, std::size_t size, GroupId group)
 {
     BEER_ASSERT(decisionLevel() == 0 || propagateHead_ == trail_.size());
     backtrack(0);
@@ -113,28 +115,36 @@ Solver::addClause(std::vector<Lit> lits)
     if (unsat_)
         return false;
 
-    // Normalize: sort, drop duplicates, detect tautologies, and strip
-    // literals already false at the root level.
-    std::sort(lits.begin(), lits.end());
-    std::vector<Lit> out;
+    // Normalize in place: sort, drop duplicates, detect tautologies, and
+    // strip literals already false at the root level. A group's clause
+    // is guarded by the negated activation literal, so it binds only
+    // while solve() assumes the activation literal true.
+    addBuffer_.assign(lits, lits + size);
+    if (group != kGroupNone) {
+        BEER_ASSERT(group < groups_.size());
+        BEER_ASSERT(!groups_[group].retired);
+        addBuffer_.push_back(~groups_[group].activation);
+    }
+    std::sort(addBuffer_.begin(), addBuffer_.end());
+    std::size_t kept = 0;
     Lit prev = Lit::undef();
-    for (Lit l : lits) {
+    for (const Lit l : addBuffer_) {
         BEER_ASSERT(l.var() >= 0 && l.var() < numVars_);
         if (value(l) == LBool::True || l == ~prev)
             return true; // satisfied at root / tautology
         if (value(l) == LBool::False || l == prev)
             continue;
-        out.push_back(l);
-        prev = l;
+        addBuffer_[kept++] = prev = l;
     }
+    addBuffer_.resize(kept);
 
-    if (out.empty()) {
+    if (kept == 0) {
         unsat_ = true;
         return false;
     }
-    if (out.size() == 1) {
-        ++stats_.addedClauses;
-        enqueue(out[0], kCRefUndef);
+    ++stats_.addedClauses;
+    if (kept == 1) {
+        enqueue(addBuffer_[0], kCRefUndef);
         if (propagate() != kCRefUndef) {
             unsat_ = true;
             return false;
@@ -142,36 +152,10 @@ Solver::addClause(std::vector<Lit> lits)
         return true;
     }
 
-    const CRef c = allocClause(out, false);
+    const CRef c = allocClause(addBuffer_, false);
     clauses_.push_back(c);
-    ++stats_.addedClauses;
-    watches_[(~out[0]).index()].push_back({c, out[1]});
-    watches_[(~out[1]).index()].push_back({c, out[0]});
+    attachClause(c);
     return true;
-}
-
-bool
-Solver::addClause(Lit a)
-{
-    return addClause(std::vector<Lit>{a});
-}
-
-bool
-Solver::addClause(Lit a, Lit b)
-{
-    return addClause(std::vector<Lit>{a, b});
-}
-
-bool
-Solver::addClause(Lit a, Lit b, Lit c)
-{
-    return addClause(std::vector<Lit>{a, b, c});
-}
-
-bool
-Solver::addClause(Lit a, Lit b, Lit c, Lit d)
-{
-    return addClause(std::vector<Lit>{a, b, c, d});
 }
 
 GroupId
@@ -180,17 +164,6 @@ Solver::newGroup()
     const GroupId id = (GroupId)groups_.size();
     groups_.push_back({mkLit(newVar()), false});
     return id;
-}
-
-bool
-Solver::addClause(std::vector<Lit> lits, GroupId group)
-{
-    BEER_ASSERT(group < groups_.size());
-    BEER_ASSERT(!groups_[group].retired);
-    // Guard with the negated activation literal: the clause binds only
-    // while solve() assumes the activation literal true.
-    lits.push_back(~groups_[group].activation);
-    return addClause(std::move(lits));
 }
 
 bool
@@ -368,87 +341,105 @@ Solver::problemClauses() const
     return out;
 }
 
-LBool
-Solver::value(Lit l) const
-{
-    const LBool v = assigns_[(std::size_t)l.var()];
-    if (v == LBool::Undef)
-        return LBool::Undef;
-    return l.sign() ? !v : v;
-}
-
-void
+inline void
 Solver::enqueue(Lit l, CRef reason)
 {
     BEER_ASSERT(value(l) == LBool::Undef);
     const auto v = (std::size_t)l.var();
-    assigns_[v] = lboolFromBool(!l.sign());
+    litVals_[l.index()] = LBool::True;
+    litVals_[(~l).index()] = LBool::False;
     levels_[v] = decisionLevel();
     reasons_[v] = reason;
     trail_.push_back(l);
 }
 
+void
+Solver::attachClause(CRef c)
+{
+    const Lit l0 = clauseLit(c, 0);
+    const Lit l1 = clauseLit(c, 1);
+    const std::uint32_t tagged = c << 1 | (clauseSize(c) == 2);
+    watches_[(~l0).index()].push_back({tagged, l1});
+    watches_[(~l1).index()].push_back({tagged, l0});
+}
+
 CRef
 Solver::propagate()
 {
-    while (propagateHead_ < trail_.size()) {
+    CRef conflict = kCRefUndef;
+    while (conflict == kCRefUndef && propagateHead_ < trail_.size()) {
         const Lit p = trail_[propagateHead_++];
+        const Lit false_lit = ~p;
         ++stats_.propagations;
         auto &ws = watches_[p.index()];
-        std::size_t keep = 0;
-        std::size_t i = 0;
-        while (i < ws.size()) {
-            const Watcher w = ws[i];
-            if (value(w.blocker) == LBool::True) {
-                ws[keep++] = ws[i++];
+        // Read pointer i, write pointer j over the watch list.
+        Watcher *i = ws.data();
+        Watcher *j = i;
+        Watcher *const end = i + ws.size();
+        while (i != end) {
+            const Watcher w = *i++;
+            const LBool blocker = value(w.blocker);
+            if (blocker == LBool::True) {
+                *j++ = w;
                 continue;
             }
 
-            const CRef c = ws[i].clause;
-            const Lit false_lit = ~p;
+            const CRef c = w.clause();
+            if (w.binary()) {
+                *j++ = w;
+                if (blocker == LBool::Undef) {
+                    enqueue(w.blocker, c);
+                    continue;
+                }
+                // Conflict: order the clause [blocker, false_lit], as the
+                // long-clause path below leaves it, since analyze()
+                // reads the conflict clause in arena order.
+                clauseLit(c, 0) = w.blocker;
+                clauseLit(c, 1) = false_lit;
+                conflict = c;
+                break;
+            }
+
             if (clauseLit(c, 0) == false_lit) {
                 clauseLit(c, 0) = clauseLit(c, 1);
                 clauseLit(c, 1) = false_lit;
             }
-            ++i;
-
             const Lit first = clauseLit(c, 0);
+            const Watcher kept{w.tagged, first};
             if (first != w.blocker && value(first) == LBool::True) {
-                ws[keep++] = {c, first};
+                *j++ = kept;
                 continue;
             }
 
             // Search for a non-false literal to watch instead.
             const std::uint32_t size = clauseSize(c);
-            bool found = false;
-            for (std::uint32_t k = 2; k < size; ++k) {
+            std::uint32_t k = 2;
+            while (k < size && value(clauseLit(c, k)) == LBool::False)
+                ++k;
+            if (k < size) {
                 const Lit cand = clauseLit(c, k);
-                if (value(cand) != LBool::False) {
-                    clauseLit(c, 1) = cand;
-                    clauseLit(c, k) = false_lit;
-                    watches_[(~cand).index()].push_back({c, first});
-                    found = true;
-                    break;
-                }
-            }
-            if (found)
+                clauseLit(c, 1) = cand;
+                clauseLit(c, k) = false_lit;
+                watches_[(~cand).index()].push_back(kept);
                 continue;
+            }
 
             // Clause is unit or conflicting under the current trail.
-            ws[keep++] = {c, first};
+            *j++ = kept;
             if (value(first) == LBool::False) {
-                // Conflict: salvage the remaining watchers and bail out.
-                while (i < ws.size())
-                    ws[keep++] = ws[i++];
-                ws.resize(keep);
-                propagateHead_ = trail_.size();
-                return c;
+                conflict = c;
+                break;
             }
             enqueue(first, c);
         }
-        ws.resize(keep);
+        // A conflict leaves the unvisited watchers in place.
+        while (i != end)
+            *j++ = *i++;
+        ws.resize((std::size_t)(j - ws.data()));
     }
-    return kCRefUndef;
+    if (conflict != kCRefUndef)
+        propagateHead_ = trail_.size();
+    return conflict;
 }
 
 void
@@ -458,9 +449,11 @@ Solver::backtrack(int target_level)
         return;
     const std::size_t lim = trailLims_[(std::size_t)target_level];
     for (std::size_t i = trail_.size(); i-- > lim;) {
-        const auto v = (std::size_t)trail_[i].var();
-        polarity_[v] = assigns_[v] == LBool::True ? 1 : 0;
-        assigns_[v] = LBool::Undef;
+        const Lit l = trail_[i];
+        const auto v = (std::size_t)l.var();
+        polarity_[v] = l.sign();
+        litVals_[l.index()] = LBool::Undef;
+        litVals_[(~l).index()] = LBool::Undef;
         reasons_[v] = kCRefUndef;
         if (!heapContains((Var)v))
             insertVarOrder((Var)v);
@@ -486,6 +479,8 @@ Solver::analyze(CRef conflict, std::vector<Lit> &out_learned,
         BEER_ASSERT(c != kCRefUndef);
         if (clauseLearned(c))
             bumpClause(c);
+        if (!p.isUndef())
+            putImpliedFirst(c, p);
         const std::uint32_t size = clauseSize(c);
         for (std::uint32_t k = p.isUndef() ? 0 : 1; k < size; ++k) {
             const Lit q = clauseLit(c, k);
@@ -557,6 +552,7 @@ Solver::litRedundant(Lit l, std::uint32_t abstract_levels)
         analyzeStack_.pop_back();
         const CRef c = reasons_[(std::size_t)cur.var()];
         BEER_ASSERT(c != kCRefUndef);
+        putImpliedFirst(c, ~cur);
 
         const std::uint32_t size = clauseSize(c);
         for (std::uint32_t k = 1; k < size; ++k) {
@@ -578,6 +574,15 @@ Solver::litRedundant(Lit l, std::uint32_t abstract_levels)
         }
     }
     return true;
+}
+
+void
+Solver::putImpliedFirst(CRef reason, Lit implied)
+{
+    // A binary clause implies without touching the arena, so its
+    // literals may still be in either order.
+    if (clauseSize(reason) == 2 && clauseLit(reason, 0) != implied)
+        std::swap(clauseLit(reason, 0), clauseLit(reason, 1));
 }
 
 void
@@ -736,16 +741,10 @@ Solver::rebuildWatches()
 {
     for (auto &ws : watches_)
         ws.clear();
-    auto attach = [this](CRef c) {
-        const Lit l0 = clauseLit(c, 0);
-        const Lit l1 = clauseLit(c, 1);
-        watches_[(~l0).index()].push_back({c, l1});
-        watches_[(~l1).index()].push_back({c, l0});
-    };
     for (CRef c : clauses_)
-        attach(c);
+        attachClause(c);
     for (CRef c : learned_)
-        attach(c);
+        attachClause(c);
 }
 
 std::uint64_t
@@ -823,10 +822,7 @@ Solver::search()
                 const CRef c = allocClause(learned_clause, true);
                 learned_.push_back(c);
                 ++stats_.learnedClauses;
-                watches_[(~learned_clause[0]).index()].push_back(
-                    {c, learned_clause[1]});
-                watches_[(~learned_clause[1]).index()].push_back(
-                    {c, learned_clause[0]});
+                attachClause(c);
                 bumpClause(c);
                 enqueue(learned_clause[0], c);
             }
@@ -866,7 +862,7 @@ Solver::search()
             const Var v = pickBranchVar();
             if (v < 0)
                 return SolveResult::Sat; // all variables assigned
-            next = mkLit(v, polarity_[(std::size_t)v] == 0);
+            next = mkLit(v, polarity_[(std::size_t)v]);
             ++stats_.decisions;
         }
 
@@ -879,7 +875,7 @@ bool
 Solver::modelValue(Var v) const
 {
     BEER_ASSERT(v >= 0 && v < numVars_);
-    const LBool val = assigns_[(std::size_t)v];
+    const LBool val = value(v);
     BEER_ASSERT(val != LBool::Undef);
     return val == LBool::True;
 }

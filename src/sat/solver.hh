@@ -22,6 +22,22 @@
  * model-enumeration loop in beer::IncrementalSolver keeps its per-round
  * blocking clauses in such a group so they can be retracted when new
  * measurement evidence arrives.
+ *
+ * Hot path: values live in one table indexed by literal, so reading a
+ * literal's value is one load. A binary clause's watcher is tagged and
+ * its blocker is the clause's other literal, so propagate() implies it
+ * without reading the arena; the arena is written only on a binary
+ * conflict and when conflict analysis reads a binary reason, to give
+ * the two literals the order the general clause path would. addClause()
+ * normalizes into one reused buffer and appends a group's guard there,
+ * so adding a clause allocates nothing beyond arena and watch growth.
+ *
+ * Search identity: those are cost changes only. Decisions, propagation
+ * order, learned clauses and models are exactly what the plain two-
+ * watched-literal loop produces, and session schedules follow from
+ * them; Sat.SearchTrajectoryIsPinned (tests/test_sat.cc) pins the
+ * counters on four instances. A deliberate search change updates its
+ * literals and says so.
  */
 
 #ifndef BEER_SAT_SOLVER_HH
@@ -76,29 +92,40 @@ class Solver
     std::size_t numVars() const { return (std::size_t)numVars_; }
 
     /**
-     * Add a clause (disjunction of literals).
+     * Add the clause (disjunction) of @p size literals at @p lits,
+     * enforced only while @p group is live when one is given.
      *
      * May be called before or between solve() calls. Returns false if
-     * the clause makes the formula trivially unsatisfiable (e.g. the
-     * empty clause, or a unit contradicting a prior unit).
+     * the formula is trivially unsatisfiable (e.g. the empty clause,
+     * or a unit contradicting a prior unit).
      */
-    bool addClause(std::vector<Lit> lits);
+    bool addClause(const Lit *lits, std::size_t size,
+                   GroupId group = kGroupNone);
 
-    /** Convenience overloads. */
-    bool addClause(Lit a);
-    bool addClause(Lit a, Lit b);
-    bool addClause(Lit a, Lit b, Lit c);
-    bool addClause(Lit a, Lit b, Lit c, Lit d);
+    bool addClause(const std::vector<Lit> &lits, GroupId group = kGroupNone)
+    {
+        return addClause(lits.data(), lits.size(), group);
+    }
+    bool addClause(Lit a) { return addClause(&a, 1); }
+    bool addClause(Lit a, Lit b)
+    {
+        const Lit lits[] = {a, b};
+        return addClause(lits, 2);
+    }
+    bool addClause(Lit a, Lit b, Lit c)
+    {
+        const Lit lits[] = {a, b, c};
+        return addClause(lits, 3);
+    }
+    bool addClause(Lit a, Lit b, Lit c, Lit d)
+    {
+        const Lit lits[] = {a, b, c, d};
+        return addClause(lits, 4);
+    }
 
     // ---- retractable clause groups ------------------------------------
     /** Create a live group (allocates its activation variable). */
     GroupId newGroup();
-
-    /**
-     * Add a clause enforced only while @p group is live. Returns false
-     * only if the formula was already unsatisfiable.
-     */
-    bool addClause(std::vector<Lit> lits, GroupId group);
 
     /**
      * Permanently deactivate @p group: its clauses (and learned
@@ -163,16 +190,9 @@ class Solver
 
   private:
     // ---- clause arena -------------------------------------------------
-    /**
-     * Clauses live in one flat uint32 arena:
-     * [header | size | lit0 .. litN-1] where header bit0 = learned flag
-     * and the upper bits hold the activity bucket for learned clauses.
-     */
-    struct ClauseRef
-    {
-        CRef ref;
-    };
-
+    // Clauses live in one flat uint32 arena:
+    // [header | size | activity | lit0 .. litN-1], header bit0 = learned,
+    // bit1 = deleted.
     std::uint32_t &clauseSize(CRef c) { return arena_[c + 1]; }
     std::uint32_t clauseSize(CRef c) const { return arena_[c + 1]; }
     Lit &clauseLit(CRef c, std::uint32_t i);
@@ -183,12 +203,13 @@ class Solver
     CRef allocClause(const std::vector<Lit> &lits, bool learned);
 
     // ---- assignment / trail -------------------------------------------
-    LBool value(Lit l) const;
-    LBool value(Var v) const { return assigns_[(std::size_t)v]; }
+    LBool value(Lit l) const { return litVals_[l.index()]; }
+    LBool value(Var v) const { return value(mkLit(v)); }
     int level(Var v) const { return levels_[(std::size_t)v]; }
     int decisionLevel() const { return (int)trailLims_.size(); }
 
     void enqueue(Lit l, CRef reason);
+    void attachClause(CRef c);
     CRef propagate();
     void backtrack(int target_level);
 
@@ -196,6 +217,7 @@ class Solver
     void analyze(CRef conflict, std::vector<Lit> &out_learned,
                  int &out_btlevel);
     bool litRedundant(Lit l, std::uint32_t abstract_levels);
+    void putImpliedFirst(CRef reason, Lit implied);
 
     // ---- branching -----------------------------------------------------
     void bumpVar(Var v);
@@ -237,14 +259,22 @@ class Solver
     std::vector<CRef> clauses_;        // problem clauses
     std::vector<CRef> learned_;        // learned clauses
 
+    /**
+     * Watch-list entry. A binary clause's watcher is tagged and its
+     * blocker is always the clause's other literal, so propagate()
+     * implies it without reading the arena.
+     */
     struct Watcher
     {
-        CRef clause;
+        std::uint32_t tagged; // clause ref << 1 | binary
         Lit blocker;
+
+        CRef clause() const { return tagged >> 1; }
+        bool binary() const { return tagged & 1; }
     };
     std::vector<std::vector<Watcher>> watches_; // indexed by Lit::index()
 
-    std::vector<LBool> assigns_;
+    std::vector<LBool> litVals_;         // indexed by Lit::index()
     std::vector<std::uint8_t> polarity_; // saved phases (1 = last false)
     std::vector<int> levels_;
     std::vector<CRef> reasons_;
@@ -269,6 +299,8 @@ class Solver
     std::uint64_t wastedWords_ = 0;
 
     std::vector<Lit> assumptions_;
+    /** addClause() normalizes here, so adding allocates nothing. */
+    std::vector<Lit> addBuffer_;
 
     // temporaries for analyze()
     std::vector<std::uint8_t> seen_;

@@ -61,26 +61,6 @@ mkLit(Var v, bool negated = false)
 /** Ternary logic value used for assignments. */
 enum class LBool : std::uint8_t { False = 0, True = 1, Undef = 2 };
 
-inline LBool
-lboolFromBool(bool b)
-{
-    return b ? LBool::True : LBool::False;
-}
-
-/** Negation that keeps Undef fixed. */
-inline LBool
-operator!(LBool v)
-{
-    switch (v) {
-      case LBool::False:
-        return LBool::True;
-      case LBool::True:
-        return LBool::False;
-      default:
-        return LBool::Undef;
-    }
-}
-
 /** Reference to a clause in the solver's arena. */
 using CRef = std::uint32_t;
 constexpr CRef kCRefUndef = UINT32_MAX;

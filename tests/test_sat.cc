@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
@@ -685,4 +686,342 @@ TEST(Sat, SearchTrajectoryIsPinned)
         expectTrajectory(trajectoryOf(sum), {31849, 774390, 1452, 1426},
                          "recover sessions");
     }
+}
+
+// ---- binary clauses: implied from their watchers ---------------------
+
+namespace
+{
+
+/** Random clause of @p width literals over @p num_vars variables. */
+std::vector<Lit>
+randomClause(Rng &rng, std::size_t num_vars, std::size_t width)
+{
+    std::vector<Lit> clause;
+    for (std::size_t j = 0; j < width; ++j)
+        clause.push_back(
+            mkLit((Var)rng.below(num_vars), rng.bernoulli(0.5)));
+    return clause;
+}
+
+/** @p clauses, each sorted, as a sorted list (a multiset). */
+std::vector<std::vector<Lit>>
+canonical(std::vector<std::vector<Lit>> clauses)
+{
+    for (auto &clause : clauses)
+        std::sort(clause.begin(), clause.end());
+    std::sort(clauses.begin(), clauses.end(),
+              [](const std::vector<Lit> &a, const std::vector<Lit> &b) {
+                  return std::lexicographical_compare(a.begin(), a.end(),
+                                                      b.begin(), b.end());
+              });
+    return clauses;
+}
+
+/** Arena bytes of one stored clause of @p size literals. */
+std::uint64_t
+clauseBytes(std::size_t size)
+{
+    return (3 + size) * sizeof(std::uint32_t);
+}
+
+} // anonymous namespace
+
+TEST(SatBinary, ConflictAboveRootLevel)
+{
+    // All-binary formula: assuming a implies b and c at level 1, and
+    // (!b | !c) conflicts there. The learned unit !a then refutes the
+    // assumption, and the formula stays satisfiable without it.
+    Solver s;
+    const Var a = s.newVar();
+    const Var b = s.newVar();
+    const Var c = s.newVar();
+    s.addClause(mkLit(a, true), mkLit(b));
+    s.addClause(mkLit(a, true), mkLit(c));
+    s.addClause(mkLit(b, true), mkLit(c, true));
+    EXPECT_EQ(s.solve({mkLit(a)}), SolveResult::Unsat);
+    EXPECT_EQ(s.stats().conflicts, 1u);
+    EXPECT_FALSE(s.isUnsat());
+    ASSERT_EQ(s.solve(), SolveResult::Sat);
+    EXPECT_FALSE(s.modelValue(a));
+    EXPECT_FALSE(s.modelValue(b) && s.modelValue(c));
+
+    // The same conflict two levels up: x is assumed first, so the
+    // learned clause (!x | !a) is binary and a later call implies !a
+    // from x without another conflict.
+    Solver t;
+    const Var x = t.newVar();
+    const Var p = t.newVar();
+    const Var q = t.newVar();
+    const Var r = t.newVar();
+    t.addClause(mkLit(x, true), mkLit(p, true), mkLit(q));
+    t.addClause(mkLit(p, true), mkLit(r));
+    t.addClause(mkLit(q, true), mkLit(r, true));
+    EXPECT_EQ(t.solve({mkLit(x), mkLit(p)}), SolveResult::Unsat);
+    EXPECT_EQ(t.stats().conflicts, 1u);
+    EXPECT_EQ(t.stats().learnedClauses, 1u);
+    EXPECT_EQ(t.solve({mkLit(x), mkLit(p)}), SolveResult::Unsat);
+    EXPECT_EQ(t.stats().conflicts, 1u);
+    ASSERT_EQ(t.solve({mkLit(x)}), SolveResult::Sat);
+    EXPECT_FALSE(t.modelValue(p));
+}
+
+TEST(SatBinary, BinaryReasonIsMinimizedAway)
+{
+    // Assume x1 (level 1) then x2 (level 2). y is implied at level 1 by
+    // the binary (!x1 | y); z at level 2 by (!x2 | z); then w by
+    // (!z | !y | w), and (!z | !x1 | !w) conflicts. First-UIP learns
+    // (!z | !x1 | !y); y's binary reason mentions only x1, already in
+    // the clause, so recursive minimization drops !y and the learned
+    // clause stored in the arena is binary.
+    Solver s;
+    const Var x1 = s.newVar();
+    const Var x2 = s.newVar();
+    const Var y = s.newVar();
+    const Var z = s.newVar();
+    const Var w = s.newVar();
+    s.addClause(mkLit(x1, true), mkLit(y));
+    s.addClause(mkLit(x2, true), mkLit(z));
+    s.addClause(mkLit(z, true), mkLit(y, true), mkLit(w));
+    s.addClause(mkLit(z, true), mkLit(x1, true), mkLit(w, true));
+    const std::uint64_t before = s.stats().arenaBytes;
+    EXPECT_EQ(s.solve({mkLit(x1), mkLit(x2)}), SolveResult::Unsat);
+    EXPECT_EQ(s.stats().conflicts, 1u);
+    EXPECT_EQ(s.stats().learnedClauses, 1u);
+    EXPECT_EQ(s.stats().arenaBytes - before, clauseBytes(2));
+
+    // The learned binary (!z | !x1) now implies !z from x1 alone.
+    EXPECT_EQ(s.solve({mkLit(x1), mkLit(z)}), SolveResult::Unsat);
+    EXPECT_EQ(s.stats().conflicts, 1u);
+    ASSERT_EQ(s.solve({mkLit(x1)}), SolveResult::Sat);
+    EXPECT_TRUE(s.modelValue(y));
+    EXPECT_FALSE(s.modelValue(z));
+    EXPECT_FALSE(s.modelValue(x2));
+}
+
+TEST(SatBinary, LearnedBinaryClausesStayCorrectAcrossCalls)
+{
+    // Pigeonhole learns many clauses, binary ones among them; each
+    // later call must still agree with brute force under assumptions.
+    const int holes = 3;
+    const int pigeons = 4;
+    Solver s;
+    std::vector<std::vector<Lit>> clauses;
+    std::vector<std::vector<Var>> var(pigeons, std::vector<Var>(holes));
+    for (int p = 0; p < pigeons; ++p)
+        for (int h = 0; h < holes; ++h)
+            var[p][h] = s.newVar();
+    for (int p = 0; p < pigeons; ++p) {
+        std::vector<Lit> clause;
+        for (int h = 0; h < holes; ++h)
+            clause.push_back(mkLit(var[p][h]));
+        clauses.push_back(clause);
+    }
+    for (int h = 0; h < holes; ++h)
+        for (int p1 = 0; p1 < pigeons; ++p1)
+            for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+                clauses.push_back(
+                    {mkLit(var[p1][h], true), mkLit(var[p2][h], true)});
+    for (const auto &clause : clauses)
+        s.addClause(clause);
+    // Pigeon 3 stays out: the rest fits, one pigeon per hole.
+    const Lit out = mkLit(s.newVar());
+    std::vector<std::vector<Lit>> relaxed = clauses;
+    relaxed[3].push_back(out);
+    Solver relaxed_solver;
+    for (std::size_t v = 0; v < s.numVars(); ++v)
+        relaxed_solver.newVar();
+    for (const auto &clause : relaxed)
+        relaxed_solver.addClause(clause);
+
+    Rng rng(41);
+    for (int round = 0; round < 40; ++round) {
+        std::vector<Lit> assumptions{out};
+        for (int j = 0; j < 2; ++j)
+            assumptions.push_back(mkLit((Var)rng.below(pigeons * holes),
+                                        rng.bernoulli(0.5)));
+        std::vector<std::vector<Lit>> with_units = relaxed;
+        for (Lit a : assumptions)
+            with_units.push_back({a});
+        const bool expected =
+            bruteForceSat(relaxed_solver.numVars(), with_units);
+        ASSERT_EQ(relaxed_solver.solve(assumptions),
+                  expected ? SolveResult::Sat : SolveResult::Unsat)
+            << "round " << round;
+        if (expected)
+            expectModelSatisfies(relaxed_solver, with_units);
+    }
+    EXPECT_EQ(s.solve(), SolveResult::Unsat);
+    EXPECT_GT(s.stats().learnedClauses, 0u);
+}
+
+TEST(SatBinary, SurviveReleaseCollectionAndRebuild)
+{
+    // A permanent implication chain x0 -> x1 -> ... -> x49 of binary
+    // clauses and permanent ternaries (!a | !b | c), plus groups of
+    // wide clauses released over and over: each release rebuilds the
+    // watch lists, and enough garbage makes the arena collector move
+    // every clause. The chain must still propagate afterwards, and a
+    // ternary must not be taken for a binary.
+    Solver s;
+    std::vector<Var> chain;
+    for (int i = 0; i < 50; ++i)
+        chain.push_back(s.newVar());
+    for (int i = 0; i + 1 < 50; ++i)
+        s.addClause(mkLit(chain[i], true), mkLit(chain[i + 1]));
+    const Var a = s.newVar();
+    const Var b = s.newVar();
+    const Var c = s.newVar();
+    s.addClause(mkLit(a, true), mkLit(b, true), mkLit(c));
+    std::vector<Var> free_vars;
+    for (int i = 0; i < 20; ++i)
+        free_vars.push_back(s.newVar());
+
+    Rng rng(3);
+    for (int cycle = 0; cycle < 30; ++cycle) {
+        const GroupId g = s.newGroup();
+        for (int i = 0; i < 30; ++i) {
+            std::vector<Lit> clause;
+            for (int j = 0; j < 6; ++j)
+                clause.push_back(mkLit(free_vars[rng.below(20)],
+                                       rng.bernoulli(0.5)));
+            s.addClause(clause, g);
+        }
+        // A grouped binary clause that contradicts the chain's end.
+        s.addClause({mkLit(chain[49], true)}, g);
+        EXPECT_EQ(s.solve({mkLit(chain[0])}), SolveResult::Unsat)
+            << "cycle " << cycle;
+        s.releaseGroup(g);
+        ASSERT_EQ(s.solve({mkLit(chain[0])}), SolveResult::Sat)
+            << "cycle " << cycle;
+        for (Var v : chain)
+            EXPECT_TRUE(s.modelValue(v));
+        EXPECT_EQ(s.solve({mkLit(chain[0]), mkLit(chain[49], true)}),
+                  SolveResult::Unsat);
+        ASSERT_EQ(s.solve({mkLit(a), mkLit(c, true)}), SolveResult::Sat);
+        EXPECT_FALSE(s.modelValue(b));
+        EXPECT_EQ(s.solve({mkLit(a), mkLit(b), mkLit(c, true)}),
+                  SolveResult::Unsat);
+        EXPECT_EQ(s.solve({mkLit(a), mkLit(b), mkLit(c)}),
+                  SolveResult::Sat);
+    }
+    EXPECT_GT(s.stats().garbageCollections, 0u);
+    EXPECT_GT(s.stats().releasedClauses, 0u);
+}
+
+TEST(SatBinary, ProblemClausesRoundTripThroughDimacs)
+{
+    // Solving with conflicts on binary clauses leaves their literals
+    // in either order in the arena; the export must still be exactly
+    // the clauses that were added.
+    Rng rng(17);
+    for (int round = 0; round < 20; ++round) {
+        const std::size_t num_vars = 8;
+        Solver s;
+        for (std::size_t v = 0; v < num_vars; ++v)
+            s.newVar();
+        std::vector<std::vector<Lit>> added;
+        for (int i = 0; i < 14; ++i) {
+            std::vector<Lit> clause =
+                randomClause(rng, num_vars, 2 + rng.below(2));
+            std::sort(clause.begin(), clause.end());
+            const bool tautology =
+                std::adjacent_find(clause.begin(), clause.end(),
+                                   [](Lit a, Lit b) {
+                                       return a.var() == b.var();
+                                   }) != clause.end();
+            if (tautology)
+                continue;
+            added.push_back(clause);
+            s.addClause(clause);
+        }
+        for (int j = 0; j < 6; ++j)
+            s.solve({mkLit((Var)rng.below(num_vars), rng.bernoulli(0.5)),
+                     mkLit((Var)rng.below(num_vars), rng.bernoulli(0.5))});
+        // The export is the stored clauses plus the root units the
+        // search learned, each of which the added clauses imply.
+        const Cnf cnf = extractCnf(s);
+        std::vector<std::vector<Lit>> stored;
+        for (const auto &clause : cnf.clauses) {
+            if (clause.size() > 1) {
+                stored.push_back(clause);
+                continue;
+            }
+            std::vector<std::vector<Lit>> refute = added;
+            refute.push_back({~clause[0]});
+            EXPECT_FALSE(bruteForceSat(num_vars, refute))
+                << "round " << round;
+        }
+        EXPECT_EQ(canonical(stored), canonical(added))
+            << "round " << round;
+
+        std::ostringstream text;
+        printDimacs(cnf, text);
+        std::istringstream in(text.str());
+        const Cnf parsed = parseDimacs(in);
+        EXPECT_EQ(parsed.numVars, num_vars);
+        EXPECT_EQ(canonical(parsed.clauses), canonical(cnf.clauses));
+        Solver copy;
+        loadCnf(parsed, copy);
+        const bool expected = bruteForceSat(num_vars, added);
+        ASSERT_EQ(copy.solve(),
+                  expected ? SolveResult::Sat : SolveResult::Unsat);
+        if (expected)
+            expectModelSatisfies(copy, added);
+    }
+}
+
+TEST(SatBinary, MixedCnfWithRetiredGroupMatchesBruteForce)
+{
+    // Random 2/3-CNF, half of it in a group: solve with the group
+    // live, retire or release it partway through, then solve again
+    // on the permanent half alone. Every answer is checked against
+    // brute force on one long-lived solver per round.
+    Rng rng(2024);
+    int sat_seen = 0;
+    int unsat_seen = 0;
+    for (int round = 0; round < 150; ++round) {
+        const std::size_t num_vars = 5 + rng.below(8); // 5..12
+        Solver s;
+        for (std::size_t v = 0; v < num_vars; ++v)
+            s.newVar();
+        const GroupId g = s.newGroup();
+        std::vector<std::vector<Lit>> permanent;
+        std::vector<std::vector<Lit>> grouped;
+        const std::size_t num_clauses = num_vars * 3;
+        for (std::size_t i = 0; i < num_clauses; ++i) {
+            const std::vector<Lit> clause =
+                randomClause(rng, num_vars, rng.bernoulli(0.5) ? 2 : 3);
+            if (i % 2) {
+                grouped.push_back(clause);
+                s.addClause(clause, g);
+            } else {
+                permanent.push_back(clause);
+                s.addClause(clause);
+            }
+        }
+        std::vector<std::vector<Lit>> all = permanent;
+        all.insert(all.end(), grouped.begin(), grouped.end());
+
+        const bool live_sat = bruteForceSat(num_vars, all);
+        ASSERT_EQ(s.solve(), live_sat ? SolveResult::Sat
+                                      : SolveResult::Unsat)
+            << "round " << round;
+        if (live_sat)
+            expectModelSatisfies(s, all);
+        (live_sat ? sat_seen : unsat_seen)++;
+
+        if (round % 2)
+            s.releaseGroup(g);
+        else
+            s.retireGroup(g);
+        const bool retired_sat = bruteForceSat(num_vars, permanent);
+        ASSERT_EQ(s.solve(), retired_sat ? SolveResult::Sat
+                                         : SolveResult::Unsat)
+            << "round " << round << " after retiring";
+        if (retired_sat)
+            expectModelSatisfies(s, permanent);
+    }
+    EXPECT_GT(sat_seen, 20);
+    EXPECT_GT(unsat_seen, 20);
 }
