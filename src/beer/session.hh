@@ -60,12 +60,13 @@
  * function is still identical — both converge to the provably unique
  * ECC function — though the pattern count may differ by a round or
  * two. The win is the solver time hidden behind measurement latency
- * (SessionStats::overlapSeconds): on real chips a refresh-pause
- * round costs minutes while a capped incremental solve costs
- * seconds-to-minutes, so hiding the solve entirely approaches a 2x
- * end-to-end reduction; see bench/session_speedup.cc --pipeline for
- * measured numbers. The only speculative cost is the one chunk
- * measured ahead while the final solve proves uniqueness
+ * (SessionStats::overlapSeconds). On real chips a refresh-pause
+ * round costs minutes, while all the solves of a k=32 session spend
+ * about 17 ms in search (perfbench `recover`, traced, on a 4-core
+ * x86 container), so there is little left to hide; see
+ * bench/session_speedup.cc --pipeline for measured numbers under
+ * injected measurement latency. The only speculative cost is the
+ * one chunk measured ahead while the final solve proves uniqueness
  * (SessionStats::discardedMeasurements).
  */
 

@@ -96,7 +96,7 @@ CRef
 Solver::allocClause(const std::vector<Lit> &lits, bool learned)
 {
     const CRef ref = (CRef)arena_.size();
-    BEER_ASSERT(ref < (1u << 31)); // watchers tag the ref's top bit away
+    BEER_ASSERT(ref < (1u << 31)); // a watcher keeps the ref in 31 bits
     arena_.push_back(learned ? kLearnedBit : 0);
     arena_.push_back((std::uint32_t)lits.size());
     arena_.push_back(0); // activity
