@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "beer/beer.hh"
 #include "beer/session.hh"
 #include "dram/chip.hh"
@@ -43,6 +46,40 @@ fastMeasure(const SimulatedChip &chip)
     measure.repeatsPerPause = 25;
     measure.thresholdProbability = 1e-4;
     return measure;
+}
+
+/** FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * Fingerprint of everything a session's schedule decides: the
+ * patterns in the order they were measured, the experiments issued,
+ * the solve and escalation counts and the recovered function.
+ */
+std::uint64_t
+scheduleFingerprint(const RecoveryReport &report)
+{
+    std::ostringstream out;
+    for (const TestPattern &pattern : report.counts.patterns) {
+        for (std::size_t bit : pattern)
+            out << bit << ',';
+        out << ';';
+    }
+    out << '|' << report.stats.patternMeasurements << '|'
+        << report.stats.solveCalls << '|' << report.stats.escalations
+        << '|'
+        << (report.succeeded() ? report.recoveredCode().toString()
+                               : std::string("none"));
+    return fnv1a(out.str());
 }
 
 } // anonymous namespace
@@ -288,4 +325,72 @@ TEST(Session, MergeAccumulatesAcrossRounds)
     const auto two = chargedPatterns(8, 2);
     counts.merge(measureProfile(chip, two, measure, words));
     EXPECT_EQ(counts.patterns.size(), one.size() + two.size());
+}
+
+/**
+ * The serial adaptive schedule is pinned: which patterns each session
+ * measures, in which order, how many experiments and solves that takes
+ * and which function comes out. Seeds 1-10 x vendors A/B/C at k=16
+ * (seeds 2 C and 3 A escalate to 2-CHARGED), three chips of the
+ * perfbench `recover` shape at k=32 and one escalating (12,8) chip.
+ * A change that is meant to leave the schedule alone must leave these
+ * literals as they are.
+ */
+TEST(Session, SerialScheduleIsPinned)
+{
+    struct Pinned
+    {
+        char vendor;
+        std::size_t k;
+        std::uint64_t seed;
+        std::uint64_t fingerprint;
+    };
+    const Pinned pinned[] = {
+        {'A', 16, 1, 0xcc2849c221a471f4ULL},
+        {'B', 16, 1, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 1, 0x292b7f61d116ebd9ULL},
+        {'A', 16, 2, 0xf4d755cfc52b93b1ULL},
+        {'B', 16, 2, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 2, 0xf5ec81f0c3140fe7ULL},
+        {'A', 16, 3, 0xfa364d6e4b60904bULL},
+        {'B', 16, 3, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 3, 0x1e0a5da65cb18b81ULL},
+        {'A', 16, 4, 0xc8035fc7c381533bULL},
+        {'B', 16, 4, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 4, 0x3727e8c364a466b2ULL},
+        {'A', 16, 5, 0xa57c9c26c3204024ULL},
+        {'B', 16, 5, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 5, 0x0506e5a5c30ecc47ULL},
+        {'A', 16, 6, 0x6beaecc4426949deULL},
+        {'B', 16, 6, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 6, 0xdbe9bd62c691ae79ULL},
+        {'A', 16, 7, 0xdd8125028e16acfbULL},
+        {'B', 16, 7, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 7, 0x5da061a2c6522ba1ULL},
+        {'A', 16, 8, 0x1d48c5ec34831be3ULL},
+        {'B', 16, 8, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 8, 0x20fdb9a76af3f137ULL},
+        {'A', 16, 9, 0xd5acd1523f277aadULL},
+        {'B', 16, 9, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 9, 0x40064ce7b92dfd97ULL},
+        {'A', 16, 10, 0xb3c5ce278e3727d2ULL},
+        {'B', 16, 10, 0x16a27a61f3e83cf1ULL},
+        {'C', 16, 10, 0x1f85c86c2f915556ULL},
+        {'A', 32, 1001 * 1000003ULL + 0, 0xcd8259d1fa20b38fULL},
+        {'B', 32, 1001 * 1000003ULL + 1, 0xf4044410c10edc84ULL},
+        {'C', 32, 1001 * 1000003ULL + 2, 0xb734c2b67b4c35efULL},
+        {'C', 8, 1, 0x013b056979d756a9ULL},
+    };
+    for (const Pinned &p : pinned) {
+        SimulatedChip chip(testChipConfig(p.vendor, p.k, p.seed));
+        SessionConfig config;
+        config.measure = fastMeasure(chip);
+        config.wordsUnderTest = dram::trueCellWords(chip);
+        Session session(chip, config);
+        const RecoveryReport report = session.run();
+        EXPECT_TRUE(report.succeeded());
+        EXPECT_EQ(scheduleFingerprint(report), p.fingerprint)
+            << "vendor " << p.vendor << " k=" << p.k << " seed "
+            << p.seed << " escalations " << report.stats.escalations;
+    }
 }
