@@ -1,65 +1,38 @@
 /**
  * @file
  * Measurement-effort reduction from beer::Session's adaptive early
- * exit versus the legacy full-sweep pipeline, and solver-side win from
- * the persistent incremental solve context versus re-encoding from
- * scratch every round.
+ * exit versus the full-sweep schedule.
  *
- * For each vendor configuration, runs three schedules against
+ * For each vendor configuration, runs two schedules against
  * identically manufactured simulated chips:
  *
- *   - full:        legacy full sweep (baseline experiment count);
- *   - incremental: adaptive session with the persistent
- *                  IncrementalSolver (the default);
- *   - scratch:     adaptive session with incrementalSolve=false, so
- *                  every round rebuilds and re-searches the whole CNF.
+ *   - full:     full sweep, every pattern measured before each solve
+ *               (baseline experiment count);
+ *   - adaptive: the default adaptive session, which solves after
+ *               every round on one persistent IncrementalSolver.
  *
  * On real hardware every experiment costs a multi-minute refresh
  * pause, so the experiment count is the figure of merit for the
  * adaptive schedule; the cumulative solver wall time (encode + search,
- * reported per round) is the figure of merit for the incremental
- * context. With --json the full per-round trajectories are emitted
- * machine-readably so BENCH_*.json files can be tracked across PRs.
- *
- * --pipeline switches to the third experiment: end-to-end win from
- * SessionConfig::pipelined (solving overlapped with speculative
- * measurement). The simulator measures in microseconds where real
- * chips take minutes per refresh pause, so a forwarding backend
- * injects a wall-clock penalty per pauseRefresh(), calibrated from a
- * plain serial run so total injected latency is
- * --measure-latency-factor times the *hideable* solve time — every
- * solve round except the last, because the final solve is the
- * uniqueness proof that ends the session and no schedule can overlap
- * measurement with it. That is the measurement-dominated regime the
- * pipeline targets: refresh pauses dominate the wall clock, and the
- * solver work that CAN be hidden costs about as much as the pauses
- * it hides behind. Sessions run one pattern per round
- * (patternsPerRound=1, the paper's pattern-at-a-time BEEP schedule),
- * which keeps each solve window matched to the next pattern's pause
- * time. Serial and pipelined sessions then run against identical
- * chips behind the same penalty; the bench verifies the recovered
- * ECC functions are equivalent (nonzero exit otherwise, the CI
- * divergence gate) and reports the speedup, the overlapped solver
- * seconds, and the fraction of solve time hidden.
+ * reported per round) shows what the solves between rounds cost. With
+ * --json the full per-round trajectories are emitted machine-readably
+ * so BENCH_*.json files can be tracked across PRs.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "beer/beer.hh"
+#include "beer/session.hh"
 #include "dram/chip.hh"
 #include "ecc/code_equiv.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
-#include "util/thread_pool.hh"
 
 using namespace beer;
 using dram::SimulatedChip;
@@ -79,7 +52,7 @@ benchMeasure(const SimulatedChip &chip, std::size_t repeats)
     return measure;
 }
 
-/** One adaptive run's solver-side trajectory. */
+/** One session's solver-side trajectory. */
 struct SolverTrajectory
 {
     double encodeSeconds = 0.0;
@@ -121,371 +94,12 @@ printRoundsJson(std::ostream &out, const std::vector<SolveRoundStats> &rounds,
     out << "]";
 }
 
-/**
- * Forwarding backend charging a fixed wall-clock penalty per refresh
- * pause. The simulated chip resolves a pause in microseconds; real
- * chips take the paper's multi-minute retention waits, which is the
- * latency the session pipeline hides solver time behind. Everything
- * else forwards untouched (including the batch seams, so the proxy
- * is observably identical to the wrapped chip modulo wall-clock).
- */
-class LatencyProxy final : public dram::MemoryInterface
-{
-  public:
-    LatencyProxy(dram::MemoryInterface &inner, double pause_penalty_s)
-        : inner_(inner), penalty_(pause_penalty_s)
-    {
-    }
-
-    const dram::AddressMap &addressMap() const override
-    {
-        return inner_.addressMap();
-    }
-    std::size_t datawordBits() const override
-    {
-        return inner_.datawordBits();
-    }
-    void writeDataword(std::size_t word_index,
-                       const gf2::BitVec &data) override
-    {
-        inner_.writeDataword(word_index, data);
-    }
-    gf2::BitVec readDataword(std::size_t word_index) override
-    {
-        return inner_.readDataword(word_index);
-    }
-    void writeDatawordsBroadcast(const std::size_t *words,
-                                 std::size_t count,
-                                 const gf2::BitVec &data) override
-    {
-        inner_.writeDatawordsBroadcast(words, count, data);
-    }
-    void readDatawords(const std::size_t *words, std::size_t count,
-                       std::vector<gf2::BitVec> &out) override
-    {
-        inner_.readDatawords(words, count, out);
-    }
-    void writeByte(std::size_t byte_addr, std::uint8_t value) override
-    {
-        inner_.writeByte(byte_addr, value);
-    }
-    std::uint8_t readByte(std::size_t byte_addr) override
-    {
-        return inner_.readByte(byte_addr);
-    }
-    void fill(std::uint8_t value) override { inner_.fill(value); }
-    void pauseRefresh(double seconds, double temp_c) override
-    {
-        inner_.pauseRefresh(seconds, temp_c);
-        if (penalty_ <= 0.0)
-            return;
-        // Pay the penalty as an actual sleep — on a loaded or
-        // single-CPU host that is what lets the concurrent solver run
-        // during the pause, exactly like a real tester blocking on a
-        // refresh window. Individual sleep_for calls overshoot
-        // tens-of-microsecond requests by their own magnitude, so
-        // accumulate a debt and sleep it off in bigger chunks.
-        // Overshoot beyond the debt is NOT banked as credit: carrying
-        // it forward produces occasional sleepless stretches of
-        // experiments during which a pause-latency-bound tester would
-        // in reality still be blocking — and during which an
-        // idle-priority solver thread would starve. Every pause keeps
-        // paying latency, as on real hardware; both session arms see
-        // the identical policy.
-        debt_ += penalty_;
-        if (debt_ < 200e-6)
-            return;
-        const auto start = std::chrono::steady_clock::now();
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(debt_));
-        debt_ -= std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-        if (debt_ < 0.0)
-            debt_ = 0.0;
-    }
-
-  private:
-    dram::MemoryInterface &inner_;
-    double penalty_;
-    double debt_ = 0.0;
-};
-
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-/** The --pipeline experiment; see the file comment. */
-int
-runPipelineBench(const util::Cli &cli)
-{
-    const auto k = (std::size_t)cli.getInt("k");
-    const auto chips = (std::size_t)cli.getInt("seeds-per-vendor");
-    const auto repeats = (std::size_t)cli.getInt("repeats");
-    const auto base_seed = (std::uint64_t)cli.getInt("seed");
-    const double factor = cli.getDouble("measure-latency-factor");
-    const double min_speedup = cli.getDouble("min-pipeline-speedup");
-
-    // Shared by every pipelined session (one solve task in flight per
-    // session, sessions run one at a time). Must outlive the sessions.
-    // Background priority so the solve consumes only the measurement
-    // loop's idle time — the regime a real tester host is in.
-    util::ThreadPool pool(2, /*background=*/true);
-
-    util::Table table({"vendor", "pause penalty ms",
-                       "serial s (median)", "pipelined s (median)",
-                       "speedup (median)", "overlap s (median)",
-                       "solve hidden (median)", "spec rounds",
-                       "discarded", "all identical"});
-
-    std::ostringstream json_vendors;
-    bool first_vendor = true;
-    bool diverged = false;
-    std::vector<double> all_speedups;
-
-    for (char vendor : {'A', 'B', 'C'}) {
-        std::vector<double> penalty_ms;
-        std::vector<double> serial_walls;
-        std::vector<double> pipe_walls;
-        std::vector<double> speedups;
-        std::vector<double> overlaps;
-        std::vector<double> hidden;
-        std::uint64_t speculated = 0;
-        std::uint64_t discarded = 0;
-        bool all_identical = true;
-        std::ostringstream json_chips;
-
-        for (std::size_t i = 0; i < chips; ++i) {
-            const std::uint64_t seed = base_seed + 1000 * (i + 1);
-            dram::ChipConfig config =
-                dram::makeVendorConfig(vendor, k, seed);
-            // A small chip: the experiment is about latency hiding,
-            // so the simulator's intrinsic per-word compute should be
-            // negligible next to the injected refresh-pause latency
-            // (on real chips it is — pauses run minutes while the
-            // tester's bookkeeping is microseconds).
-            config.map.rows = 4;
-            config.iidErrors = true;
-
-            // Calibration: a plain serial run tells us how much
-            // hideable solver time this chip costs and over how many
-            // experiments, so the injected per-pause penalty totals
-            // `factor` times it. Hideable = every round but the last:
-            // the final solve is the uniqueness proof that terminates
-            // the session, so no measurement exists to overlap it and
-            // it inflates both schedules equally. One pattern per
-            // round keeps each solve window sized to one pattern's
-            // worth of pauses.
-            SimulatedChip cal_chip(config);
-            SessionConfig sc;
-            sc.measure = benchMeasure(cal_chip, repeats);
-            sc.wordsUnderTest = dram::trueCellWords(cal_chip);
-            sc.patternsPerRound = 1;
-            Session calibration(cal_chip, sc);
-            const RecoveryReport cal = calibration.run();
-            double hideable_solve = 0.0;
-            for (std::size_t r = 0;
-                 r + 1 < cal.stats.solveRounds.size(); ++r)
-                hideable_solve +=
-                    cal.stats.solveRounds[r].encodeSeconds +
-                    cal.stats.solveRounds[r].searchSeconds;
-            const double penalty =
-                cal.stats.patternMeasurements
-                    ? factor * hideable_solve /
-                          (double)cal.stats.patternMeasurements
-                    : 0.0;
-
-            // Both schedules are deterministic per seed, so wall
-            // clock is the only thing that varies between trials;
-            // alternate serial/pipelined runs and keep the fastest of
-            // each, the standard microbenchmark defense against OS
-            // scheduling noise (the sessions run tens of
-            // milliseconds, the same scale as a scheduler
-            // preemption).
-            constexpr int kTrials = 5;
-            double serial_wall = 0.0;
-            double pipe_wall = 0.0;
-            bool identical = true;
-            RecoveryReport serial;
-            RecoveryReport pipe;
-            for (int trial = 0; trial < kTrials; ++trial) {
-                SimulatedChip serial_chip(config);
-                LatencyProxy serial_mem(serial_chip, penalty);
-                sc.wordsUnderTest = dram::trueCellWords(serial_chip);
-                sc.pipelined = false;
-                sc.solverPool = nullptr;
-                Session serial_session(serial_mem, sc);
-                const auto serial_start =
-                    std::chrono::steady_clock::now();
-                serial = serial_session.run();
-                const double serial_trial =
-                    secondsSince(serial_start);
-                if (!trial || serial_trial < serial_wall)
-                    serial_wall = serial_trial;
-
-                SimulatedChip pipe_chip(config);
-                LatencyProxy pipe_mem(pipe_chip, penalty);
-                sc.wordsUnderTest = dram::trueCellWords(pipe_chip);
-                sc.pipelined = true;
-                sc.solverPool = &pool;
-                Session pipe_session(pipe_mem, sc);
-                const auto pipe_start =
-                    std::chrono::steady_clock::now();
-                pipe = pipe_session.run();
-                const double pipe_trial = secondsSince(pipe_start);
-                if (!trial || pipe_trial < pipe_wall)
-                    pipe_wall = pipe_trial;
-
-                // The baseline is the DEFAULT serial schedule, whose
-                // partition runs one solve fresher than the pipelined
-                // (deferred-partition) schedule — so the measurement
-                // counts may differ by a round or two while the
-                // recovered function, pinned by the uniqueness proof,
-                // must be equivalent. Bit-exact count/profile equality
-                // against the deferredPartition serial twin is the
-                // differential test suite's job.
-                identical =
-                    identical && serial.succeeded() &&
-                    pipe.succeeded() &&
-                    ecc::equivalent(serial.recoveredCode(),
-                                    pipe.recoveredCode());
-            }
-            if (!identical) {
-                all_identical = false;
-                diverged = true;
-            }
-
-            const double speedup =
-                pipe_wall > 0.0 ? serial_wall / pipe_wall : 1.0;
-            penalty_ms.push_back(1e3 * penalty);
-            serial_walls.push_back(serial_wall);
-            pipe_walls.push_back(pipe_wall);
-            speedups.push_back(speedup);
-            all_speedups.push_back(speedup);
-            overlaps.push_back(pipe.stats.overlapSeconds);
-            hidden.push_back(pipe.stats.solveSeconds > 0.0
-                                 ? pipe.stats.overlapSeconds /
-                                       pipe.stats.solveSeconds
-                                 : 0.0);
-            speculated += pipe.stats.speculatedRounds;
-            discarded += pipe.stats.discardedRounds;
-
-            json_chips << (i ? "," : "") << "\n        {\"seed\": "
-                       << seed << ", \"pause_penalty_s\": " << penalty
-                       << ",\n         \"serial_wall_s\": "
-                       << serial_wall
-                       << ", \"pipelined_wall_s\": " << pipe_wall
-                       << ", \"speedup\": " << speedup
-                       << ",\n         \"overlap_s\": "
-                       << pipe.stats.overlapSeconds
-                       << ", \"solve_s\": " << pipe.stats.solveSeconds
-                       << ",\n         \"speculated_rounds\": "
-                       << pipe.stats.speculatedRounds
-                       << ", \"discarded_rounds\": "
-                       << pipe.stats.discardedRounds
-                       << ", \"discarded_measurements\": "
-                       << pipe.stats.discardedMeasurements
-                       << ", \"identical\": "
-                       << (identical ? "true" : "false") << "}";
-        }
-
-        char vendor_name[2] = {vendor, '\0'};
-        char speedup_text[32];
-        std::snprintf(speedup_text, sizeof speedup_text, "%.2fx",
-                      util::median(speedups));
-        char hidden_text[32];
-        std::snprintf(hidden_text, sizeof hidden_text, "%.0f%%",
-                      100.0 * util::median(hidden));
-        table.addRowOf(vendor_name,
-                       util::Table::fixed(util::median(penalty_ms), 2),
-                       util::Table::fixed(util::median(serial_walls), 3),
-                       util::Table::fixed(util::median(pipe_walls), 3),
-                       speedup_text,
-                       util::Table::fixed(util::median(overlaps), 3),
-                       hidden_text, (double)speculated,
-                       (double)discarded,
-                       all_identical ? "yes" : "NO");
-
-        json_vendors << (first_vendor ? "" : ",") << "\n"
-                     << "    {\"vendor\": \"" << vendor << "\",\n"
-                     << "     \"serial_wall_s_median\": "
-                     << util::median(serial_walls) << ",\n"
-                     << "     \"pipelined_wall_s_median\": "
-                     << util::median(pipe_walls) << ",\n"
-                     << "     \"speedup_median\": "
-                     << util::median(speedups) << ",\n"
-                     << "     \"overlap_s_median\": "
-                     << util::median(overlaps) << ",\n"
-                     << "     \"solve_hidden_median\": "
-                     << util::median(hidden) << ",\n"
-                     << "     \"speculated_rounds\": " << speculated
-                     << ",\n"
-                     << "     \"discarded_rounds\": " << discarded
-                     << ",\n"
-                     << "     \"all_identical\": "
-                     << (all_identical ? "true" : "false") << ",\n"
-                     << "     \"chips\": [" << json_chips.str()
-                     << "\n     ]}";
-        first_vendor = false;
-    }
-
-    std::printf("Pipelined vs serial session under injected "
-                "measurement latency (k=%zu, %zu chips per vendor, "
-                "latency factor %.2f)\n",
-                k, chips, factor);
-    if (cli.getBool("csv"))
-        table.printCsv(std::cout);
-    else
-        table.print(std::cout);
-
-    const double median_speedup = util::median(all_speedups);
-    std::printf("overall median speedup: %.2fx\n", median_speedup);
-
-    const std::string json_path = cli.getString("json");
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
-        if (!out)
-            util::fatal("cannot open JSON file '%s'",
-                        json_path.c_str());
-        out << "{\n  \"bench\": \"session_pipeline\",\n  \"k\": " << k
-            << ",\n  \"chips_per_vendor\": " << chips
-            << ",\n  \"repeats\": " << repeats
-            << ",\n  \"measure_latency_factor\": " << factor
-            << ",\n  \"median_speedup\": " << median_speedup
-            << ",\n  \"diverged\": " << (diverged ? "true" : "false")
-            << ",\n  \"vendors\": [" << json_vendors.str()
-            << "\n  ]\n}\n";
-        std::fprintf(stderr, "wrote %s\n", json_path.c_str());
-    }
-
-    if (diverged) {
-        std::fprintf(stderr,
-                     "FAIL: pipelined session diverged from the "
-                     "serial baseline (function or measurement "
-                     "count)\n");
-        return 1;
-    }
-    if (min_speedup > 0.0 && median_speedup < min_speedup) {
-        std::fprintf(stderr,
-                     "FAIL: median pipeline speedup %.2fx below the "
-                     "--min-pipeline-speedup gate %.2fx\n",
-                     median_speedup, min_speedup);
-        return 1;
-    }
-    return 0;
-}
-
 } // anonymous namespace
 
 int
 main(int argc, char **argv)
 {
-    util::Cli cli("beer::Session adaptive early exit vs legacy full "
-                  "sweep, and incremental vs from-scratch solver cost");
+    util::Cli cli("beer::Session adaptive early exit vs full sweep");
     cli.addOption("k", "16", "dataword length in bits");
     cli.addOption("seeds-per-vendor", "5",
                   "chips (secret functions) per vendor");
@@ -495,20 +109,7 @@ main(int argc, char **argv)
                   "emit machine-readable results (including per-round "
                   "solver trajectories) to this path");
     cli.addFlag("csv", "emit CSV instead of an aligned table");
-    cli.addFlag("pipeline",
-                "measure the pipelined (overlap solving with "
-                "measurement) session against the serial baseline "
-                "under injected refresh-pause latency");
-    cli.addOption("measure-latency-factor", "1.2",
-                  "--pipeline: injected measurement latency as a "
-                  "multiple of the calibrated serial solve time");
-    cli.addOption("min-pipeline-speedup", "0",
-                  "--pipeline: exit nonzero if the overall median "
-                  "speedup falls below this (0 = no gate)");
     cli.parse(argc, argv);
-
-    if (cli.getBool("pipeline"))
-        return runPipelineBench(cli);
 
     const auto k = (std::size_t)cli.getInt("k");
     const auto chips = (std::size_t)cli.getInt("seeds-per-vendor");
@@ -518,8 +119,7 @@ main(int argc, char **argv)
     util::Table table({"vendor", "experiments (full)",
                        "experiments (adaptive, median)",
                        "reduction (median)", "patterns (median)",
-                       "measure s (median)", "solve s inc (median)",
-                       "solve s scratch (median)", "solver speedup",
+                       "measure s (median)", "solve s (median)",
                        "all identical"});
 
     std::ostringstream json_vendors;
@@ -529,9 +129,7 @@ main(int argc, char **argv)
         std::vector<double> experiments;
         std::vector<double> patterns;
         std::vector<double> measure_s;
-        std::vector<double> solve_inc_s;
-        std::vector<double> solve_scratch_s;
-        std::vector<double> speedup;
+        std::vector<double> solve_s;
         std::vector<double> reduction;
         double full_experiments = 0.0;
         bool all_identical = true;
@@ -545,39 +143,26 @@ main(int argc, char **argv)
             config.iidErrors = true;
 
             SimulatedChip full_chip(config);
-            RecoveryOptions options;
-            options.measure = benchMeasure(full_chip, repeats);
-            const RecoveryReport full =
-                recoverEccFunction(full_chip, options);
+            SessionConfig full_config;
+            full_config.measure = benchMeasure(full_chip, repeats);
+            full_config.adaptiveEarlyExit = false;
+            full_config.wordsUnderTest = dram::trueCellWords(full_chip);
+            Session full_session(full_chip, full_config);
+            const RecoveryReport full = full_session.run();
 
-            SessionConfig session_config;
-            session_config.measure = options.measure;
-
-            // Adaptive, persistent incremental solve context.
             SimulatedChip chip(config);
+            SessionConfig session_config;
+            session_config.measure = full_config.measure;
             session_config.wordsUnderTest = dram::trueCellWords(chip);
-            session_config.incrementalSolve = true;
             Session session(chip, session_config);
             const RecoveryReport adaptive = session.run();
 
-            // Adaptive, from-scratch re-encode + re-search per round.
-            SimulatedChip scratch_chip(config);
-            session_config.wordsUnderTest =
-                dram::trueCellWords(scratch_chip);
-            session_config.incrementalSolve = false;
-            Session scratch_session(scratch_chip, session_config);
-            const RecoveryReport scratch = scratch_session.run();
-
             if (!full.succeeded() || !adaptive.succeeded() ||
-                !scratch.succeeded() ||
                 !ecc::equivalent(full.recoveredCode(),
-                                 adaptive.recoveredCode()) ||
-                !ecc::equivalent(full.recoveredCode(),
-                                 scratch.recoveredCode()))
+                                 adaptive.recoveredCode()))
                 all_identical = false;
 
-            const SolverTrajectory inc = trajectoryOf(adaptive);
-            const SolverTrajectory scr = trajectoryOf(scratch);
+            const SolverTrajectory solver = trajectoryOf(adaptive);
 
             full_experiments =
                 (double)full.stats.patternMeasurements;
@@ -586,11 +171,7 @@ main(int argc, char **argv)
             patterns.push_back(
                 (double)adaptive.counts.patterns.size());
             measure_s.push_back(adaptive.stats.measureSeconds);
-            solve_inc_s.push_back(inc.total());
-            solve_scratch_s.push_back(scr.total());
-            speedup.push_back(inc.total() > 0.0
-                                  ? scr.total() / inc.total()
-                                  : 1.0);
+            solve_s.push_back(solver.total());
             reduction.push_back(
                 full.stats.patternMeasurements == 0
                     ? 0.0
@@ -598,16 +179,10 @@ main(int argc, char **argv)
                                 (double)full.stats.patternMeasurements);
 
             json_chips << (i ? "," : "") << "\n        {\"seed\": "
-                       << seed << ",\n         \"rounds_incremental\": ";
-            printRoundsJson(json_chips, inc.rounds, "         ");
-            json_chips << ",\n         \"rounds_scratch\": ";
-            printRoundsJson(json_chips, scr.rounds, "         ");
-            json_chips << ",\n         \"solve_s_incremental\": "
-                       << inc.total()
-                       << ", \"solve_s_scratch\": " << scr.total()
-                       << ", \"clauses_incremental\": "
-                       << inc.clausesAdded
-                       << ", \"clauses_scratch\": " << scr.clausesAdded
+                       << seed << ",\n         \"rounds\": ";
+            printRoundsJson(json_chips, solver.rounds, "         ");
+            json_chips << ",\n         \"solve_s\": " << solver.total()
+                       << ", \"clauses\": " << solver.clausesAdded
                        << "}";
         }
 
@@ -615,16 +190,12 @@ main(int argc, char **argv)
         char reduction_text[32];
         std::snprintf(reduction_text, sizeof reduction_text, "%.0f%%",
                       100.0 * util::median(reduction));
-        char speedup_text[32];
-        std::snprintf(speedup_text, sizeof speedup_text, "%.1fx",
-                      util::median(speedup));
         table.addRowOf(vendor_name, full_experiments,
                        util::median(experiments), reduction_text,
                        util::median(patterns),
                        util::Table::fixed(util::median(measure_s), 3),
-                       util::Table::sci(util::median(solve_inc_s)),
-                       util::Table::sci(util::median(solve_scratch_s)),
-                       speedup_text, all_identical ? "yes" : "NO");
+                       util::Table::sci(util::median(solve_s)),
+                       all_identical ? "yes" : "NO");
 
         json_vendors << (first_vendor ? "" : ",") << "\n"
                      << "    {\"vendor\": \"" << vendor << "\",\n"
@@ -634,12 +205,8 @@ main(int argc, char **argv)
                      << util::median(experiments) << ",\n"
                      << "     \"reduction_median\": "
                      << util::median(reduction) << ",\n"
-                     << "     \"solve_s_incremental_median\": "
-                     << util::median(solve_inc_s) << ",\n"
-                     << "     \"solve_s_scratch_median\": "
-                     << util::median(solve_scratch_s) << ",\n"
-                     << "     \"solver_speedup_median\": "
-                     << util::median(speedup) << ",\n"
+                     << "     \"solve_s_median\": "
+                     << util::median(solve_s) << ",\n"
                      << "     \"all_identical\": "
                      << (all_identical ? "true" : "false") << ",\n"
                      << "     \"chips\": [" << json_chips.str()

@@ -1,22 +1,15 @@
 /**
  * @file
- * Umbrella header and end-to-end BEER pipeline.
- *
- * recoverEccFunction() performs the full methodology of the paper
- * against a (simulated) DRAM chip: measure the miscorrection profile
+ * Umbrella header for the BEER methodology. beer::Session
+ * (session.hh) runs the full recovery against any
+ * dram::MemoryInterface backend: measure the miscorrection profile
  * with the 1-CHARGED patterns, solve, and — if the code is shortened
  * and the solution is not yet unique — extend the measurement with the
- * 2-CHARGED patterns and re-solve (Section 4.2.4). It is a thin
- * wrapper over beer::Session (session.hh), which exposes the same
- * methodology as explicit measure/solve/escalate stages over any
- * dram::MemoryInterface backend, with adaptive early exit.
+ * 2-CHARGED patterns and re-solve (paper Section 4.2.4).
  */
 
 #ifndef BEER_BEER_BEER_HH
 #define BEER_BEER_BEER_HH
-
-#include <cstdint>
-#include <vector>
 
 #include "beer/discovery.hh"
 #include "beer/measure.hh"
@@ -25,30 +18,5 @@
 #include "beer/session.hh"
 #include "beer/solver.hh"
 #include "dram/chip.hh"
-
-namespace beer
-{
-
-/** Options for the end-to-end recovery pipeline. */
-struct RecoveryOptions
-{
-    MeasureConfig measure = MeasureConfig::paperDefault();
-    BeerSolverConfig solver;
-    /**
-     * Add 2-CHARGED patterns when the 1-CHARGED profile does not
-     * identify a unique function (needed for shortened codes).
-     */
-    bool escalateToTwoCharged = true;
-};
-
-/**
- * Run BEER end-to-end against @p chip through its external interface,
- * with the legacy full-sweep schedule (no adaptive early exit) and the
- * chip's ground-truth true-cell rows as the word subset.
- */
-RecoveryReport recoverEccFunction(dram::Chip &chip,
-                                  const RecoveryOptions &options = {});
-
-} // namespace beer
 
 #endif // BEER_BEER_BEER_HH

@@ -236,10 +236,9 @@ struct MeasureConfig
      * Polled before each (pattern, pause, repeat) experiment; a true
      * return abandons the rest of the run and returns the counts
      * accumulated so far (a partially measured pattern keeps its
-     * partial denominator). The pipelined session uses this to stop
-     * speculative measurement the moment the solve running beside it
-     * proves uniqueness — the round is discarded either way, so every
-     * further refresh pause would be pure waste. Unset = never.
+     * partial denominator). A session with a deadline uses this to
+     * stop inside a round once the deadline expires, instead of
+     * waiting out the round's remaining refresh pauses. Unset = never.
      */
     std::function<bool()> cancel;
     /**

@@ -45,39 +45,6 @@ distinguishes(const TestPattern &pattern, const ecc::LinearCode &x,
     return false;
 }
 
-/**
- * Order [@p begin, @p end) so patterns that distinguish more pairs of
- * the candidate set come first (stable within equal scores). With two
- * candidates this is the classic active-selection partition; with
- * more it compensates for a stale candidate set — a pattern that
- * splits several still-plausible pairs is far more likely to also
- * split whatever pair survives the solve currently in flight.
- */
-void
-rankPatterns(std::vector<TestPattern>::iterator begin,
-             std::vector<TestPattern>::iterator end,
-             const std::vector<ecc::LinearCode> &cands)
-{
-    if (cands.size() < 2 || begin == end)
-        return;
-    std::vector<std::pair<std::size_t, TestPattern>> ranked;
-    ranked.reserve((std::size_t)(end - begin));
-    for (auto it = begin; it != end; ++it) {
-        std::size_t score = 0;
-        for (std::size_t i = 0; i + 1 < cands.size(); ++i)
-            for (std::size_t j = i + 1; j < cands.size(); ++j)
-                if (distinguishes(*it, cands[i], cands[j]))
-                    ++score;
-        ranked.emplace_back(score, std::move(*it));
-    }
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first > b.first;
-                     });
-    for (auto &entry : ranked)
-        *begin++ = std::move(entry.second);
-}
-
 } // anonymous namespace
 
 const char *
@@ -120,11 +87,9 @@ Session::Session(dram::MemoryInterface &mem, SessionConfig config)
     : mem_(mem), config_(std::move(config))
 {
     // Repair retracts per-round clause groups, which exist only in
-    // the persistent context's retractable encoding.
-    if (config_.repair.enabled) {
-        config_.incrementalSolve = true;
+    // the retractable encoding.
+    if (config_.repair.enabled)
         config_.solver.retractableProfile = true;
-    }
     const std::size_t k = mem_.datawordBits();
     BEER_ASSERT(k > 0);
     pending_ = chargedPatterns(k, 1);
@@ -154,13 +119,6 @@ Session::chunkLimit(std::size_t available) const
 }
 
 void
-Session::rankPendingBy(const std::vector<ecc::LinearCode> &cands)
-{
-    rankPatterns(pending_.begin() + (std::ptrdiff_t)nextPending_,
-                 pending_.end(), cands);
-}
-
-void
 Session::partitionPending()
 {
     // Active pattern selection: when a solve surfaced two candidate
@@ -169,62 +127,38 @@ Session::partitionPending()
     // eliminate at least one of the pair (the backend's answer can
     // match at most one), so the candidate space shrinks every round
     // instead of waiting for the sweep order to stumble on a
-    // discriminating pattern.
-    if (config_.deferredPartition && !config_.pipelined) {
-        // Deferred-partition schedule: order the round by the pair of
-        // the solve BEFORE the most recent one — the freshest solve a
-        // pipelined session has joined when it selects the same chunk
-        // (the most recent one is still in flight there; escalation
-        // rounds included, since the pipeline measures the first
-        // 2-CHARGED chunk speculatively beside the solve that decides
-        // the escalation). Bit-exact twin of the pipelined schedule;
-        // see session.hh. Round 2 is the exception: the pipeline
-        // joins the session's first solve inline (it is the cheap,
-        // underconstrained one and nothing runs beside round 1
-        // anyway), so round 2 partitions by the fresh pair in both
-        // schedules.
-        if (!staleCands_.empty())
-            rankPendingBy(staleCands_);
-        else if (stats_.solveCalls <= 1 && solve_ && !countsDirty_ &&
-                 solve_->solutions.size() >= 2)
-            rankPendingBy(solve_->solutions);
+    // discriminating pattern. While patterns are pending, solve()
+    // stops at two candidates, so the pair is the whole set.
+    if (!solve_ || countsDirty_ || solve_->solutions.size() < 2)
         return;
-    }
-    if (solve_ && !countsDirty_ && solve_->solutions.size() >= 2)
-        rankPendingBy(solve_->solutions);
-}
-
-std::vector<TestPattern>
-Session::peekChunk() const
-{
-    const std::size_t chunk = chunkLimit(pendingPatternCount());
-    return std::vector<TestPattern>(
-        pending_.begin() + (std::ptrdiff_t)nextPending_,
-        pending_.begin() + (std::ptrdiff_t)(nextPending_ + chunk));
+    const ecc::LinearCode &x = solve_->solutions[0];
+    const ecc::LinearCode &y = solve_->solutions[1];
+    std::stable_partition(
+        pending_.begin() + (std::ptrdiff_t)nextPending_, pending_.end(),
+        [&](const TestPattern &pattern) {
+            return distinguishes(pattern, x, y);
+        });
 }
 
 ProfileCounts
 Session::measureChunk(const std::vector<TestPattern> &round,
-                      double &seconds,
-                      const std::function<bool()> &cancel)
+                      double &seconds)
 {
     const auto start = Clock::now();
-    std::function<bool()> stop = cancel;
+    // Always measure through a config copy: the session's estimator is
+    // injected per call (and written back by measureProfile), so every
+    // round — repair re-measurement included — feeds the same running
+    // disagreement estimate.
+    MeasureConfig measure = config_.measure;
+    // The session's deadline is the only cancel a round honors.
+    measure.cancel = nullptr;
     if (config_.deadlineSeconds > 0.0) {
         // The deadline cuts into a round, between experiments: a
         // round costs many refresh pauses, so stopping only at round
         // boundaries could overshoot by minutes — or never return on
         // a stalling chip.
-        stop = [this, cancel] {
-            return deadlineExceeded() || (cancel && cancel());
-        };
+        measure.cancel = [this] { return deadlineExceeded(); };
     }
-    // Always measure through a config copy: the session's estimator is
-    // injected per call (and written back by measureProfile), so every
-    // round — speculative and repair re-measurement included — feeds
-    // the same running disagreement estimate.
-    MeasureConfig measure = config_.measure;
-    measure.cancel = std::move(stop);
     measure.estimator = &quorumEstimator_;
     const ProfileCounts observed = measureProfile(
         mem_, round, measure, config_.wordsUnderTest);
@@ -294,8 +228,11 @@ Session::measureRound()
 
     if (config_.adaptiveEarlyExit)
         partitionPending();
-    const std::vector<TestPattern> round = peekChunk();
-    nextPending_ += round.size();
+    const std::size_t chunk = chunkLimit(pendingPatternCount());
+    const std::vector<TestPattern> round(
+        pending_.begin() + (std::ptrdiff_t)nextPending_,
+        pending_.begin() + (std::ptrdiff_t)(nextPending_ + chunk));
+    nextPending_ += chunk;
 
     double seconds = 0.0;
     const ProfileCounts observed = measureChunk(round, seconds);
@@ -303,110 +240,69 @@ Session::measureRound()
     return true;
 }
 
-void
-Session::prepareSolve(PendingSolve &ps)
+const BeerSolveResult &
+Session::solve()
 {
     profile_ = counts_.threshold(config_.measure.thresholdProbability);
 
     // While more measurement is still available, enumeration only has
-    // to decide uniqueness: two solutions suffice. The stale-partition
-    // schedules enumerate a few more (SessionConfig::
-    // deferredCandidates) so the next round's ranking sees pairs the
-    // already-measured round has not eliminated yet.
-    ps.maxSolutions = config_.solver.maxSolutions;
-    ps.capped = config_.adaptiveEarlyExit && moreEvidenceAvailable() &&
-                !stopReason_;
-    if (ps.capped) {
-        std::size_t cap = 2;
-        if (config_.deferredPartition || config_.pipelined)
-            cap = std::max<std::size_t>(cap, config_.deferredCandidates);
-        if (ps.maxSolutions == 0 || ps.maxSolutions > cap)
-            ps.maxSolutions = cap;
-    } else if (stopReason_ && ps.maxSolutions == 0) {
+    // to decide uniqueness: two solutions suffice, and they are the
+    // pair the next round is ranked by.
+    std::size_t max_solutions = config_.solver.maxSolutions;
+    const bool capped = config_.adaptiveEarlyExit &&
+                        moreEvidenceAvailable() && !stopReason_;
+    if (capped) {
+        if (max_solutions == 0 || max_solutions > 2)
+            max_solutions = 2;
+    } else if (stopReason_ && max_solutions == 0) {
         // A degraded stop (deadline/budget) will not measure again;
         // its final solve reports a ranked candidate set. That set
         // must stay bounded: the evidence committed when a tiny
         // budget trips may admit astronomically many functions, and
         // "enumerate them all" would turn a deadline stop into an
         // unbounded solve.
-        ps.maxSolutions = kDegradedCandidateCap;
+        max_solutions = kDegradedCandidateCap;
     }
-}
 
-void
-Session::solveCore(PendingSolve &ps)
-{
-    // Runs on a pool task in pipelined mode. Exclusive ownership of
-    // incremental_ and read-only access to profile_ for the task's
-    // whole lifetime; the session thread touches neither until join.
-    ps.start = Clock::now();
+    SolveRoundStats round;
     std::uint64_t clauses_before = 0;
     std::size_t rebuilds_before = 0;
     auto start = Clock::now();
-    if (config_.incrementalSolve && incremental_) {
+    if (incremental_) {
         clauses_before = incremental_->satSolver().stats().addedClauses;
         rebuilds_before = incremental_->rebuilds();
     } else {
-        // First round, or from-scratch mode: (re)build the context.
-        // Construction encodes the eager structural constraints.
+        // First round: construction encodes the eager structural
+        // constraints.
         incremental_.emplace(profile_.k,
                              ecc::parityBitsForDataBits(profile_.k),
                              config_.solver);
     }
-    ps.round.patternsEncoded = incremental_->addProfile(profile_);
-    ps.round.encodeSeconds = secondsSince(start);
+    round.patternsEncoded = incremental_->addProfile(profile_);
+    round.encodeSeconds = secondsSince(start);
 
     start = Clock::now();
-    ps.result = incremental_->solve(ps.maxSolutions);
-    ps.round.searchSeconds = secondsSince(start);
+    solve_ = incremental_->solve(max_solutions);
+    round.searchSeconds = secondsSince(start);
     // A non-monotone rebuild replaces the SAT solver, resetting its
     // counters; the round then paid for the whole re-encode.
     if (incremental_->rebuilds() != rebuilds_before)
         clauses_before = 0;
-    ps.round.clausesAdded =
+    round.clausesAdded =
         incremental_->satSolver().stats().addedClauses - clauses_before;
-    ps.round.solutions = ps.result.solutions.size();
-    ps.end = Clock::now();
-}
+    round.solutions = solve_->solutions.size();
 
-void
-Session::recordSolve(PendingSolve &ps)
-{
-    // The candidates being displaced become the deferred-partition
-    // set: when the next round is measured, the solve recorded here
-    // is the one running beside it in the pipelined schedule, so the
-    // displaced solve is the freshest one that schedule has joined.
-    // Cleared (not kept sticky) when the displaced solve surfaced
-    // fewer than two candidates, mirroring the pipelined arm's
-    // "rank only when the joined solve has candidates" guard.
-    if (solve_ && solve_->solutions.size() >= 2)
-        staleCands_ = solve_->solutions;
-    else
-        staleCands_.clear();
+    stats_.solveEncodeSeconds += round.encodeSeconds;
+    stats_.solveSearchSeconds += round.searchSeconds;
+    stats_.solveSeconds += round.encodeSeconds + round.searchSeconds;
+    stats_.solveRounds.push_back(round);
 
-    solve_ = std::move(ps.result);
-
-    stats_.solveEncodeSeconds += ps.round.encodeSeconds;
-    stats_.solveSearchSeconds += ps.round.searchSeconds;
-    stats_.solveSeconds +=
-        ps.round.encodeSeconds + ps.round.searchSeconds;
-    stats_.solveRounds.push_back(ps.round);
-
-    solveWasCapped_ = ps.capped;
+    solveWasCapped_ = capped;
     countsDirty_ = false;
     ++stats_.solveCalls;
     stats_.sat.accumulate(solve_->stats);
 
     notify(SessionStage::Solve);
-}
-
-const BeerSolveResult &
-Session::solve()
-{
-    PendingSolve ps;
-    prepareSolve(ps);
-    solveCore(ps);
-    recordSolve(ps);
     return *solve_;
 }
 
@@ -625,22 +521,15 @@ Session::diagnose() const
     return d;
 }
 
-std::vector<TestPattern>
-Session::escalationPlan() const
-{
-    auto two_charged = chargedPatterns(mem_.datawordBits(), 2);
-    if (config_.adaptiveEarlyExit)
-        std::reverse(two_charged.begin(), two_charged.end());
-    return two_charged;
-}
-
 bool
 Session::escalate()
 {
     if (escalated_)
         return false;
     escalated_ = true;
-    const auto two_charged = escalationPlan();
+    auto two_charged = chargedPatterns(mem_.datawordBits(), 2);
+    if (config_.adaptiveEarlyExit)
+        std::reverse(two_charged.begin(), two_charged.end());
     pending_.insert(pending_.end(), two_charged.begin(),
                     two_charged.end());
     ++stats_.escalations;
@@ -673,8 +562,6 @@ Session::finished() const
 RecoveryReport
 Session::run()
 {
-    if (config_.pipelined)
-        return runPipelined();
     while (true) {
         if (checkDegraded())
             break;
@@ -704,205 +591,10 @@ Session::run()
         break;
     }
     // Graceful degradation: a deadline/budget stop still reports the
-    // ranked candidate set the committed evidence admits (prepareSolve
-    // lifts the uniqueness cap once stopReason_ is latched). The
+    // ranked candidate set the committed evidence admits (solve() lifts
+    // the uniqueness cap once stopReason_ is latched). The
     // deadline bounds measurement — the dominant, refresh-pause cost —
     // not this one last solve.
-    if (stopReason_ && (countsDirty_ || solveWasCapped_) &&
-        !counts_.patterns.empty())
-        solve();
-    notify(SessionStage::Done);
-    return report();
-}
-
-namespace
-{
-
-/** Seconds the two steady-clock windows overlap. */
-double
-windowOverlap(std::chrono::steady_clock::time_point a_start,
-              std::chrono::steady_clock::time_point a_end,
-              std::chrono::steady_clock::time_point b_start,
-              std::chrono::steady_clock::time_point b_end)
-{
-    const auto start = std::max(a_start, b_start);
-    const auto end = std::min(a_end, b_end);
-    if (end <= start)
-        return 0.0;
-    return std::chrono::duration<double>(end - start).count();
-}
-
-} // anonymous namespace
-
-RecoveryReport
-Session::runPipelined()
-{
-    util::ThreadPool *pool = config_.solverPool;
-    if (!pool) {
-        // Background priority: the solve task should consume only CPU
-        // time the measurement loop is not using (refresh-pause idle,
-        // join blocks) — competing with the measurement datapath for
-        // cycles would stretch its wall clock by exactly the cycles
-        // borrowed and hide nothing.
-        if (!privatePool_)
-            privatePool_ = std::make_unique<util::ThreadPool>(
-                2, /*background=*/true);
-        pool = privatePool_.get();
-    }
-
-    // Round 1 has nothing else to overlap with (no solve exists yet),
-    // and its solve joins inline too: the remaining first-solve work
-    // is cheap (the search is underconstrained and the two-solution
-    // cap is hit almost immediately), and joining it before selecting
-    // round 2 keeps that round's partition fresh — the deferred
-    // schedule would otherwise spend round 2 on an unranked pattern.
-    measureRound();
-    solve();
-    if (repairNeeded() && !attemptRepair()) {
-        notify(SessionStage::Done);
-        return report();
-    }
-    if (solve_->unique()) {
-        notify(SessionStage::Done);
-        return report();
-    }
-    if (pendingPatternCount() > 0) {
-        measureRound(); // round 2: fresh partition, like the twin
-    } else if (canEscalate()) {
-        // Round 1 consumed the whole plan: mirror the serial loop
-        // (escalate, then a fresh-partitioned first 2-CHARGED round)
-        // before the pipeline takes over.
-        escalate();
-        measureRound();
-    } else {
-        // Round 1 consumed the whole plan and nothing is left to try:
-        // the inline solve was launched uncapped and is final.
-        notify(SessionStage::Done);
-        return report();
-    }
-
-    while (true) {
-        if (checkDegraded())
-            break;
-        // Launch this round's solve asynchronously. prepareSolve runs
-        // on this thread (it reads counts_ and the pending plan);
-        // solveCore owns incremental_/profile_ until the join.
-        PendingSolve ps;
-        prepareSolve(ps);
-        ps.task = util::ClaimableTask(*pool, [this, &ps] {
-            solveCore(ps);
-        });
-
-        // Measure the next round while the solve runs. Its chunk is
-        // selected by the deferred-partition policy: ranked by the
-        // candidates of the freshest JOINED solve — the one whose
-        // evidence the in-flight solve is consuming — because the
-        // in-flight outcome is not available yet. The serial twin
-        // (SessionConfig::deferredPartition) makes the identical
-        // choice from staleCands_, so both arms issue the identical
-        // chip-operation sequence and recover bit-identical results.
-        // When the plan is dry but an escalation is still possible,
-        // the escalation that the in-flight solve may trigger is
-        // speculated the same way: the would-be first 2-CHARGED chunk
-        // (same partition policy over the escalation plan) is
-        // measured beside the solve, committed only if the solve
-        // comes back non-unique.
-        std::vector<TestPattern> ahead;
-        ProfileCounts ahead_counts;
-        double ahead_seconds = 0.0;
-        bool ahead_escalates = false;
-        // Stop the speculative measurement early once the in-flight
-        // solve has finished AND already proved uniqueness: the round
-        // is then certain to be discarded, so its remaining refresh
-        // pauses would be pure waste. ready() synchronizes with the
-        // worker's completion, so reading ps.result after it returns
-        // true is race-free; a false return touches nothing.
-        const auto doomed = [&ps] {
-            return ps.task.ready() && ps.result.unique();
-        };
-        const auto meas_start = Clock::now();
-        if (pendingPatternCount() > 0) {
-            if (config_.adaptiveEarlyExit && solve_ &&
-                solve_->solutions.size() >= 2)
-                rankPendingBy(solve_->solutions);
-            ahead = peekChunk();
-            nextPending_ += ahead.size();
-            ahead_counts = measureChunk(ahead, ahead_seconds, doomed);
-        } else if (canEscalate()) {
-            std::vector<TestPattern> plan = escalationPlan();
-            if (config_.adaptiveEarlyExit && solve_ &&
-                solve_->solutions.size() >= 2)
-                rankPatterns(plan.begin(), plan.end(),
-                             solve_->solutions);
-            plan.resize(chunkLimit(plan.size()));
-            ahead = std::move(plan);
-            ahead_escalates = true;
-            ahead_counts = measureChunk(ahead, ahead_seconds, doomed);
-        }
-        const auto meas_end = Clock::now();
-
-        const bool ran_inline = ps.task.join();
-        recordSolve(ps);
-        if (!ran_inline && !ahead.empty()) {
-            ++stats_.speculatedRounds;
-            stats_.overlapSeconds += windowOverlap(
-                ps.start, ps.end, meas_start, meas_end);
-        }
-
-        // An UNSAT solve means corrupted evidence; repair runs
-        // serially here (the solve task is joined, so this thread
-        // owns the context again). On failure the measured-ahead
-        // round is abandoned with the session — committing evidence
-        // into a profile already proven contradictory helps nobody.
-        if (repairNeeded() && !attemptRepair())
-            break;
-
-        if (solve_->unique()) {
-            // Committed evidence already pins the function; the round
-            // measured beside this solve overshot the early exit and
-            // is dropped unseen (a speculated escalation never
-            // happens at all). Its chip operations all came after
-            // every committed one, so committed evidence (and the
-            // serial twin's RNG stream) is untouched.
-            if (!ahead.empty()) {
-                ++stats_.discardedRounds;
-                // Count what the chip actually executed, not the
-                // round's plan: the doomed() cancel usually aborts
-                // the measurement partway through.
-                const std::size_t words_per_experiment =
-                    config_.wordsUnderTest.empty()
-                        ? mem_.numWords()
-                        : config_.wordsUnderTest.size();
-                std::uint64_t observations = 0;
-                for (const std::uint64_t tested :
-                     ahead_counts.wordsTested)
-                    observations += tested;
-                stats_.discardedMeasurements +=
-                    observations / words_per_experiment;
-            }
-            break;
-        }
-        if (ahead.empty()) {
-            // Plan dry, no escalation left: the solve above was
-            // launched with moreEvidenceAvailable() false, hence
-            // uncapped — exactly the serial loop's final solve.
-            break;
-        }
-        if (ahead_escalates) {
-            // The solve confirmed the escalation the measured-ahead
-            // chunk anticipated. Replaying its selection over the
-            // now-appended plan (same candidates — recordSolve()
-            // banked them in staleCands_ — same stable ranking)
-            // consumes exactly the patterns already measured.
-            escalate();
-            if (config_.adaptiveEarlyExit && !staleCands_.empty())
-                rankPendingBy(staleCands_);
-            nextPending_ += ahead.size();
-        }
-        commitRound(ahead, ahead_counts, ahead_seconds);
-    }
-
-    // Same graceful-degradation final solve as the serial loop.
     if (stopReason_ && (countsDirty_ || solveWasCapped_) &&
         !counts_.patterns.empty())
         solve();

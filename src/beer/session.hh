@@ -25,49 +25,26 @@
  * see bench/session_speedup.cc for the measured reduction.
  *
  * Solver side, a session owns ONE beer::IncrementalSolver for its
- * whole lifetime (unless SessionConfig::incrementalSolve is off). The
- * structural constraints are encoded exactly once, each solve() round
- * registers only the patterns measured since the previous round (held
- * constraints are encoded lazily, as models violate them), learned
- * clauses and branching activity persist across rounds, and the
- * uniqueness-check blocking clauses of round r are retracted before
- * round r+1 (see solver.hh for the group mechanics). Multi-round
- * adaptive recovery therefore pays the SAT encode cost once instead of
- * O(rounds) times; bench/session_speedup.cc measures the win.
+ * whole lifetime. The structural constraints are encoded exactly
+ * once, each solve() round registers only the patterns measured since
+ * the previous round (held constraints are encoded lazily, as models
+ * violate them), learned clauses and branching activity persist
+ * across rounds, and the uniqueness-check blocking clauses of round r
+ * are retracted before round r+1 (see solver.hh for the group
+ * mechanics). Multi-round adaptive recovery therefore pays the SAT
+ * encode cost once instead of O(rounds) times.
  *
  * Every stage records wall-clock and SAT statistics (SessionStats,
  * including the per-round encode/search split) and reports through an
  * optional progress callback, so long-running recoveries are
  * observable and resumable between stages.
  *
- * SessionConfig::pipelined replaces the serial measure -> solve
- * barrier with a task-graph pipeline: round r's solve runs on a
- * util::ThreadPool task while the backend measures round r+1's
- * patterns, and the session joins the task only when the adaptive
- * early-exit decision actually needs the solution count. For the two
- * sides to proceed concurrently, round r+1's chunk must be selected
- * before solve r finishes, so active pattern selection runs one
- * solve stale: the partition that orders the pending tail uses the
- * freshest solve that has already JOINED (r-1), not the one in
- * flight. That deferred-partition schedule is a property of the
- * schedule, not of concurrency — SessionConfig::deferredPartition
- * runs the plain serial loop under the identical policy, and because
- * the chip sees the exact same operations in the exact same order,
- * a pipelined session and its serial twin produce bit-identical
- * profiles, counts, and recovered functions (the differential tests
- * assert this). Against the default serial schedule (which partitions
- * with the just-finished solve, one round fresher) the recovered
- * function is still identical — both converge to the provably unique
- * ECC function — though the pattern count may differ by a round or
- * two. The win is the solver time hidden behind measurement latency
- * (SessionStats::overlapSeconds). On real chips a refresh-pause
- * round costs minutes, while all the solves of a k=32 session spend
- * about 17 ms in search (perfbench `recover`, traced, on a 4-core
- * x86 container), so there is little left to hide; see
- * bench/session_speedup.cc --pipeline for measured numbers under
- * injected measurement latency. The only speculative cost is the
- * one chunk measured ahead while the final solve proves uniqueness
- * (SessionStats::discardedMeasurements).
+ * run() is serial: each round's patterns are ranked by the candidates
+ * of the solve that just finished, then measured, then solved. Solving
+ * is cheap next to measuring: on a real chip a refresh-pause round
+ * costs minutes, while all the solves of a k=32 session spend about
+ * 17 ms in search (perfbench `recover`, traced, on a 4-core x86
+ * container).
  */
 
 #ifndef BEER_BEER_SESSION_HH
@@ -76,10 +53,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "beer/measure.hh"
@@ -87,7 +62,6 @@
 #include "beer/profile.hh"
 #include "beer/solver.hh"
 #include "dram/memory_interface.hh"
-#include "util/thread_pool.hh"
 
 namespace beer
 {
@@ -158,31 +132,6 @@ struct SessionStats
     std::uint64_t patternMeasurements = 0;
     /** Total word read-backs observed. */
     std::uint64_t wordObservations = 0;
-    /**
-     * Solver wall-clock hidden behind concurrent measurement
-     * (pipelined mode): the intersection of each async solve's
-     * execution window with the measure-ahead of the next round
-     * running beside it. 0 in serial mode.
-     */
-    double overlapSeconds = 0.0;
-    /** Rounds measured while a solve ran concurrently beside them. */
-    std::size_t speculatedRounds = 0;
-    /**
-     * Measured-ahead rounds never committed because the solve running
-     * beside them proved uniqueness, ending the session first. At
-     * most one per run.
-     */
-    std::size_t discardedRounds = 0;
-    /**
-     * Experiments actually performed for those never-committed
-     * rounds. Physical test time burned on overshooting the early
-     * exit — NOT part of patternMeasurements, which counts committed
-     * evidence only and so stays comparable with the serial twin.
-     * Usually well under a full round: speculative measurement aborts
-     * between experiments as soon as the solve beside it proves
-     * uniqueness.
-     */
-    std::uint64_t discardedMeasurements = 0;
     /** SAT statistics accumulated across all solve() calls. */
     sat::SolverStats sat;
     /** UNSAT-repair loop iterations run (SessionConfig::repair). */
@@ -194,13 +143,13 @@ struct SessionStats
     /** Quorum vote disagreements observed across all rounds. */
     std::uint64_t quorumDisagreements = 0;
     /**
-     * Dataword read sweeps spent by committed measurement rounds —
-     * the adaptive-vs-fixed quorum comparison's cost metric (1 per
+     * Dataword read sweeps spent by measurement rounds — the
+     * adaptive-vs-fixed quorum comparison's cost metric (1 per
      * experiment without quorum).
      */
     std::uint64_t quorumVotesSpent = 0;
-    /** Experiments escalated to the full quorum vote count
-     *  (speculative, later-discarded rounds included). */
+    /** Experiments escalated to the full quorum vote count (repair
+     *  re-measurement included). */
     std::uint64_t quorumEscalations = 0;
 };
 
@@ -218,7 +167,6 @@ struct SessionStats
  * quorum (with optional exponential backoff to wait out noise
  * bursts), and the solve resumes on the repaired evidence — all
  * bounded by @c maxAttempts. Enabling repair forces
- * SessionConfig::incrementalSolve and
  * BeerSolverConfig::retractableProfile, whose grouped encoding the
  * localization requires.
  */
@@ -252,8 +200,9 @@ struct SessionConfig
     bool escalateToTwoCharged = true;
     /**
      * Solve after every measurement round and stop measuring as soon
-     * as the solution is provably unique. Disable to reproduce the
-     * legacy full-sweep pipeline exactly.
+     * as the solution is provably unique. Disable for the full sweep:
+     * measure every 1-CHARGED pattern, then solve once (twice when the
+     * 2-CHARGED escalation runs).
      */
     bool adaptiveEarlyExit = true;
     /**
@@ -263,63 +212,10 @@ struct SessionConfig
      */
     std::size_t patternsPerRound = 0;
     /**
-     * Keep one IncrementalSolver alive across solve() calls: encode
-     * each pattern once, reuse learned clauses, retract stale blocking
-     * clauses. Disable to re-encode and re-search from scratch on
-     * every round (the legacy behavior; bench baseline).
-     */
-    bool incrementalSolve = true;
-    /**
      * Words to program and observe; see measureProfile(). Empty means
      * every word (correct only for all-true-cell backends).
      */
     std::vector<std::size_t> wordsUnderTest;
-    /**
-     * Select each round's patterns with the partition pair of the
-     * last solve already joined when the previous round was measured
-     * — one solve stale — instead of the just-finished solve. This is
-     * the schedule a pipelined session necessarily follows (the fresh
-     * solve is still in flight when the next chunk starts measuring);
-     * setting it on a serial session yields the pipelined schedule's
-     * bit-exact twin for differential testing. Ignored when pipelined
-     * (implied) or without adaptive early exit (no partitioning).
-     */
-    bool deferredPartition = false;
-    /**
-     * Overlap solving with measurement: run() executes each adaptive
-     * solve on a pool task while the backend measures the next
-     * round's patterns beside it (see the file comment). The
-     * recovered function is identical to the serial path's; the
-     * measurement schedule is the deferredPartition one. The staged
-     * API (measureRound()/solve()/escalate()) stays serial either
-     * way.
-     */
-    bool pipelined = false;
-    /**
-     * Candidate functions enumerated by each capped solve under the
-     * stale-partition schedules (deferredPartition or pipelined);
-     * clamped to at least 2. The default serial schedule always stops
-     * at two — enough to decide uniqueness and rank the next round —
-     * but a stale schedule ranks round r+1 on solve r-1's candidates,
-     * some of which round r may already have eliminated, so widening
-     * the set gives the ranking pairs that are still plausible. The
-     * default is 3: the lazily encoded solver tends to surface a
-     * second candidate one P bit away from the first, so a stale pair
-     * alone says little about what the in-flight solve still has to
-     * decide (k=16, four-row chips, one pattern per round, seeds 1-60
-     * x vendors A/B/C: 9173 experiments per chip at 2 vs 7167 at 3),
-     * and the third candidate is cheap now that enumeration no longer
-     * pays for the full eager encoding.
-     */
-    std::size_t deferredCandidates = 3;
-    /**
-     * Pool that runs the pipelined solve tasks (at most one in flight
-     * per session). Must outlive the session. nullptr = the session
-     * lazily creates a private two-thread pool when pipelined. The
-     * claimable-task handoff never deadlocks on a busy shared pool:
-     * if no worker picks the solve up, the join runs it inline.
-     */
-    util::ThreadPool *solverPool = nullptr;
     /** UNSAT-core repair of corrupted rounds; see SessionRepairConfig. */
     SessionRepairConfig repair;
     /**
@@ -468,22 +364,6 @@ class Session
     RecoveryReport report() const;
 
   private:
-    /** One solve round's inputs and outputs; in pipelined mode the
-     * core runs on a pool task while this struct carries the results
-     * (and the execution window, for overlap accounting) back to the
-     * session thread at join. */
-    struct PendingSolve
-    {
-        std::size_t maxSolutions = 0;
-        /** True iff capped to the two-solution uniqueness check. */
-        bool capped = false;
-        BeerSolveResult result;
-        SolveRoundStats round;
-        std::chrono::steady_clock::time_point start{};
-        std::chrono::steady_clock::time_point end{};
-        util::ClaimableTask task;
-    };
-
     bool canEscalate() const;
     /** True while another measurement could still refine the solve. */
     bool moreEvidenceAvailable() const;
@@ -493,20 +373,9 @@ class Session
     std::size_t chunkLimit(std::size_t available) const;
     /** Active pattern selection over the pending tail (see .cc). */
     void partitionPending();
-    /** Rank the pending tail: patterns distinguishing more pairs of
-     * @p cands first (stable; for two candidates this is the classic
-     * active-selection partition). */
-    void rankPendingBy(const std::vector<ecc::LinearCode> &cands);
-    /** Copy of the next chunk, without consuming it. */
-    std::vector<TestPattern> peekChunk() const;
-    /** The 2-CHARGED plan escalate() would append, in session order. */
-    std::vector<TestPattern> escalationPlan() const;
-    /** Measure @p round (no bookkeeping); wall-clock into @p seconds.
-     * A non-empty @p cancel aborts between experiments (speculative
-     * rounds stop once the solve beside them proves uniqueness). */
+    /** Measure @p round (no bookkeeping); wall-clock into @p seconds. */
     ProfileCounts measureChunk(const std::vector<TestPattern> &round,
-                               double &seconds,
-                               const std::function<bool()> &cancel = {});
+                               double &seconds);
     /** Merge measured observations + stats + progress notification. */
     void commitRound(const std::vector<TestPattern> &round,
                      const ProfileCounts &observed, double seconds);
@@ -534,26 +403,13 @@ class Session
     /** Classify how the session ended; see SessionDiagnosis. */
     SessionDiagnosis diagnose() const;
 
-    /** Threshold the counts and derive this round's enumeration cap. */
-    void prepareSolve(PendingSolve &ps);
-    /** Encode + search (thread-safe: exclusive solver ownership). */
-    void solveCore(PendingSolve &ps);
-    /** Publish a finished solve into solve_/stats_ and notify. */
-    void recordSolve(PendingSolve &ps);
-
-    /** The pipelined run() loop; see the file comment. */
-    RecoveryReport runPipelined();
-
     dram::MemoryInterface &mem_;
     SessionConfig config_;
     std::vector<TestPattern> pending_;
     std::size_t nextPending_ = 0;
     ProfileCounts counts_;
     MiscorrectionProfile profile_;
-    /**
-     * Persistent solve context (lives for the whole session when
-     * config_.incrementalSolve; re-created per solve() call otherwise).
-     */
+    /** Persistent solve context, created by the first solve(). */
     std::optional<IncrementalSolver> incremental_;
     std::optional<BeerSolveResult> solve_;
     /** True iff solve_ was produced under the uniqueness-only cap. */
@@ -561,16 +417,6 @@ class Session
     /** True iff counts_ changed since solve_ was produced. */
     bool countsDirty_ = false;
     bool escalated_ = false;
-    /** Lazily created when pipelined without a configured solverPool. */
-    std::unique_ptr<util::ThreadPool> privatePool_;
-    /**
-     * Candidate set of the second-most-recent solve, for the serial
-     * deferredPartition schedule: when round r+1 is measured, this
-     * holds solve r-1's candidates — exactly the freshest JOINED
-     * solve at the moment a pipelined session selects the same chunk.
-     * Empty when that solve surfaced fewer than two candidates.
-     */
-    std::vector<ecc::LinearCode> staleCands_;
     /** Session construction time (deadline + elapsed accounting). */
     std::chrono::steady_clock::time_point start_ =
         std::chrono::steady_clock::now();
@@ -578,9 +424,9 @@ class Session
     std::optional<SessionOutcome> stopReason_;
     /**
      * Adaptive-quorum disagreement-rate estimator carried across every
-     * measurement this session issues (speculative rounds and repair
-     * re-measurement included) — escalation decisions late in a run
-     * lean on the noise level the whole run observed.
+     * measurement this session issues (repair re-measurement
+     * included) — escalation decisions late in a run lean on the
+     * noise level the whole run observed.
      */
     QuorumEstimator quorumEstimator_;
     SessionStats stats_;

@@ -58,13 +58,11 @@
  * are exactly the eager encoding's.
  *
  * Threading: neither engine uses global or static mutable state, so
- * distinct solver instances are independent, and ONE instance may be
- * handed between threads as long as ownership is exclusive at any
- * moment and the handoff synchronizes (mutex, task join, ...). The
- * pipelined session (beer/session.hh) relies on this: the session
- * thread prepares the profile delta, a pool task runs
- * addProfile()+solve(max) exclusively, and the session only touches
- * the context again after joining the task.
+ * distinct solver instances are independent; the recovery service
+ * runs several jobs' solvers on different pool workers at once. One
+ * instance may also be handed between threads, as long as ownership
+ * is exclusive at any moment and the handoff synchronizes (mutex,
+ * task join, ...).
  */
 
 #ifndef BEER_BEER_SOLVER_HH

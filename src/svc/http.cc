@@ -127,7 +127,6 @@ jobJson(const JobStatus &job)
         << ",\"solutions\":" << job.solutions << ",\"complete\":"
         << (job.complete ? "true" : "false") << ",\"cache\":\""
         << cacheName(job.cache) << "\",\"seconds\":" << job.seconds
-        << ",\"overlap_seconds\":" << job.overlapSeconds
         << ",\"error_code\":\"" << jobErrorCodeName(job.errorCode)
         << "\",\"attempts\":" << job.attempts;
     if (!job.codeString.empty())

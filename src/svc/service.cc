@@ -512,15 +512,9 @@ RecoveryService::runSessionJob(JobRecord &record)
         record.sessionOptions.escalateToTwoCharged;
     config.adaptiveEarlyExit = record.sessionOptions.adaptiveEarlyExit;
     config.wordsUnderTest = record.sessionOptions.wordsUnderTest;
-    config.pipelined = record.sessionOptions.pipelined;
     config.repair = record.sessionOptions.repair;
     config.deadlineSeconds = record.sessionOptions.deadlineSeconds;
     config.measurementBudget = record.sessionOptions.measurementBudget;
-    // Solve tasks ride the service pool: while this job's worker
-    // blocks on the chip, an idle worker picks the solve up — one job,
-    // two busy cores. The claimable-task handoff keeps a saturated
-    // pool safe (the join runs the solve inline instead of waiting).
-    config.solverPool = pool_.get();
 
     Session session(*record.sessionMem, config);
     const RecoveryReport report = session.run();
@@ -566,7 +560,6 @@ RecoveryService::runSessionJob(JobRecord &record)
         record.status.code = report.recoveredCode();
         record.status.codeString = record.status.code->toString();
     }
-    record.status.overlapSeconds = report.stats.overlapSeconds;
     record.status.errorCode = code;
     record.status.diagnosisJson = report.diagnosis.toJson();
 }

@@ -85,14 +85,6 @@ struct SessionSubmitOptions
     double deadlineSeconds = 0.0;
     /** Per-session experiment budget (0 = none). */
     std::uint64_t measurementBudget = 0;
-    /**
-     * Overlap the session's SAT solves with its measurement rounds on
-     * the service pool (beer::Session pipelined mode). The job then
-     * occupies one scheduler slot for measurement while its solve
-     * tasks soak up an otherwise-idle worker; results are identical
-     * to a serial session.
-     */
-    bool pipelined = true;
     /** Session knobs beyond the solver/measure plan. */
     bool escalateToTwoCharged = true;
     bool adaptiveEarlyExit = true;
@@ -180,13 +172,6 @@ struct JobStatus
     CacheOutcome cache = CacheOutcome::None;
     /** Wall-clock seconds inside the job body. */
     double seconds = 0.0;
-    /**
-     * Solver seconds hidden behind concurrent measurement
-     * (SessionStats::overlapSeconds). Nonzero only for pipelined
-     * session jobs (submitSession); profile/payload/trace jobs carry
-     * no measurement to overlap with.
-     */
-    double overlapSeconds = 0.0;
     /** Set when state == Failed. */
     std::string error;
     /** Structured failure/degradation class; see JobErrorCode. */
@@ -339,12 +324,11 @@ class RecoveryService
     /**
      * Submit a chip *endpoint*: the service runs the full adaptive
      * measure -> solve recovery session against @p mem as one job,
-     * pipelined by default so the job keeps a measurement slot and a
-     * solver core busy simultaneously (ROADMAP fleet phase 2). The
-     * caller keeps ownership of @p mem and must keep it alive and
-     * untouched until the job finishes; the job's worker thread is
-     * the only thread driving it. A unique recovery populates the
-     * fingerprint cache exactly like a profile submission.
+     * serially on the worker that picks it up. The caller keeps
+     * ownership of @p mem and must keep it alive and untouched until
+     * the job finishes; the job's worker thread is the only thread
+     * driving it. A unique recovery populates the fingerprint cache
+     * exactly like a profile submission.
      */
     SubmitOutcome submitSession(dram::MemoryInterface &mem,
                                 const SessionSubmitOptions &options = {});

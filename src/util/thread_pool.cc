@@ -1,34 +1,9 @@
 #include "util/thread_pool.hh"
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 namespace beer::util
 {
 
-namespace
-{
-
-/**
- * Drop the calling thread to idle scheduling priority: it then runs
- * only on CPU time no normal-priority thread wants. Entering
- * SCHED_IDLE never needs privileges (leaving it would, which is why
- * this is applied to dedicated pool workers rather than toggled
- * around individual tasks).
- */
-void
-demoteToIdlePriority()
-{
-#ifdef __linux__
-    sched_param param{};
-    sched_setscheduler(0, SCHED_IDLE, &param);
-#endif
-}
-
-} // anonymous namespace
-
-ThreadPool::ThreadPool(std::size_t num_threads, bool background)
+ThreadPool::ThreadPool(std::size_t num_threads)
 {
     if (num_threads == 0) {
         num_threads = std::thread::hardware_concurrency();
@@ -37,11 +12,7 @@ ThreadPool::ThreadPool(std::size_t num_threads, bool background)
     }
     workers_.reserve(num_threads - 1);
     for (std::size_t i = 1; i < num_threads; ++i)
-        workers_.emplace_back([this, background] {
-            if (background)
-                demoteToIdlePriority();
-            workerLoop();
-        });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()

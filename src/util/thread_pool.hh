@@ -24,9 +24,9 @@
  * calling join() — claims and executes it exactly once. Joins are
  * therefore deadlock-free at any pool size and under any queue load:
  * if every worker is busy, the joiner simply runs the task inline
- * instead of waiting for a slot. The pipelined recovery session
- * (beer/session.hh) uses this to overlap SAT solving with DRAM
- * measurement without ever wedging on a saturated service pool.
+ * instead of waiting for a slot. BEEP's pattern prefetch
+ * (beep/beep.hh) uses this to craft patterns ahead on a shared pool
+ * without ever wedging when that pool is saturated.
  */
 
 #ifndef BEER_UTIL_THREAD_POOL_HH
@@ -54,22 +54,8 @@ class ThreadPool
     /**
      * @param num_threads total threads that execute work, including
      *        the calling thread; 0 means hardware concurrency.
-     * @param background run the worker threads at idle scheduling
-     *        priority (SCHED_IDLE on Linux; no-op elsewhere), so pool
-     *        work consumes only CPU time the submitting threads are
-     *        not using. This is what the pipelined recovery session
-     *        wants from its solver pool: on a loaded or single-CPU
-     *        host the speculative solve then fills the idle time of
-     *        the measurement loop's refresh pauses instead of
-     *        time-slicing against its datapath — time-sliced solving
-     *        stretches the measurement wall clock by exactly the
-     *        cycles it borrows, hiding nothing. Whenever the
-     *        submitter genuinely blocks (refresh-pause sleep, task
-     *        join), the background worker is the only runnable thread
-     *        and proceeds at full speed, so joins never starve.
      */
-    explicit ThreadPool(std::size_t num_threads = 0,
-                        bool background = false);
+    explicit ThreadPool(std::size_t num_threads = 0);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;

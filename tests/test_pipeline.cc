@@ -1,7 +1,7 @@
 /**
  * @file
- * End-to-end integration tests: recoverEccFunction() against simulated
- * vendor chips must uniquely recover the secret on-die ECC function
+ * End-to-end integration tests: a full-sweep beer::Session against
+ * simulated vendor chips must uniquely recover the secret on-die ECC function
  * through the external chip interface alone — the paper's headline
  * experiment (Section 5), validated here against ground truth, which
  * the authors could not do on real chips.
@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "beer/beer.hh"
+#include "beer/session.hh"
 #include "dram/chip.hh"
 #include "ecc/code_equiv.hh"
 
@@ -21,17 +21,24 @@ using beer::dram::makeVendorConfig;
 namespace
 {
 
-RecoveryOptions
-fastOptions(const Chip &chip)
+/**
+ * The paper's methodology as one run: sweep every pattern, solve,
+ * escalate to 2-CHARGED patterns if still ambiguous, on the chip's
+ * true-cell words.
+ */
+SessionConfig
+fullSweepConfig(const Chip &chip)
 {
-    RecoveryOptions options;
-    options.measure.pausesSeconds.clear();
+    SessionConfig config;
+    config.measure.pausesSeconds.clear();
     for (double ber : {0.05, 0.15, 0.3})
-        options.measure.pausesSeconds.push_back(
+        config.measure.pausesSeconds.push_back(
             chip.retentionModel().pauseForBitErrorRate(ber, 80.0));
-    options.measure.repeatsPerPause = 25;
-    options.measure.thresholdProbability = 1e-4;
-    return options;
+    config.measure.repeatsPerPause = 25;
+    config.measure.thresholdProbability = 1e-4;
+    config.adaptiveEarlyExit = false;
+    config.wordsUnderTest = dram::trueCellWords(chip);
+    return config;
 }
 
 void
@@ -42,7 +49,10 @@ expectRecovers(char vendor, std::size_t k, std::uint64_t seed)
     config.iidErrors = true;
     Chip chip(config);
 
-    const auto report = recoverEccFunction(chip, fastOptions(chip));
+    const SessionConfig session_config = fullSweepConfig(chip);
+    ASSERT_FALSE(session_config.wordsUnderTest.empty());
+    Session session(chip, session_config);
+    const auto report = session.run();
     ASSERT_TRUE(report.succeeded())
         << "vendor " << vendor << " k=" << k << " solutions="
         << report.solve.solutions.size();

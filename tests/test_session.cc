@@ -2,10 +2,10 @@
  * @file
  * Tests for the staged beer::Session recovery API: the adaptive
  * early-exit schedule must recover the identical unique ECC function
- * as the legacy full sweep on every vendor configuration while issuing
+ * as the full sweep on every vendor configuration while issuing
  * strictly fewer pattern measurements, the explicit
- * measure/solve/escalate stages must compose, and the legacy
- * recoverEccFunction() wrapper must keep its behavior.
+ * measure/solve/escalate stages must compose, and the serial schedule
+ * is pinned bit for bit.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +13,11 @@
 #include <sstream>
 #include <string>
 
-#include "beer/beer.hh"
 #include "beer/session.hh"
 #include "dram/chip.hh"
 #include "ecc/code_equiv.hh"
+#include "ecc/hamming.hh"
+#include "ref/eager_beer_solve.hh"
 
 using namespace beer;
 using beer::dram::ChipConfig;
@@ -46,6 +47,18 @@ fastMeasure(const SimulatedChip &chip)
     measure.repeatsPerPause = 25;
     measure.thresholdProbability = 1e-4;
     return measure;
+}
+
+/** Full-sweep session: every pattern measured before each solve. */
+RecoveryReport
+runFullSweep(SimulatedChip &chip)
+{
+    SessionConfig config;
+    config.measure = fastMeasure(chip);
+    config.adaptiveEarlyExit = false;
+    config.wordsUnderTest = dram::trueCellWords(chip);
+    Session session(chip, config);
+    return session.run();
 }
 
 /** FNV-1a over @p bytes. */
@@ -89,12 +102,9 @@ TEST(Session, AdaptiveEarlyExitMatchesFullSweep)
     for (char vendor : {'A', 'B', 'C'}) {
         const std::uint64_t seed = 500 + (std::uint64_t)vendor;
 
-        // Legacy full sweep.
+        // Full sweep.
         SimulatedChip full_chip(testChipConfig(vendor, 16, seed));
-        RecoveryOptions options;
-        options.measure = fastMeasure(full_chip);
-        const RecoveryReport full =
-            recoverEccFunction(full_chip, options);
+        const RecoveryReport full = runFullSweep(full_chip);
         ASSERT_TRUE(full.succeeded()) << "vendor " << vendor;
 
         // Adaptive session on an identically manufactured chip.
@@ -185,31 +195,27 @@ TEST(Session, ProgressCallbackObservesStages)
     EXPECT_EQ(final_patterns, report.counts.patterns.size());
 }
 
-TEST(Session, NonAdaptiveReproducesLegacyPipeline)
+TEST(Session, NonAdaptiveSweepIsDeterministic)
 {
-    // recoverEccFunction() is a wrapper over a non-adaptive session;
-    // both paths must produce identical reports on identical chips.
+    // A full sweep measures the whole plan in one round and solves
+    // once (twice when it escalates); identical chips must give
+    // identical reports.
     SimulatedChip chip_a(testChipConfig('C', 16, 903));
     SimulatedChip chip_b(testChipConfig('C', 16, 903));
+    const RecoveryReport first = runFullSweep(chip_a);
+    const RecoveryReport second = runFullSweep(chip_b);
 
-    RecoveryOptions options;
-    options.measure = fastMeasure(chip_a);
-    const RecoveryReport legacy = recoverEccFunction(chip_a, options);
-
-    SessionConfig config;
-    config.measure = options.measure;
-    config.adaptiveEarlyExit = false;
-    config.wordsUnderTest = dram::trueCellWords(chip_b);
-    Session session(chip_b, config);
-    const RecoveryReport staged = session.run();
-
-    ASSERT_TRUE(legacy.succeeded());
-    ASSERT_TRUE(staged.succeeded());
-    EXPECT_EQ(legacy.counts.patterns, staged.counts.patterns);
-    EXPECT_EQ(legacy.counts.errorCounts, staged.counts.errorCounts);
-    EXPECT_EQ(legacy.profile, staged.profile);
-    EXPECT_TRUE(legacy.solve.solutions == staged.solve.solutions);
-    EXPECT_EQ(legacy.usedTwoCharged, staged.usedTwoCharged);
+    ASSERT_TRUE(first.succeeded());
+    ASSERT_TRUE(second.succeeded());
+    EXPECT_EQ(first.counts.patterns, second.counts.patterns);
+    EXPECT_EQ(first.counts.errorCounts, second.counts.errorCounts);
+    EXPECT_EQ(first.profile, second.profile);
+    EXPECT_TRUE(first.solve.solutions == second.solve.solutions);
+    EXPECT_EQ(first.usedTwoCharged, second.usedTwoCharged);
+    EXPECT_EQ(first.counts.patterns.size(), 16u);
+    EXPECT_EQ(first.stats.measureRounds, 1u);
+    EXPECT_TRUE(ecc::equivalent(first.recoveredCode(),
+                                chip_a.groundTruthCode()));
 }
 
 TEST(Session, EscalatesForAmbiguousOneChargedProfiles)
@@ -237,32 +243,28 @@ TEST(Session, EscalatesForAmbiguousOneChargedProfiles)
     }
 }
 
-TEST(Session, IncrementalSolveMatchesFromScratchSessions)
+TEST(Session, RecoveredCodeMatchesEagerReferenceSolve)
 {
-    // The persistent solve context must not change WHAT is recovered,
-    // only how much solver work each round costs.
+    // The persistent, lazily refined solve context must not change
+    // WHAT is recovered: the eagerly encoded reference solve of the
+    // session's final profile must find the same single function.
     for (char vendor : {'A', 'B', 'C'}) {
-        SimulatedChip chip_inc(testChipConfig(vendor, 16, 940));
+        SimulatedChip chip(testChipConfig(vendor, 16, 940));
         SessionConfig config;
-        config.measure = fastMeasure(chip_inc);
-        config.wordsUnderTest = dram::trueCellWords(chip_inc);
-        config.incrementalSolve = true;
-        Session incremental(chip_inc, config);
-        const RecoveryReport inc = incremental.run();
+        config.measure = fastMeasure(chip);
+        config.wordsUnderTest = dram::trueCellWords(chip);
+        Session session(chip, config);
+        const RecoveryReport report = session.run();
 
-        SimulatedChip chip_scr(testChipConfig(vendor, 16, 940));
-        config.wordsUnderTest = dram::trueCellWords(chip_scr);
-        config.incrementalSolve = false;
-        Session scratch(chip_scr, config);
-        const RecoveryReport scr = scratch.run();
-
-        ASSERT_TRUE(inc.succeeded()) << "vendor " << vendor;
-        ASSERT_TRUE(scr.succeeded()) << "vendor " << vendor;
-        EXPECT_TRUE(ecc::equivalent(inc.recoveredCode(),
-                                    chip_inc.groundTruthCode()))
+        ASSERT_TRUE(report.succeeded()) << "vendor " << vendor;
+        EXPECT_TRUE(ecc::equivalent(report.recoveredCode(),
+                                    chip.groundTruthCode()))
             << "vendor " << vendor;
-        EXPECT_TRUE(ecc::equivalent(inc.recoveredCode(),
-                                    scr.recoveredCode()))
+        const BeerSolveResult eager = test::ref::eagerBeerSolve(
+            report.profile, ecc::parityBitsForDataBits(16));
+        ASSERT_TRUE(eager.unique()) << "vendor " << vendor;
+        EXPECT_TRUE(ecc::canonicalize(report.recoveredCode()) ==
+                    eager.solutions.front())
             << "vendor " << vendor;
     }
 }

@@ -24,11 +24,13 @@
 #include "beer/measure.hh"
 #include "beer/patterns.hh"
 #include "beer/profile.hh"
+#include "beer/session.hh"
 #include "beer/solver.hh"
 #include "dram/chip.hh"
 #include "dram/trace.hh"
 #include "ecc/code_equiv.hh"
 #include "ecc/hamming.hh"
+#include "svc/http.hh"
 #include "svc/service.hh"
 #include "util/rng.hh"
 
@@ -927,4 +929,66 @@ TEST(SvcService, ReplayedJobThatIsNowAnExactHitIsAnsweredInline)
     restarted.shutdown();
     std::remove(config.journalPath.c_str());
     std::remove(config.cache.path.c_str());
+}
+
+TEST(SvcService, SessionJobRecoversChipAndPopulatesCache)
+{
+    dram::ChipConfig chip_config = dram::makeVendorConfig('C', 16, 17);
+    chip_config.map.rows = 64;
+    chip_config.iidErrors = true;
+    dram::SimulatedChip chip(chip_config);
+
+    svc::SessionSubmitOptions options;
+    options.measure.pausesSeconds.clear();
+    for (double ber : {0.05, 0.15, 0.3})
+        options.measure.pausesSeconds.push_back(
+            chip.retentionModel().pauseForBitErrorRate(ber, 80.0));
+    options.measure.repeatsPerPause = 25;
+    options.measure.thresholdProbability = 1e-4;
+    options.wordsUnderTest = dram::trueCellWords(chip);
+
+    RecoveryService service;
+    const SubmitOutcome outcome = service.submitSession(chip, options);
+    ASSERT_TRUE(outcome.accepted) << outcome.error;
+    ASSERT_TRUE(service.waitForJob(outcome.id));
+    const auto job = service.job(outcome.id);
+    ASSERT_TRUE(job.has_value());
+    EXPECT_EQ(job->state, JobState::Done);
+    EXPECT_TRUE(job->succeeded);
+    ASSERT_TRUE(job->code.has_value());
+    EXPECT_TRUE(equivalent(*job->code, chip.groundTruthCode()));
+    EXPECT_EQ(service.health().satSolves, 1u);
+
+    svc::HttpServer server(service);
+    const svc::HttpResponse response = server.handle(
+        "GET", "/v1/jobs/" + std::to_string(outcome.id), "");
+    EXPECT_EQ(response.status, 200);
+    EXPECT_NE(response.body.find("\"diagnosis\":{\"outcome\":\"unique\""),
+              std::string::npos)
+        << response.body;
+
+    // The job ran the serial session, so the same session on an
+    // identically manufactured chip measures the same profile. The
+    // job cached its answer under that profile: submitting it is an
+    // exact hit that costs no solve.
+    dram::SimulatedChip twin_chip(chip_config);
+    SessionConfig twin_config;
+    twin_config.measure = options.measure;
+    twin_config.solver = ServiceConfig().solver;
+    twin_config.wordsUnderTest = options.wordsUnderTest;
+    Session twin(twin_chip, twin_config);
+    const RecoveryReport report = twin.run();
+    ASSERT_TRUE(report.succeeded());
+    EXPECT_EQ(job->patterns, report.profile.patterns.size());
+
+    const SubmitOutcome hit = service.submitProfile(report.profile);
+    ASSERT_TRUE(hit.accepted) << hit.error;
+    ASSERT_TRUE(service.waitForJob(hit.id));
+    const auto hit_job = service.job(hit.id);
+    ASSERT_TRUE(hit_job.has_value());
+    EXPECT_EQ(hit_job->cache, CacheOutcome::Exact);
+    ASSERT_TRUE(hit_job->code.has_value());
+    EXPECT_TRUE(*hit_job->code == *job->code);
+    EXPECT_EQ(service.health().satSolves, 1u);
+    EXPECT_EQ(service.health().cache.exactHits, 1u);
 }

@@ -251,8 +251,8 @@ TEST(ThreadPool, ClaimableTaskRunsSynchronouslyOnWorkerlessPool)
 TEST(ThreadPool, ClaimableTaskJoinRunsInlineWhenWorkersAreBusy)
 {
     // Pin the only worker, then join an unclaimed task: join() must
-    // execute it on the calling thread (this is what makes pipelined
-    // sessions deadlock-free on a saturated service pool) and report
+    // execute it on the calling thread (this is what keeps BEEP's
+    // prefetch deadlock-free on a saturated shared pool) and report
     // the inline execution.
     ThreadPool pool(2);
     std::mutex mutex;
@@ -327,19 +327,4 @@ TEST(ThreadPool, DefaultClaimableTaskIsInert)
     EXPECT_FALSE(task.active());
     EXPECT_FALSE(task.ready());
     EXPECT_FALSE(task.join());
-}
-
-TEST(ThreadPool, BackgroundPoolRunsAllPrimitives)
-{
-    // Idle scheduling priority (best effort; silently a no-op on
-    // non-Linux hosts) must not change any observable behavior.
-    ThreadPool pool(3, /*background=*/true);
-    std::atomic<std::size_t> sum{0};
-    pool.parallelFor(100, [&](std::size_t i) { sum += i; });
-    EXPECT_EQ(sum.load(), 100u * 99u / 2);
-
-    std::atomic<int> runs{0};
-    beer::util::ClaimableTask task(pool, [&] { ++runs; });
-    task.join();
-    EXPECT_EQ(runs.load(), 1);
 }

@@ -60,12 +60,6 @@ writeStatsJson(const std::string &path, const MiscorrectionProfile &profile,
         << "  \"complete\": " << (result.complete ? "true" : "false")
         << ",\n"
         << "  \"wall_seconds\": " << wall_seconds << ",\n"
-        // Schema-compatible with the service's per-job JSON: solver
-        // seconds hidden behind concurrent measurement. A profile
-        // solve has no measurement phase to overlap with, so this is
-        // 0 here; session-driven recoveries (beer_serve submitSession,
-        // bench/session_speedup --pipeline) report real overlap.
-        << "  \"overlap_seconds\": 0,\n"
         << "  \"memory_bytes\": " << result.memoryBytes << ",\n"
         << "  \"solver\": {\n"
         << "    \"decisions\": " << s.decisions << ",\n"
