@@ -17,6 +17,8 @@
 #include "sim/word_sim.hh"
 #include "util/rng.hh"
 
+#include "ref/word_sim.hh"
+
 using namespace beer;
 using ecc::BitslicedDecodeLanes;
 using ecc::BitslicedDecoder;

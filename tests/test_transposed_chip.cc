@@ -48,6 +48,7 @@
 #include "util/rng.hh"
 #include "util/simd.hh"
 
+#include "ref/scalar_chip.hh"
 #include "scalar_only.hh"
 
 using namespace beer;
@@ -59,6 +60,7 @@ using dram::makeVendorConfig;
 using dram::SimulatedChip;
 using dram::TransposedCellStore;
 using gf2::BitVec;
+using test::ref::ScalarChip;
 using util::Rng;
 using util::simd::Backend;
 
@@ -93,8 +95,9 @@ randomData(std::size_t k, Rng &rng)
 }
 
 /** Program every word with a (deterministic) per-word random value. */
+template <typename Chip>
 void
-scatterWrite(SimulatedChip &chip, std::uint64_t seed)
+scatterWrite(Chip &chip, std::uint64_t seed)
 {
     Rng rng(seed);
     for (std::size_t w = 0; w < chip.numWords(); ++w)
@@ -994,5 +997,163 @@ TEST(TransposedChip, TraceBytesDoNotDependOnPlanarReads)
             EXPECT_EQ(served_trace.str(), declined_trace.str())
                 << vendor << " format " << (int)format;
         }
+    }
+}
+
+// ---- bridge: the reference model against the scalar storage twin ---
+
+namespace
+{
+
+/** Cells and raw error counts of two chips agree. */
+template <typename A, typename B>
+void
+expectSameState(const A &a, const B &b)
+{
+    ASSERT_EQ(a.numWords(), b.numWords());
+    EXPECT_EQ(a.rawErrorCount(), b.rawErrorCount());
+    for (std::size_t w = 0; w < a.numWords(); ++w)
+        ASSERT_EQ(a.storedCodeword(w), b.storedCodeword(w))
+            << "word " << w;
+}
+
+} // anonymous namespace
+
+TEST(ScalarChipModel, MatchesScalarStorageOnEveryDifferentialConfig)
+{
+    auto scalar_of = [](ChipConfig config) {
+        config.storage = ChipStorage::Scalar;
+        return config;
+    };
+    for (const std::size_t k : kChipWordSizes) {
+        for (const char vendor : {'A', 'C'}) {
+            // Iid and repeatable + VRT pauses.
+            for (const bool iid : {true, false}) {
+                ChipConfig config =
+                    diffConfig(vendor, k, (iid ? 0x11 : 0x22) + k);
+                config.iidErrors = iid;
+                config.injection = InjectionMode::SkipSample;
+                config.vrtRate = iid ? 0.0 : 0.01;
+                config.threads = iid ? 1 : 4;
+                ScalarChip model(config);
+                SimulatedChip twin(scalar_of(config));
+                scatterWrite(model, iid ? 7 : 13);
+                scatterWrite(twin, iid ? 7 : 13);
+                const double pause =
+                    model.retentionModel().pauseForBitErrorRate(
+                        iid ? 0.05 : 0.1, 80.0);
+                for (int round = 0; round < 3; ++round) {
+                    model.pauseRefresh(pause, 80.0);
+                    twin.pauseRefresh(pause, 80.0);
+                }
+                EXPECT_GT(model.rawErrorCount(), 0u);
+                expectSameState(model, twin);
+            }
+        }
+
+        // Noisy reads.
+        ChipConfig noisy = diffConfig('A', k, 0x33 + k);
+        noisy.iidErrors = true;
+        noisy.injection = InjectionMode::SkipSample;
+        noisy.transientErrorRate = 0.01;
+        ScalarChip model(noisy);
+        SimulatedChip twin(scalar_of(noisy));
+        const double pause =
+            model.retentionModel().pauseForBitErrorRate(0.05, 80.0);
+        scatterWrite(model, 29);
+        scatterWrite(twin, 29);
+        model.pauseRefresh(pause, 80.0);
+        twin.pauseRefresh(pause, 80.0);
+        for (std::size_t w = 0; w < model.numWords(); ++w)
+            ASSERT_EQ(model.readDataword(w), twin.readDataword(w))
+                << "k " << k << " word " << w;
+
+        // measureProfile counts.
+        ChipConfig measured = diffConfig('A', k, 0x77 + k);
+        measured.iidErrors = true;
+        measured.injection = InjectionMode::SkipSample;
+        MeasureConfig measure;
+        measure.pausesSeconds.clear();
+        measure.repeatsPerPause = 3;
+        for (double ber : {0.05, 0.15})
+            measure.pausesSeconds.push_back(
+                measured.retention.pauseForBitErrorRate(ber, 80.0));
+        const auto patterns = chargedPatternUnion(k, {1, 2});
+        ScalarChip measured_model(measured);
+        SimulatedChip measured_twin(scalar_of(measured));
+        EXPECT_TRUE(
+            countsEqual(measureProfile(measured_model, patterns, measure),
+                        measureProfile(measured_twin, patterns, measure)))
+            << "k " << k;
+    }
+
+    // Byte read-modify-write.
+    {
+        ChipConfig config = diffConfig('C', 16, 0x55);
+        config.iidErrors = true;
+        config.injection = InjectionMode::SkipSample;
+        ScalarChip model(config);
+        SimulatedChip twin(scalar_of(config));
+        const double pause =
+            model.retentionModel().pauseForBitErrorRate(0.1, 80.0);
+        model.fill(0xFF);
+        twin.fill(0xFF);
+        model.pauseRefresh(pause, 80.0);
+        twin.pauseRefresh(pause, 80.0);
+        Rng rng(71);
+        for (int i = 0; i < 200; ++i) {
+            const std::size_t addr = rng.below(model.numBytes());
+            const auto value = (std::uint8_t)rng.below(256);
+            model.writeByte(addr, value);
+            twin.writeByte(addr, value);
+        }
+        for (std::size_t addr = 0; addr < model.numBytes(); ++addr)
+            ASSERT_EQ(model.readByte(addr), twin.readByte(addr))
+                << "byte " << addr;
+        expectSameState(model, twin);
+    }
+
+    // Recorded trace bytes.
+    {
+        ChipConfig config = diffConfig('A', 16, 0x99);
+        config.iidErrors = true;
+        config.injection = InjectionMode::SkipSample;
+        MeasureConfig measure;
+        measure.repeatsPerPause = 2;
+        measure.pausesSeconds.assign(
+            1, config.retention.pauseForBitErrorRate(0.08, 80.0));
+        const auto patterns = chargedPatterns(16, 1);
+        ScalarChip model(config);
+        SimulatedChip twin(scalar_of(config));
+        std::ostringstream model_trace;
+        std::ostringstream twin_trace;
+        recordProfileTrace(model, patterns, measure, {}, model_trace);
+        recordProfileTrace(twin, patterns, measure, {}, twin_trace);
+        EXPECT_EQ(model_trace.str(), twin_trace.str());
+    }
+
+    // BEEP over one word.
+    {
+        ChipConfig config = diffConfig('A', 16, 0xAA);
+        config.iidErrors = false;
+        config.seed = 17;
+        beep::BeepConfig beep_config;
+        beep_config.passes = 2;
+        beep_config.readsPerPattern = 4;
+        beep_config.seed = 11;
+        auto profile = [&](dram::MemoryInterface &chip) {
+            const double pause =
+                config.retention.pauseForBitErrorRate(0.15, 80.0);
+            beep::MemoryWordUnderTest word(chip, 3, pause, 80.0);
+            beep::Profiler profiler(config.code, beep_config);
+            return profiler.profile(word);
+        };
+        ScalarChip model(config);
+        SimulatedChip twin(scalar_of(config));
+        const auto a = profile(model);
+        const auto b = profile(twin);
+        EXPECT_EQ(a.errorCells, b.errorCells);
+        EXPECT_EQ(a.reads, b.reads);
+        EXPECT_EQ(a.informativeReads, b.informativeReads);
     }
 }
