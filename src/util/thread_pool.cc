@@ -179,23 +179,20 @@ ClaimableTask::ClaimableTask(ThreadPool &pool, std::function<void()> fn)
     });
 }
 
-bool
+void
 ClaimableTask::join()
 {
     if (!state_)
-        return false;
+        return;
     const std::shared_ptr<State> state = std::move(state_);
-    bool ran_inline = false;
     if (!state->claimed.exchange(true)) {
         state->execute();
-        ran_inline = true;
     } else {
         std::unique_lock<std::mutex> lock(state->mutex);
         state->finished.wait(lock, [&] { return state->done; });
     }
     if (state->error)
         std::rethrow_exception(state->error);
-    return ran_inline;
 }
 
 void
@@ -208,15 +205,6 @@ ClaimableTask::cancel()
         return; // claimed before any worker: fn never runs
     std::unique_lock<std::mutex> lock(state->mutex);
     state->finished.wait(lock, [&] { return state->done; });
-}
-
-bool
-ClaimableTask::ready() const
-{
-    if (!state_)
-        return false;
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->done;
 }
 
 } // namespace beer::util

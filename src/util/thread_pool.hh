@@ -150,13 +150,9 @@ class ClaimableTask
     /**
      * Ensure fn has run and wait for it to finish, executing it on the
      * calling thread when no worker claimed it yet. Rethrows fn's
-     * exception, if any. Idempotent; releases the task's state, so
-     * ready()/ranInline() answers must be read before a second join().
-     *
-     * @return true iff this call executed fn inline (no overlap
-     *         happened: the work ran after the join point, not before)
+     * exception, if any. Idempotent; releases the task's state.
      */
-    bool join();
+    void join();
 
     /**
      * Claim the task away from the pool without running it: when no
@@ -165,12 +161,6 @@ class ClaimableTask
      * invalidate). Swallows fn's exception. Releases the task's state.
      */
     void cancel();
-
-    /** True iff fn has finished (a join() would not block). */
-    bool ready() const;
-
-    /** True iff a task was assigned and not yet join()ed. */
-    bool active() const { return state_ != nullptr; }
 
   private:
     struct State;

@@ -233,18 +233,21 @@ TEST(ThreadPool, LateWorkerNeverRunsAReturnedJob)
 TEST(ThreadPool, ClaimableTaskRunsSynchronouslyOnWorkerlessPool)
 {
     // size()==1 pools have no workers: submit() executes inline, so
-    // the task has already run (exactly once) when the constructor
-    // returns, and join() only observes the completion.
+    // the task has already run (exactly once, on this thread) when the
+    // constructor returns, and join() only observes the completion.
     ThreadPool pool(1);
     std::atomic<int> runs{0};
-    beer::util::ClaimableTask task(pool, [&] { ++runs; });
-    EXPECT_TRUE(task.active());
-    EXPECT_TRUE(task.ready());
-    EXPECT_FALSE(task.join());
+    std::thread::id runner;
+    beer::util::ClaimableTask task(pool, [&] {
+        runner = std::this_thread::get_id();
+        ++runs;
+    });
     EXPECT_EQ(runs.load(), 1);
-    EXPECT_FALSE(task.active());
+    EXPECT_EQ(runner, std::this_thread::get_id());
+    task.join();
+    EXPECT_EQ(runs.load(), 1);
     // Idempotent: a second join neither blocks nor re-runs.
-    EXPECT_FALSE(task.join());
+    task.join();
     EXPECT_EQ(runs.load(), 1);
 }
 
@@ -252,8 +255,7 @@ TEST(ThreadPool, ClaimableTaskJoinRunsInlineWhenWorkersAreBusy)
 {
     // Pin the only worker, then join an unclaimed task: join() must
     // execute it on the calling thread (this is what keeps BEEP's
-    // prefetch deadlock-free on a saturated shared pool) and report
-    // the inline execution.
+    // prefetch deadlock-free on a saturated shared pool).
     ThreadPool pool(2);
     std::mutex mutex;
     std::condition_variable cv;
@@ -263,9 +265,14 @@ TEST(ThreadPool, ClaimableTaskJoinRunsInlineWhenWorkersAreBusy)
         cv.wait(lock, [&] { return release; });
     });
     std::atomic<int> runs{0};
-    beer::util::ClaimableTask task(pool, [&] { ++runs; });
-    EXPECT_TRUE(task.join());
+    std::thread::id runner;
+    beer::util::ClaimableTask task(pool, [&] {
+        runner = std::this_thread::get_id();
+        ++runs;
+    });
+    task.join();
     EXPECT_EQ(runs.load(), 1);
+    EXPECT_EQ(runner, std::this_thread::get_id());
     {
         std::lock_guard<std::mutex> lock(mutex);
         release = true;
@@ -273,18 +280,25 @@ TEST(ThreadPool, ClaimableTaskJoinRunsInlineWhenWorkersAreBusy)
     cv.notify_all();
     while (pool.completedTasks() < 2)
         std::this_thread::yield();
+    // The worker's claim attempt lost: the function ran only once.
+    EXPECT_EQ(runs.load(), 1);
 }
 
-TEST(ThreadPool, ClaimableTaskWorkerClaimObservableThroughReady)
+TEST(ThreadPool, ClaimableTaskJoinAfterWorkerClaimDoesNotRerun)
 {
     ThreadPool pool(2);
     std::atomic<int> runs{0};
-    beer::util::ClaimableTask task(pool, [&] { ++runs; });
-    while (!task.ready())
+    std::atomic<std::thread::id> runner{};
+    beer::util::ClaimableTask task(pool, [&] {
+        runner = std::this_thread::get_id();
+        ++runs;
+    });
+    while (runs.load() == 0)
         std::this_thread::yield();
-    // The worker ran it; join() must not execute it again.
-    EXPECT_FALSE(task.join());
+    // The worker ran it; join() must wait for it, not execute it again.
+    task.join();
     EXPECT_EQ(runs.load(), 1);
+    EXPECT_NE(runner.load(), std::this_thread::get_id());
 }
 
 TEST(ThreadPool, ClaimableTaskJoinRethrowsTaskException)
@@ -298,7 +312,7 @@ TEST(ThreadPool, ClaimableTaskJoinRethrowsTaskException)
 TEST(ThreadPool, ClaimableTaskCancelBeforeClaimSkipsExecution)
 {
     // Queue the task behind a blocker so no worker reaches it, then
-    // cancel: the function must never run.
+    // cancel: the function must never run, not even on a later join.
     ThreadPool pool(2);
     std::mutex mutex;
     std::condition_variable cv;
@@ -318,13 +332,13 @@ TEST(ThreadPool, ClaimableTaskCancelBeforeClaimSkipsExecution)
     while (pool.completedTasks() < 2)
         std::this_thread::yield();
     EXPECT_EQ(runs.load(), 0);
-    EXPECT_FALSE(task.active());
+    task.join();
+    EXPECT_EQ(runs.load(), 0);
 }
 
 TEST(ThreadPool, DefaultClaimableTaskIsInert)
 {
     beer::util::ClaimableTask task;
-    EXPECT_FALSE(task.active());
-    EXPECT_FALSE(task.ready());
-    EXPECT_FALSE(task.join());
+    EXPECT_NO_THROW(task.join());
+    EXPECT_NO_THROW(task.cancel());
 }
