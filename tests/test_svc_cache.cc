@@ -22,6 +22,8 @@
 #include "svc/fingerprint_cache.hh"
 #include "util/rng.hh"
 
+#include "temp_path.hh"
+
 using namespace beer;
 using beer::ecc::LinearCode;
 using beer::ecc::equivalent;
@@ -39,16 +41,6 @@ plantedProfile(const LinearCode &code,
 {
     return exhaustiveProfile(code,
                              chargedPatternUnion(code.k(), charged));
-}
-
-/** Temp path unique to the current test. */
-std::string
-tempCachePath()
-{
-    const auto *info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    return ::testing::TempDir() + "fpcache_" +
-           std::string(info->name()) + ".txt";
 }
 
 } // anonymous namespace
@@ -185,7 +177,7 @@ TEST(SvcFingerprintCache, PersistenceRoundTripPreservesRecency)
 
     FingerprintCacheConfig config;
     config.capacity = 2;
-    config.path = tempCachePath();
+    config.path = test::tempPath("fpcache.txt");
 
     {
         FingerprintCache cache(config);
@@ -215,7 +207,7 @@ TEST(SvcFingerprintCache, PersistenceRoundTripPreservesRecency)
 TEST(SvcFingerprintCache, CorruptPersistenceFileIsIgnored)
 {
     FingerprintCacheConfig config;
-    config.path = tempCachePath();
+    config.path = test::tempPath("fpcache.txt");
     {
         std::FILE *f = std::fopen(config.path.c_str(), "w");
         ASSERT_NE(f, nullptr);

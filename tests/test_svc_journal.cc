@@ -19,6 +19,8 @@
 
 #include "svc/journal.hh"
 
+#include "temp_path.hh"
+
 using beer::svc::JobJournal;
 using beer::svc::JournalConfig;
 using beer::svc::JournalStats;
@@ -26,17 +28,6 @@ using beer::svc::ReplayedJob;
 
 namespace
 {
-
-/** Fresh temp path per test; the file need not exist yet. */
-std::string
-tempJournalPath(const char *tag)
-{
-    std::string path = "/tmp/beer_test_journal_";
-    path += tag;
-    path += ".log";
-    std::remove(path.c_str());
-    return path;
-}
 
 /** Frame a record exactly as the journal does. */
 std::string
@@ -86,8 +77,9 @@ TEST(SvcJournal, DisabledJournalNoOps)
 
 TEST(SvcJournal, ReplayReturnsUnfinishedJobsOnly)
 {
+    const beer::test::TempFile journal_file("unfinished.log");
     JournalConfig config;
-    config.path = tempJournalPath("unfinished");
+    config.path = journal_file.path;
     {
         JobJournal journal(config);
         EXPECT_TRUE(journal.replay().empty());
@@ -108,8 +100,9 @@ TEST(SvcJournal, ReplayReturnsUnfinishedJobsOnly)
 
 TEST(SvcJournal, TornTailDroppedWithoutLosingEarlierRecords)
 {
+    const beer::test::TempFile journal_file("torn_tail.log");
     JournalConfig config;
-    config.path = tempJournalPath("torn_tail");
+    config.path = journal_file.path;
     // Two good records, then a crash mid-append: only half of the
     // third record's bytes reached the disk.
     const std::string torn = frame("submit 3 gamma");
@@ -131,8 +124,9 @@ TEST(SvcJournal, TornTailDroppedWithoutLosingEarlierRecords)
 
 TEST(SvcJournal, ValidFinalRecordMissingOnlyNewlineIsKept)
 {
+    const beer::test::TempFile journal_file("no_newline.log");
     JournalConfig config;
-    config.path = tempJournalPath("no_newline");
+    config.path = journal_file.path;
     std::string content = frame("submit 1 alpha") +
                           frame("submit 2 beta");
     content.pop_back(); // drop the final '\n'; the CRC still holds
@@ -147,8 +141,9 @@ TEST(SvcJournal, ValidFinalRecordMissingOnlyNewlineIsKept)
 
 TEST(SvcJournal, BitFlippedMidFileRecordSkippedAndCounted)
 {
+    const beer::test::TempFile journal_file("bitflip.log");
     JournalConfig config;
-    config.path = tempJournalPath("bitflip");
+    config.path = journal_file.path;
     std::string second = frame("submit 2 beta");
     second[12] ^= 0x01; // flip a payload bit; the CRC now lies
     writeFile(config.path, frame("submit 1 alpha") + second +
@@ -166,8 +161,9 @@ TEST(SvcJournal, BitFlippedMidFileRecordSkippedAndCounted)
 
 TEST(SvcJournal, RecordAppendedOntoTornLineIsStillRecovered)
 {
+    const beer::test::TempFile journal_file("embedded.log");
     JournalConfig config;
-    config.path = tempJournalPath("embedded");
+    config.path = journal_file.path;
     // A torn append left half a record with NO newline; the next
     // append landed on the same line. The merged line fails its CRC,
     // but the embedded second record must still be found.
@@ -184,8 +180,9 @@ TEST(SvcJournal, RecordAppendedOntoTornLineIsStillRecovered)
 
 TEST(SvcJournal, DuplicatedSubmitReplaysExactlyOnce)
 {
+    const beer::test::TempFile journal_file("duplicate.log");
     JournalConfig config;
-    config.path = tempJournalPath("duplicate");
+    config.path = journal_file.path;
     writeFile(config.path, frame("submit 7 payload") +
                                frame("submit 7 payload") +
                                frame("submit 8 other"));
@@ -199,8 +196,9 @@ TEST(SvcJournal, DuplicatedSubmitReplaysExactlyOnce)
 
 TEST(SvcJournal, TerminalForUnknownIdIsIgnored)
 {
+    const beer::test::TempFile journal_file("unknown_terminal.log");
     JournalConfig config;
-    config.path = tempJournalPath("unknown_terminal");
+    config.path = journal_file.path;
     writeFile(config.path,
               frame("done 99") + frame("submit 1 alpha"));
 
@@ -212,8 +210,9 @@ TEST(SvcJournal, TerminalForUnknownIdIsIgnored)
 
 TEST(SvcJournal, ReplayCompactsToLiveRecordsInSubmissionOrder)
 {
+    const beer::test::TempFile journal_file("compact_order.log");
     JournalConfig config;
-    config.path = tempJournalPath("compact_order");
+    config.path = journal_file.path;
     writeFile(config.path,
               frame("submit 1 a") + frame("submit 2 b") +
                   frame("submit 3 c") + frame("done 2") +
@@ -235,8 +234,9 @@ TEST(SvcJournal, ReplayCompactsToLiveRecordsInSubmissionOrder)
 
 TEST(SvcJournal, ChurnStaysWithinSizeBoundWithVisibleCompactions)
 {
+    const beer::test::TempFile journal_file("churn.log");
     JournalConfig config;
-    config.path = tempJournalPath("churn");
+    config.path = journal_file.path;
     config.maxBytes = 4096;
     JobJournal journal(config);
     EXPECT_TRUE(journal.replay().empty());
@@ -263,8 +263,9 @@ TEST(SvcJournal, ChurnStaysWithinSizeBoundWithVisibleCompactions)
 
 TEST(SvcJournal, RestartSurvivesChurnMidFlight)
 {
+    const beer::test::TempFile journal_file("midflight.log");
     JournalConfig config;
-    config.path = tempJournalPath("midflight");
+    config.path = journal_file.path;
     config.maxBytes = 2048;
     {
         JobJournal journal(config);
@@ -289,8 +290,9 @@ TEST(SvcJournal, LiveBacklogOverTheBoundDoesNotCompactPerRecord)
     // them must not rewrite the whole file on every terminal record
     // (that was 17 rewrites): a rewrite waits until as many bytes have
     // retired as the previous rewrite wrote.
+    const beer::test::TempFile journal_file("backlog.log");
     JournalConfig config;
-    config.path = tempJournalPath("backlog");
+    config.path = journal_file.path;
     config.maxBytes = 1024;
     JobJournal journal(config);
     EXPECT_TRUE(journal.replay().empty());

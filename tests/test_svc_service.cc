@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -33,6 +32,8 @@
 #include "svc/http.hh"
 #include "svc/service.hh"
 #include "util/rng.hh"
+
+#include "temp_path.hh"
 
 using namespace beer;
 using beer::ecc::LinearCode;
@@ -285,8 +286,7 @@ TEST(SvcService, AcceptsBothTraceFormatsAndCountsThem)
     }
     measure.repeatsPerPause = 10;
 
-    const auto tmp = std::filesystem::temp_directory_path();
-    const std::string v1_path = (tmp / "beer_svc.trace").string();
+    const std::string v1_path = test::tempPath("v1.trace");
     const std::string v2_path = v1_path + "2";
     for (const auto format :
          {dram::TraceFormat::V1, dram::TraceFormat::V2}) {
@@ -388,15 +388,6 @@ TEST(SvcService, ShutdownShedsNewWorkButStaysQueryable)
 
 namespace
 {
-
-/** Temp journal path unique to the current test. */
-std::string
-tempJournalPath()
-{
-    const auto *info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    return ::testing::TempDir() + "journal_" + info->name() + ".log";
-}
 
 /** The journal's line escaping (see service.cc). */
 std::string
@@ -532,7 +523,7 @@ TEST(SvcService, JournalRecordsJobLifecycle)
     Rng rng(67);
     const LinearCode code = randomSecCode(8, rng);
     const MiscorrectionProfile profile = plantedProfile(code, {1, 2});
-    const std::string path = tempJournalPath();
+    const std::string path = test::tempPath("journal.log");
     std::remove(path.c_str());
 
     svc::JobId id = 0;
@@ -582,7 +573,7 @@ TEST(SvcService, ChaosFileIoLosesAndDuplicatesNoJobs)
     Rng rng(73);
     const LinearCode code = randomSecCode(8, rng);
     const MiscorrectionProfile profile = plantedProfile(code, {1, 2});
-    const std::string path = tempJournalPath();
+    const std::string path = test::tempPath("journal.log");
     std::remove(path.c_str());
 
     svc::ChaosFileConfig chaos;
@@ -637,7 +628,7 @@ TEST(SvcService, EnospcWindowRejectsSubmissionsInsteadOfLosingThem)
     Rng rng(79);
     const LinearCode code = randomSecCode(8, rng);
     const MiscorrectionProfile profile = plantedProfile(code, {1, 2});
-    const std::string path = tempJournalPath();
+    const std::string path = test::tempPath("journal.log");
     std::remove(path.c_str());
 
     svc::ChaosFileConfig chaos;
@@ -679,7 +670,7 @@ TEST(SvcService, TornTerminalRecordReplaysJobInsteadOfLosingIt)
     Rng rng(83);
     const LinearCode code = randomSecCode(8, rng);
     const MiscorrectionProfile profile = plantedProfile(code, {1, 2});
-    const std::string path = tempJournalPath();
+    const std::string path = test::tempPath("journal.log");
 
     {
         std::ofstream out(path, std::ios::trunc);
@@ -708,7 +699,7 @@ TEST(SvcService, JournalReplayResumesUnfinishedJobs)
     Rng rng(71);
     const LinearCode code = randomSecCode(8, rng);
     const MiscorrectionProfile profile = plantedProfile(code, {1, 2});
-    const std::string path = tempJournalPath();
+    const std::string path = test::tempPath("journal.log");
 
     // Hand-craft a crashed service's journal: job 3 finished, job 5
     // was still queued when the process died.
@@ -750,7 +741,7 @@ TEST(SvcService, ExactHitIsAnsweredOnTheSubmitPath)
     const LinearCode code = randomSecCode(8, rng);
     const std::string payload =
         serializeProfile(plantedProfile(code, {1, 2}));
-    const std::string path = tempJournalPath();
+    const std::string path = test::tempPath("journal.log");
     std::remove(path.c_str());
 
     std::atomic<std::size_t> starts{0};
@@ -885,7 +876,7 @@ TEST(SvcService, ReplayedJobThatIsNowAnExactHitIsAnsweredInline)
     const LinearCode code = randomSecCode(8, rng);
     const MiscorrectionProfile profile = plantedProfile(code, {1, 2});
     ServiceConfig config;
-    config.journalPath = tempJournalPath();
+    config.journalPath = test::tempPath("journal.log");
     config.cache.path = config.journalPath + ".cache";
     std::remove(config.journalPath.c_str());
     std::remove(config.cache.path.c_str());

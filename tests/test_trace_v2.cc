@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -24,6 +23,7 @@
 #include "util/thread_pool.hh"
 
 #include "scalar_only.hh"
+#include "temp_path.hh"
 
 using namespace beer;
 using beer::dram::ChipConfig;
@@ -144,15 +144,13 @@ TEST(TraceV2, RoundTripsToByteIdenticalV1)
 {
     // v1 -> v2 -> v1 must reproduce recorder-produced v1 files byte
     // for byte, across all three vendor styles (the Figure-3 chips).
-    const auto tmp = std::filesystem::temp_directory_path();
     for (char vendor : {'A', 'B', 'C'}) {
         const auto [live, v1_text] = recordMeasurement(
             vendor, 8, 40 + (std::uint64_t)vendor,
             {TraceFormat::V1, true});
 
         const std::string v1_path =
-            (tmp / (std::string("beer_rt_") + vendor + ".trace"))
-                .string();
+            test::tempPath(std::string("rt_") + vendor + ".trace");
         const std::string v2_path = v1_path + "2";
         const std::string rt_path = v1_path + ".rt";
         {
@@ -206,8 +204,7 @@ TEST(TraceV2, QuorumMetaSurvivesConversion)
     ASSERT_GT(live.totalDisagreements(), 0u)
         << "noise too weak to exercise the adaptive path";
 
-    const auto tmp = std::filesystem::temp_directory_path();
-    const std::string v1_path = (tmp / "beer_quorum.trace").string();
+    const std::string v1_path = test::tempPath("quorum.trace");
     const std::string v2_path = v1_path + "2";
     const std::string rt_path = v1_path + ".rt";
     {
@@ -463,8 +460,7 @@ TEST(TraceV2, FormatSniffingAndNames)
     EXPECT_STREQ(dram::traceFormatName(TraceFormat::V1), "v1");
     EXPECT_STREQ(dram::traceFormatName(TraceFormat::V2), "v2");
 
-    const auto tmp = std::filesystem::temp_directory_path();
-    const std::string path = (tmp / "beer_sniff.trace").string();
+    const std::string path = test::tempPath("sniff.trace");
     const auto [live, v2_bytes] = recordMeasurement(
         'A', 8, 41, {TraceFormat::V2, true});
     {
