@@ -239,6 +239,9 @@ struct MeasureConfig
      * partial denominator). A session with a deadline uses this to
      * stop inside a round once the deadline expires, instead of
      * waiting out the round's remaining refresh pauses. Unset = never.
+     * A beer::Session replaces this with its own deadline check (or
+     * unsets it when it has no deadline): a cancel set in
+     * SessionConfig::measure is never called.
      */
     std::function<bool()> cancel;
     /**

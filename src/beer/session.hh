@@ -191,6 +191,12 @@ struct SessionRepairConfig
 /** Knobs for a recovery session. */
 struct SessionConfig
 {
+    /**
+     * How each round measures. The session measures through a copy
+     * whose estimator is its own running quorum estimate and whose
+     * cancel is its own deadline check (deadlineSeconds), so the
+     * estimator and cancel set here are never used.
+     */
     MeasureConfig measure = MeasureConfig::paperDefault();
     BeerSolverConfig solver;
     /**
