@@ -45,7 +45,6 @@ main(int argc, char **argv)
     cli.addOption("threads", "1",
                   "simulation threads (0 = all hardware threads); "
                   "results are identical for every value");
-    cli.addFlag("scalar", "use the scalar reference engine");
     cli.addFlag("csv", "emit CSV instead of an aligned table");
     cli.parse(argc, argv);
 
@@ -58,7 +57,6 @@ main(int argc, char **argv)
 
     sim::SimConfig sim_config;
     sim_config.threads = (std::size_t)cli.getInt("threads");
-    sim_config.bitsliced = !cli.getBool("scalar");
     std::optional<util::ThreadPool> pool;
     if (sim_config.threads != 1) {
         pool.emplace(sim_config.threads);

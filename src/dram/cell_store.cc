@@ -128,11 +128,11 @@ std::uint64_t
 TransposedCellStore::decaySkipSampled(std::size_t begin, std::size_t end,
                                       double ber, util::Rng &rng)
 {
-    // Identical candidate enumeration to the legacy layout's
-    // decayIid: skip-sample the word-major (word, bit) grid with the
-    // alias-table geometric sampler and the reciprocal divide, so the
-    // Rng stream — and therefore the injected error pattern — matches
-    // the legacy chip bit for bit.
+    // Skip-sample the word-major (word, bit) grid with the alias-table
+    // geometric sampler (the reciprocal divide only speeds up the flat
+    // index split), so the Rng stream — and therefore the injected
+    // error pattern — matches a one-BitVec-per-word chip bit for bit
+    // (tests/ref/scalar_chip.hh).
     std::uint64_t errors = 0;
     const std::uint64_t total = (std::uint64_t)(end - begin) * n_;
     if (total == 0)

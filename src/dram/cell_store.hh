@@ -2,11 +2,10 @@
  * @file
  * Transposed (bit-plane) cell storage for the simulated DRAM chip.
  *
- * The legacy chip stored one gf2::BitVec per ECC word and flipped
- * cells bit by bit; after the decode side went wide (PR 3/4),
- * retention injection, refresh pauses, and profile reads became the
- * dominant cost of every simulated experiment. This store keeps the
- * chip's cells in the same lane-major SoA layout the simulation
+ * Storing one gf2::BitVec per ECC word and flipping cells bit by bit
+ * (the reference model in tests/ref/scalar_chip.hh) makes retention
+ * injection, refresh pauses, and profile reads the dominant cost of
+ * every simulated experiment. This store keeps the chip's cells in the same lane-major SoA layout the simulation
  * engine's batches use: plane row @p pos holds bit @p pos of every
  * word, 64 words per uint64 lane word, rows padded to the widest SIMD
  * group (ecc::kMaxSimdWords lane words) so any kernel width can read
@@ -26,7 +25,8 @@
  * the precomputed anti-cell lane mask (stored ^ anti, masked to valid
  * lanes). Scalar MemoryInterface semantics (per-word writes, byte
  * read-modify-write, ground-truth accessors) go through the
- * gather/scatter shim, bit-identical to the legacy layout.
+ * gather/scatter shim, bit-identical to the one-BitVec-per-word
+ * layout.
  *
  * Three retention-decay paths are provided; all implement "a candidate
  * cell decays iff it is CHARGED", differing only in how candidates
@@ -34,11 +34,11 @@
  *
  *  - decayDeterministic: per-cell predicate (repeatable retention
  *    times, VRT) — pure function of the cell id, so plane-major
- *    iteration over CHARGED bits gives bit-identical results to the
- *    legacy word-major loop at word-level memory cost;
+ *    iteration over CHARGED bits gives bit-identical results to a
+ *    word-major loop at word-level memory cost;
  *  - decaySkipSampled: iid candidates by geometric skip-sampling in
- *    the legacy word-major cell order, consuming the exact Rng stream
- *    the legacy chip consumed — the differential anchor;
+ *    word-major cell order, consuming the exact Rng stream a
+ *    one-BitVec-per-word chip consumes — the differential anchor;
  *  - decayBernoulli: iid candidates as whole Bernoulli lane masks
  *    (util::BernoulliMask), plane-major; statistically equivalent to
  *    skip-sampling but a different Rng stream, and faster above the
@@ -153,9 +153,9 @@ class TransposedCellStore
 
     /**
      * iid decay at rate @p ber via geometric skip-sampling over the
-     * word-major (word, bit) cell grid of [begin, end) — the legacy
-     * chip's exact candidate order and Rng stream, so the resulting
-     * error pattern is bit-identical to the legacy layout's.
+     * word-major (word, bit) cell grid of [begin, end) — the
+     * reference chip's exact candidate order and Rng stream, so the
+     * resulting error pattern is bit-identical to its.
      */
     std::uint64_t decaySkipSampled(std::size_t begin, std::size_t end,
                                    double ber, util::Rng &rng);

@@ -5,7 +5,6 @@
 #include "ecc/decoder.hh"
 #include "ecc/hamming.hh"
 #include "sim/engine.hh"
-#include "util/bitops.hh"
 #include "util/logging.hh"
 
 namespace beer::dram
@@ -39,46 +38,44 @@ hashToUnit(std::uint64_t x)
     return (double)(x >> 11) * 0x1.0p-53;
 }
 
+/** @p config after the checks the chip geometry relies on. */
+ChipConfig
+validated(ChipConfig config)
+{
+    config.map.validate();
+    if (config.code.k() != config.map.bytesPerWord * 8)
+        util::fatal("SimulatedChip: code k (%zu) does not match word "
+                    "size (%zu bytes)",
+                    config.code.k(), config.map.bytesPerWord);
+    return config;
+}
+
 } // anonymous namespace
 
 SimulatedChip::SimulatedChip(ChipConfig config)
-    : config_(std::move(config)), rng_(config_.seed ^ 0x5eed)
+    : config_(validated(std::move(config))),
+      store_(config_.map.numWords(), config_.code.n(),
+             [this](std::size_t w) { return cellTypeOfWord(w); }),
+      rng_(config_.seed ^ 0x5eed)
 {
-    config_.map.validate();
-    if (config_.code.k() != config_.map.bytesPerWord * 8)
-        util::fatal("SimulatedChip: code k (%zu) does not match word "
-                    "size (%zu bytes)",
-                    config_.code.k(), config_.map.bytesPerWord);
     // Power-on state: store the encoding of all-zero data so that every
     // word holds a consistent codeword.
-    const BitVec zero_cw = config_.code.encode(BitVec(config_.code.k()));
-    if (config_.storage == ChipStorage::Scalar) {
-        cells_.assign(config_.map.numWords(), zero_cw);
-    } else {
-        store_.emplace(config_.map.numWords(), config_.code.n(),
-                       [this](std::size_t w) {
-                           return cellTypeOfWord(w);
-                       });
-        store_->broadcastWriteAll(zero_cw);
-    }
+    store_.broadcastWriteAll(
+        config_.code.encode(BitVec(config_.code.k())));
 }
 
 void
 SimulatedChip::writeDataword(std::size_t word_index, const BitVec &data)
 {
     BEER_ASSERT(word_index < numWords());
-    if (store_)
-        store_->writeWord(word_index, config_.code.encode(data));
-    else
-        cells_[word_index] = config_.code.encode(data);
+    store_.writeWord(word_index, config_.code.encode(data));
 }
 
 gf2::BitVec
 SimulatedChip::readDataword(std::size_t word_index)
 {
     BEER_ASSERT(word_index < numWords());
-    BitVec received = store_ ? store_->storedWord(word_index)
-                             : cells_[word_index];
+    BitVec received = store_.storedWord(word_index);
     if (config_.transientErrorRate > 0.0) {
         // Skip-sample the flipped bits: each bit flips iid at the
         // transient rate, but bits that do not flip cost nothing.
@@ -107,16 +104,14 @@ SimulatedChip::writeDatawordsBroadcast(const std::size_t *words,
                                        std::size_t count,
                                        const BitVec &data)
 {
-    if (!store_ || count == 0) {
-        MemoryInterface::writeDatawordsBroadcast(words, count, data);
+    if (count == 0)
         return;
-    }
     // Consecutive fills of one experiment plan repeat the dataword.
     if (!(data == broadcastData_)) {
         broadcastData_ = data;
         broadcastCodeword_ = config_.code.encode(data);
     }
-    broadcastSel_.assign(store_->numLaneWords(), 0);
+    broadcastSel_.assign(store_.numLaneWords(), 0);
     std::uint64_t *sel = broadcastSel_.data();
     const std::size_t first = words[0];
     std::size_t jb = first / 64;
@@ -150,7 +145,7 @@ SimulatedChip::writeDatawordsBroadcast(const std::size_t *words,
         }
         sel[lane] |= bits;
     }
-    store_->broadcastWrite(broadcastCodeword_, sel, jb, je);
+    store_.broadcastWrite(broadcastCodeword_, sel, jb, je);
 }
 
 bool
@@ -158,8 +153,6 @@ SimulatedChip::readDatawordsPlanar(const std::size_t *words,
                                    std::size_t count,
                                    PlanarReadBatch &out)
 {
-    if (!store_)
-        return false;
     prepareWideRead();
     const std::size_t lanes = (count + 63) / 64;
     readFrame_.resize(config_.code.k() * lanes);
@@ -167,7 +160,7 @@ SimulatedChip::readDatawordsPlanar(const std::size_t *words,
     if (config_.transientErrorRate > 0.0) {
         // Noisy reads consume the chip Rng per word in order; keep
         // them on one thread so the stream matches sequential reads.
-        readDatawordsWide(*store_, *decoder_, *kernel_, words, count,
+        readDatawordsWide(store_, *decoder_, *kernel_, words, count,
                           config_.transientErrorRate, &rng_,
                           readScratch_, readFrame_.data(), lanes);
         return true;
@@ -183,13 +176,13 @@ SimulatedChip::readDatawordsPlanar(const std::size_t *words,
             const std::size_t len =
                 std::min(kReadShardWords, count - begin);
             WideReadScratch scratch;
-            readDatawordsWide(*store_, *decoder_, *kernel_,
+            readDatawordsWide(store_, *decoder_, *kernel_,
                               words + begin, len, 0.0, nullptr, scratch,
                               readFrame_.data() + begin / 64, lanes);
         });
         return true;
     }
-    readDatawordsWide(*store_, *decoder_, *kernel_, words, count, 0.0,
+    readDatawordsWide(store_, *decoder_, *kernel_, words, count, 0.0,
                       nullptr, readScratch_, readFrame_.data(), lanes);
     return true;
 }
@@ -200,10 +193,8 @@ SimulatedChip::readDatawords(const std::size_t *words,
                              std::vector<BitVec> &out)
 {
     PlanarReadBatch frame;
-    if (readDatawordsPlanar(words, count, frame))
-        frame.toDatawords(config_.code.k(), out);
-    else
-        MemoryInterface::readDatawords(words, count, out);
+    readDatawordsPlanar(words, count, frame);
+    frame.toDatawords(config_.code.k(), out);
 }
 
 void
@@ -214,9 +205,8 @@ SimulatedChip::writeByte(std::size_t byte_addr, std::uint8_t value)
     // The read bypasses decoding on purpose — a real chip's write path
     // merges raw data; going through the decoder here would scrub
     // retention errors on every byte write.
-    const BitVec stored = store_ ? store_->storedWord(slot.wordIndex)
-                                 : cells_[slot.wordIndex];
-    BitVec data = config_.code.extractData(stored);
+    BitVec data =
+        config_.code.extractData(store_.storedWord(slot.wordIndex));
     for (std::size_t b = 0; b < 8; ++b)
         data.set(slot.byteInWord * 8 + b, (value >> b) & 1);
     writeDataword(slot.wordIndex, data);
@@ -240,12 +230,7 @@ SimulatedChip::fill(std::uint8_t value)
     BitVec data(config_.code.k());
     for (std::size_t i = 0; i < data.size(); ++i)
         data.set(i, (value >> (i % 8)) & 1);
-    if (store_) {
-        store_->broadcastWriteAll(config_.code.encode(data));
-        return;
-    }
-    for (std::size_t w = 0; w < cells_.size(); ++w)
-        writeDataword(w, data);
+    store_.broadcastWriteAll(config_.code.encode(data));
 }
 
 util::ThreadPool &
@@ -276,74 +261,6 @@ SimulatedChip::cellFailsThisPause(std::uint64_t cell_id, double seconds,
                                        temp_c);
 }
 
-std::uint64_t
-SimulatedChip::decayIid(std::size_t begin, std::size_t end, double ber,
-                        util::Rng &rng)
-{
-    // Skip-sample candidate cells over the shard's (word, bit) grid at
-    // rate ber; a candidate decays iff it is CHARGED. Equivalent to a
-    // Bernoulli(ber) trial per charged cell, at O(candidates) cost.
-    // Same hot-loop treatment as the simulation engine: alias-table
-    // geometric gaps, reciprocal division for the flat-index split
-    // (shards are 512 words, so indices always fit 32 bits), and the
-    // cell-type/layout lookup hoisted per word instead of per cell.
-    std::uint64_t errors = 0;
-    const std::size_t n = config_.code.n();
-    const std::uint64_t total = (std::uint64_t)(end - begin) * n;
-    const bool small = total <= UINT32_MAX;
-    const util::FastDiv32 divn((std::uint32_t)(small ? n : 1));
-    const util::GeometricSampler candidates(ber);
-    std::size_t cached_w = SIZE_MAX;
-    CellType cached_type = CellType::True;
-    candidates.forEach(rng, total, [&](std::uint64_t cell) {
-        std::size_t rel;
-        std::size_t bit;
-        if (small) {
-            const std::uint32_t q = divn.div((std::uint32_t)cell);
-            rel = q;
-            bit = (std::size_t)((std::uint32_t)cell -
-                                q * (std::uint32_t)n);
-        } else {
-            rel = (std::size_t)(cell / n);
-            bit = (std::size_t)(cell % n);
-        }
-        const std::size_t w = begin + rel;
-        if (w != cached_w) {
-            cached_w = w;
-            cached_type = cellTypeOfWord(w);
-        }
-        BitVec &word = cells_[w];
-        if (chargeOf(word.get(bit), cached_type) ==
-            ChargeState::Charged) {
-            word.set(bit, decayedValue(cached_type));
-            ++errors;
-        }
-    });
-    return errors;
-}
-
-std::uint64_t
-SimulatedChip::decayPerCell(std::size_t begin, std::size_t end,
-                            double seconds, double temp_c)
-{
-    std::uint64_t errors = 0;
-    const std::size_t n = config_.code.n();
-    for (std::size_t w = begin; w < end; ++w) {
-        const CellType type = cellTypeOfWord(w);
-        BitVec &word = cells_[w];
-        for (std::size_t bit = 0; bit < n; ++bit) {
-            if (chargeOf(word.get(bit), type) != ChargeState::Charged)
-                continue;
-            const std::uint64_t cell_id = (std::uint64_t)w * n + bit;
-            if (cellFailsThisPause(cell_id, seconds, temp_c)) {
-                word.set(bit, decayedValue(type));
-                ++errors;
-            }
-        }
-    }
-    return errors;
-}
-
 InjectionMode
 SimulatedChip::injectionModeFor(double ber) const
 {
@@ -354,22 +271,22 @@ SimulatedChip::injectionModeFor(double ber) const
 }
 
 std::uint64_t
-SimulatedChip::decayTransposed(std::size_t begin, std::size_t end,
-                               double seconds, double temp_c,
-                               double ber, util::Rng *rng)
+SimulatedChip::decayShard(std::size_t begin, std::size_t end,
+                          double seconds, double temp_c, double ber,
+                          util::Rng *rng)
 {
     if (!config_.iidErrors) {
         // Per-cell outcomes are a pure function of (seed, pause,
         // cell), so plane-major iteration over CHARGED bits lands on
-        // the exact cell set the legacy word-major loop decayed.
-        return store_->decayDeterministic(
+        // the exact cell set a word-major loop decays.
+        return store_.decayDeterministic(
             begin, end, [&](std::uint64_t cell_id) {
                 return cellFailsThisPause(cell_id, seconds, temp_c);
             });
     }
     if (injectionModeFor(ber) == InjectionMode::BernoulliMask)
-        return store_->decayBernoulli(begin, end, ber, *rng);
-    return store_->decaySkipSampled(begin, end, ber, *rng);
+        return store_.decayBernoulli(begin, end, ber, *rng);
+    return store_.decaySkipSampled(begin, end, ber, *rng);
 }
 
 void
@@ -402,14 +319,8 @@ SimulatedChip::pauseRefresh(double seconds, double temp_c)
             std::min(begin + kRetentionShardWords, num_words);
         util::Rng *rng =
             config_.iidErrors ? &shard_rngs[s] : nullptr;
-        if (store_)
-            shard_errors[s] = decayTransposed(begin, end, seconds,
-                                              temp_c, ber, rng);
-        else
-            shard_errors[s] =
-                config_.iidErrors
-                    ? decayIid(begin, end, ber, *rng)
-                    : decayPerCell(begin, end, seconds, temp_c);
+        shard_errors[s] =
+            decayShard(begin, end, seconds, temp_c, ber, rng);
     };
 
     if (config_.threads == 1 || num_shards == 1) {
@@ -433,8 +344,7 @@ gf2::BitVec
 SimulatedChip::storedCodeword(std::size_t word_index) const
 {
     BEER_ASSERT(word_index < numWords());
-    return store_ ? store_->storedWord(word_index)
-                  : cells_[word_index];
+    return store_.storedWord(word_index);
 }
 
 std::vector<std::size_t>

@@ -18,13 +18,13 @@
  *    modeling particle strikes / VRT noise (used to evaluate BEER's
  *    thresholding filter, Figure 4).
  *
- * Cells are stored transposed by default (dram::TransposedCellStore:
- * bit-planes in the simulation engine's lane-major SoA layout), so
- * refresh-pause decay, batched reads, and fills run on whole 64-word
- * lane groups through the width-generic SIMD kernels; the external
- * word/byte MemoryInterface contract is preserved bit-for-bit by a
- * gather/scatter shim. ChipStorage::Scalar keeps the legacy
- * BitVec-per-word layout as the differential-testing baseline.
+ * Cells are stored transposed (dram::TransposedCellStore: bit-planes
+ * in the simulation engine's lane-major SoA layout), so refresh-pause
+ * decay, batched reads, and fills run on whole 64-word lane groups
+ * through the width-generic SIMD kernels; the external word/byte
+ * MemoryInterface contract is preserved bit-for-bit by a
+ * gather/scatter shim. tests/ref/scalar_chip.hh is the one-BitVec-
+ * per-word reference model the differential suite checks it against.
  */
 
 #ifndef BEER_DRAM_CHIP_HH
@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "dram/cell_store.hh"
@@ -48,25 +47,6 @@
 namespace beer::dram
 {
 
-/** Cell-array layout of a simulated chip. */
-enum class ChipStorage
-{
-    /**
-     * Transposed bit-plane store (dram::TransposedCellStore): refresh
-     * pauses, wide reads, and fills run on whole lane words through
-     * the SIMD decode kernels. The default.
-     */
-    Transposed,
-    /**
-     * Legacy layout: one gf2::BitVec per word, cells flipped bit by
-     * bit, every read through the scalar decoder. Kept as the
-     * differential-testing and benchmarking baseline; identical
-     * externally visible behavior (given the same seed) by
-     * construction, enforced by tests/test_transposed_chip.cc.
-     */
-    Scalar,
-};
-
 /** How pauseRefresh() draws iid retention-error candidates. */
 enum class InjectionMode
 {
@@ -78,7 +58,7 @@ enum class InjectionMode
     /**
      * Geometric skip-sampling over the cell grid: one Rng draw per
      * candidate cell, O(candidates) cost. Bit-identical error
-     * patterns across storage layouts; cheapest at low BER.
+     * patterns with the reference model; cheapest at low BER.
      */
     SkipSample,
     /**
@@ -86,7 +66,6 @@ enum class InjectionMode
      * ~log2(64)+2 Rng draws per 64 cells regardless of rate, so it
      * wins at high BER. Same error distribution as SkipSample but a
      * different Rng stream (patterns differ, statistics match).
-     * Transposed storage only; Scalar chips always skip-sample.
      */
     BernoulliMask,
 };
@@ -126,14 +105,12 @@ struct ChipConfig
      */
     bool iidErrors = false;
     std::uint64_t seed = 1;
-    /** Cell-array layout; see ChipStorage. */
-    ChipStorage storage = ChipStorage::Transposed;
     /** iid candidate sampling; see InjectionMode. */
     InjectionMode injection = InjectionMode::Auto;
     /**
-     * SIMD width of the wide read path (transposed storage only);
-     * Auto resolves via BEER_SIMD, then CPUID, like the simulation
-     * engine. Reads are bit-identical for every width.
+     * SIMD width of the wide read path; Auto resolves via BEER_SIMD,
+     * then CPUID, like the simulation engine. Reads are bit-identical
+     * for every width.
      */
     util::simd::Backend simdBackend = util::simd::Backend::Auto;
     /**
@@ -165,31 +142,29 @@ class SimulatedChip : public MemoryInterface
     gf2::BitVec readDataword(std::size_t word_index) override;
 
     /**
-     * Batched fill: with transposed storage the encoded pattern is
-     * broadcast into whole lane words (one operation per plane row
-     * and lane word) instead of scattered per word.
+     * Batched fill: the encoded pattern is broadcast into whole lane
+     * words (one operation per plane row and lane word) instead of
+     * scattered per word.
      */
     void writeDatawordsBroadcast(const std::size_t *words,
                                  std::size_t count,
                                  const gf2::BitVec &data) override;
 
     /**
-     * Batched read as a bit-plane frame: with transposed storage,
-     * error-plane windows feed the wide decode kernel directly (no
-     * gather copy) and the post-correction data rows land in a
-     * chip-owned frame reused across calls, valid until the next
-     * operation on the chip. Bit-identical to sequential readDataword
-     * calls, including the transient-noise Rng stream; noise-free
-     * reads shard over the configured worker threads. Scalar storage
-     * declines (returns false, no side effects).
+     * Batched read as a bit-plane frame: error-plane windows feed the
+     * wide decode kernel directly (no gather copy) and the
+     * post-correction data rows land in a chip-owned frame reused
+     * across calls, valid until the next operation on the chip.
+     * Bit-identical to sequential readDataword calls, including the
+     * transient-noise Rng stream; noise-free reads shard over the
+     * configured worker threads. Always serves (returns true).
      */
     bool readDatawordsPlanar(const std::size_t *words, std::size_t count,
                              PlanarReadBatch &out) override;
 
     /**
-     * Batched read: with transposed storage, the readDatawordsPlanar
-     * frame transposed into datawords, so both batched seams share
-     * one wide read routine; scalar storage reads word by word.
+     * Batched read: the readDatawordsPlanar frame transposed into
+     * datawords, so both batched seams share one wide read routine.
      */
     void readDatawords(const std::size_t *words, std::size_t count,
                        std::vector<gf2::BitVec> &out) override;
@@ -227,18 +202,10 @@ class SimulatedChip : public MemoryInterface
     }
 
   private:
-    /** Charged cells of words [begin, end) fail iid at @p ber
-     * (legacy scalar layout). */
-    std::uint64_t decayIid(std::size_t begin, std::size_t end,
-                           double ber, util::Rng &rng);
-    /** Deterministic per-cell retention decay for words [begin, end)
-     * (legacy scalar layout). */
-    std::uint64_t decayPerCell(std::size_t begin, std::size_t end,
-                               double seconds, double temp_c);
-    /** One transposed-store decay shard (dispatches on mode). */
-    std::uint64_t decayTransposed(std::size_t begin, std::size_t end,
-                                  double seconds, double temp_c,
-                                  double ber, util::Rng *rng);
+    /** One retention shard, words [begin, end) (dispatches on mode). */
+    std::uint64_t decayShard(std::size_t begin, std::size_t end,
+                             double seconds, double temp_c, double ber,
+                             util::Rng *rng);
     /** Whether cell (cell_id) fails this pause (retention + VRT). */
     bool cellFailsThisPause(std::uint64_t cell_id, double seconds,
                             double temp_c) const;
@@ -250,10 +217,8 @@ class SimulatedChip : public MemoryInterface
     util::ThreadPool &pool();
 
     ChipConfig config_;
-    /** Legacy layout: stored codeword (value domain) per word. */
-    std::vector<gf2::BitVec> cells_;
-    /** Transposed layout: bit-plane store (value domain). */
-    std::optional<TransposedCellStore> store_;
+    /** Bit-plane cell store (value domain). */
+    TransposedCellStore store_;
     util::Rng rng_;
     std::unique_ptr<util::ThreadPool> pool_;
     /** Wide read path, resolved on first batched read. */

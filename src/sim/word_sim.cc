@@ -1,12 +1,9 @@
 #include "sim/word_sim.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 
 #include "ecc/bitsliced.hh"
 #include "sim/engine.hh"
-#include "util/bitops.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -49,124 +46,17 @@ emptyStats(std::size_t n, std::size_t k, std::uint64_t num_words)
 }
 
 /**
- * Sample an error count m >= 1 from Binomial(n, p) conditioned on at
- * least one error, by sequential inversion of the conditional CDF.
- */
-std::uint64_t
-conditionalBinomial(std::uint64_t n, double p, util::Rng &rng)
-{
-    const double q = 1.0 - p;
-    const double pmf0 = std::pow(q, (double)n);
-    const double norm = 1.0 - pmf0;
-    BEER_ASSERT(norm > 0.0);
-    double pmf = pmf0;
-    double cdf = 0.0;
-    const double u = rng.uniform() * norm;
-    std::uint64_t m = 0;
-    const double ratio = p / q;
-    while (m < n) {
-        ++m;
-        pmf *= ratio * (double)(n - m + 1) / (double)m;
-        cdf += pmf;
-        if (u < cdf)
-            break;
-    }
-    return m;
-}
-
-/**
- * Flip @p count distinct positions drawn from @p positions, using
- * Floyd's algorithm. @p seen is a flat membership mask over position
- * indices (>= positions.size() entries, all false on entry and reset
- * on exit), so each draw is O(1) instead of a linear scan over the
- * already-chosen set.
- */
-void
-flipRandomSubset(BitVec &word, const std::vector<std::size_t> &positions,
-                 std::uint64_t count, util::Rng &rng,
-                 std::vector<std::uint8_t> &seen,
-                 std::vector<std::size_t> &chosen)
-{
-    chosen.clear();
-    const std::size_t total = positions.size();
-    for (std::size_t j = total - count; j < total; ++j) {
-        const std::size_t t = (std::size_t)rng.below(j + 1);
-        // Floyd: j itself is never chosen before iteration j, so the
-        // fallback pick is always fresh.
-        const std::size_t pick = seen[t] ? j : t;
-        seen[pick] = 1;
-        chosen.push_back(pick);
-    }
-    for (const std::size_t idx : chosen) {
-        word.flip(positions[idx]);
-        seen[idx] = 0;
-    }
-}
-
-/** Scalar reference path: decode one erroneous word at a time. */
-WordSimStats
-simulateScalarShard(const ecc::LinearCode &code, const BitVec &codeword,
-                    const std::vector<std::size_t> &vulnerable,
-                    double per_bit_p, std::uint64_t num_words,
-                    util::Rng &rng)
-{
-    WordSimStats stats =
-        emptyStats(code.n(), code.k(), num_words);
-
-    const BitVec original_data = code.extractData(codeword);
-    // Probability that a word has at least one raw error.
-    const double p_any =
-        1.0 - std::pow(1.0 - per_bit_p, (double)vulnerable.size());
-
-    std::vector<std::uint8_t> seen(vulnerable.size(), 0);
-    std::vector<std::size_t> chosen;
-    BitVec received(code.n());
-    std::uint64_t w = 0;
-    while (true) {
-        // Geometric skip to the next word containing raw errors.
-        const std::uint64_t gap = rng.geometric(p_any);
-        if (num_words - w <= gap) {
-            stats.outcomes[(std::size_t)ecc::DecodeOutcome::NoError] +=
-                num_words - w;
-            break;
-        }
-        w += gap;
-        stats.outcomes[(std::size_t)ecc::DecodeOutcome::NoError] += gap;
-        ++stats.wordsWithRawErrors;
-        ++w;
-
-        const std::uint64_t m =
-            conditionalBinomial(vulnerable.size(), per_bit_p, rng);
-        received = codeword;
-        flipRandomSubset(received, vulnerable, m, rng, seen, chosen);
-
-        for (std::size_t pos : vulnerable)
-            if (received.get(pos) != codeword.get(pos))
-                ++stats.preCorrectionErrors[pos];
-
-        const ecc::DecodeResult result = ecc::decode(code, received);
-        const ecc::DecodeOutcome outcome =
-            ecc::classify(code, codeword, received, result);
-        ++stats.outcomes[(std::size_t)outcome];
-
-        for (std::size_t bit = 0; bit < code.k(); ++bit)
-            if (result.dataword.get(bit) != original_data.get(bit))
-                ++stats.postCorrectionErrors[bit];
-    }
-    return stats;
-}
-
-/**
  * Deterministic sharded driver: fork one Rng stream per fixed-size
  * shard (in shard order), run shards on the pool, and merge stats in
  * shard order. The thread count affects scheduling only, and the
  * SIMD backend (which sizes the in-shard lane groups) only changes
  * how erroneous words are grouped for decoding — never what any word
  * decodes to — so stats are bit-identical across thread counts AND
- * backends.
+ * backends. The kernels decode error patterns, not codewords: for a
+ * linear code the outcome depends on the error alone.
  */
 WordSimStats
-simulateSharded(const ecc::LinearCode &code, const BitVec &codeword,
+simulateSharded(const ecc::LinearCode &code,
                 const std::vector<std::size_t> &vulnerable,
                 double per_bit_p, std::uint64_t num_words,
                 util::Rng &rng, const SimConfig &config)
@@ -193,24 +83,16 @@ simulateSharded(const ecc::LinearCode &code, const BitVec &codeword,
     // Built once and shared read-only by every worker; the kernel
     // table is resolved once per call (config, then BEER_SIMD, then
     // CPUID), never per shard.
-    std::optional<ecc::BitslicedDecoder> decoder;
-    const EngineKernel *kernel = nullptr;
-    if (config.bitsliced) {
-        decoder.emplace(code);
-        kernel = &engineKernel(config.simdBackend);
-    }
+    const ecc::BitslicedDecoder decoder(code);
+    const EngineKernel &kernel = engineKernel(config.simdBackend);
 
     std::vector<WordSimStats> shard_stats(num_shards);
     auto run_shard = [&](std::size_t s) {
         const std::uint64_t begin = (std::uint64_t)s * shard_words;
         const std::uint64_t count =
             std::min<std::uint64_t>(shard_words, num_words - begin);
-        shard_stats[s] =
-            config.bitsliced
-                ? kernel->simulateShard(*decoder, vulnerable, p, count,
-                                        shard_rngs[s])
-                : simulateScalarShard(code, codeword, vulnerable, p,
-                                      count, shard_rngs[s]);
+        shard_stats[s] = kernel.simulateShard(decoder, vulnerable, p,
+                                              count, shard_rngs[s]);
     };
 
     if (config.pool && num_shards > 1) {
@@ -236,12 +118,12 @@ simulateUniformErrors(const ecc::LinearCode &code, const BitVec &dataword,
                       double rber, std::uint64_t num_words,
                       util::Rng &rng, const SimConfig &config)
 {
-    const BitVec codeword = code.encode(dataword);
+    BEER_ASSERT(dataword.size() == code.k());
     std::vector<std::size_t> all_positions(code.n());
     for (std::size_t i = 0; i < code.n(); ++i)
         all_positions[i] = i;
-    return simulateSharded(code, codeword, all_positions, rber,
-                           num_words, rng, config);
+    return simulateSharded(code, all_positions, rber, num_words, rng,
+                           config);
 }
 
 WordSimStats
@@ -252,8 +134,8 @@ simulateRetentionErrors(const ecc::LinearCode &code, const BitVec &codeword,
 {
     BEER_ASSERT(codeword.size() == code.n());
     BEER_ASSERT(charged_mask.size() == code.n());
-    return simulateSharded(code, codeword, charged_mask.support(), ber,
-                           num_words, rng, config);
+    return simulateSharded(code, charged_mask.support(), ber, num_words,
+                           rng, config);
 }
 
 gf2::BitVec

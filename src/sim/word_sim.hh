@@ -25,8 +25,8 @@
  *    stream keyed by shard index and merged in shard order, so results
  *    are bit-identical for every thread count.
  *
- * The scalar one-word-at-a-time path is retained behind
- * SimConfig::bitsliced = false for differential testing.
+ * tests/ref/word_sim.hh is the one-word-at-a-time, one-trial-per-bit
+ * reference whose statistics the engine must reproduce.
  */
 
 #ifndef BEER_SIM_WORD_SIM_HH
@@ -70,15 +70,9 @@ struct WordSimStats
     bool operator==(const WordSimStats &other) const = default;
 };
 
-/** Engine and scheduling knobs for the Monte-Carlo driver. */
+/** SIMD width and scheduling knobs for the Monte-Carlo driver. */
 struct SimConfig
 {
-    /**
-     * Decode erroneous words in bitsliced lane groups; false selects
-     * the scalar reference path (same statistics, different Rng
-     * stream consumption).
-     */
-    bool bitsliced = true;
     /**
      * SIMD width of the bitsliced kernels: Auto resolves via the
      * BEER_SIMD environment variable, then CPUID (widest native

@@ -2,8 +2,10 @@
  * @file
  * Property tests for the bitsliced simulation engine: the 64-lane
  * decode kernel must match the scalar decoder lane-for-lane on
- * randomized codes and error words, and the sharded Monte-Carlo
- * driver must produce bit-identical statistics for every thread count.
+ * randomized codes and error words, the sharded Monte-Carlo driver
+ * must produce bit-identical statistics for every thread count, and
+ * its statistics must match the per-word reference model
+ * (tests/ref/word_sim.hh).
  */
 
 #include <gtest/gtest.h>
@@ -206,40 +208,19 @@ TEST(Bitsliced, ShardedStatsIdenticalAcrossThreadCounts)
     EXPECT_EQ(one.wordsSimulated, 200000u);
 }
 
-TEST(Bitsliced, ScalarEngineAlsoDeterministicAcrossThreadCounts)
-{
-    Rng code_rng(37);
-    const LinearCode code = randomSecCode(8, code_rng);
-
-    auto run = [&](std::size_t threads) {
-        SimConfig config;
-        config.bitsliced = false;
-        config.threads = threads;
-        config.wordsPerShard = 1 << 10;
-        Rng rng(41);
-        return simulateUniformErrors(code, BitVec(8), 0.01, 50000, rng,
-                                     config);
-    };
-
-    const WordSimStats one = run(1);
-    EXPECT_EQ(one, run(2));
-    EXPECT_EQ(one, run(8));
-}
-
 TEST(Bitsliced, EngineChoiceIsStatisticallyEquivalent)
 {
-    // Scalar and bitsliced paths consume different Rng streams but
-    // must agree on every expectation; compare the raw-error word
-    // fraction and the outcome distribution at loose tolerances.
+    // The per-word, per-bit reference and the bitsliced engine
+    // consume different Rng streams but must agree on every
+    // expectation; compare the raw-error word fraction and the
+    // outcome distribution at loose tolerances.
     Rng code_rng(43);
     const LinearCode code = randomSecCode(16, code_rng);
     const std::uint64_t words = 400000;
 
-    SimConfig scalar_config;
-    scalar_config.bitsliced = false;
     Rng scalar_rng(47);
-    const WordSimStats scalar = simulateUniformErrors(
-        code, BitVec(16), 0.005, words, scalar_rng, scalar_config);
+    const WordSimStats scalar = test::ref::simulateUniformErrors(
+        code, BitVec(16), 0.005, words, scalar_rng);
 
     Rng bitsliced_rng(53);
     const WordSimStats bitsliced = simulateUniformErrors(

@@ -2,11 +2,12 @@
  * @file
  * Differential suite for the transposed (bit-plane) chip storage.
  *
- * ChipStorage::Scalar — the legacy one-BitVec-per-word layout — is
- * the behavioral reference: with the same configuration and seed (and
+ * test::ref::ScalarChip (tests/ref/scalar_chip.hh) — a one-BitVec-
+ * per-word model written from the chip's specification — is the
+ * behavioral reference: with the same configuration and seed (and
  * skip-sampled injection, the mode whose Rng stream is layout-
- * independent), a transposed chip must be externally indistinguishable
- * from a scalar one. The suite pins
+ * independent), the transposed chip must be externally
+ * indistinguishable from it. The suite pins
  *
  *  - pauseRefresh error patterns (iid, repeatable per-cell, and VRT
  *    modes) cell for cell via storedCodeword;
@@ -20,7 +21,7 @@
  *    invariance and trace record/replay round-trips;
  *  - the beep::MemoryWordUnderTest adapter;
  *
- * against the scalar chip for every byte-aligned word size, and the
+ * against the reference model for every byte-aligned word size, and the
  * TransposedCellStore itself against a scalar BitVec model for the
  * non-byte-aligned codes (k = 4, 57) a chip's address map cannot
  * host. Bernoulli-mask injection draws a different (plane-major) Rng
@@ -33,6 +34,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -54,7 +56,6 @@
 using namespace beer;
 using dram::CellType;
 using dram::ChipConfig;
-using dram::ChipStorage;
 using dram::InjectionMode;
 using dram::makeVendorConfig;
 using dram::SimulatedChip;
@@ -95,18 +96,19 @@ randomData(std::size_t k, Rng &rng)
 }
 
 /** Program every word with a (deterministic) per-word random value. */
-template <typename Chip>
 void
-scatterWrite(Chip &chip, std::uint64_t seed)
+scatterWrite(dram::MemoryInterface &chip, std::uint64_t seed)
 {
     Rng rng(seed);
     for (std::size_t w = 0; w < chip.numWords(); ++w)
         chip.writeDataword(w, randomData(chip.datawordBits(), rng));
 }
 
-/** All storedCodeword views of two chips agree. */
+/** All storedCodeword views of two chips (or a chip and the
+ * reference model) agree. */
+template <typename A>
 void
-expectSameCells(SimulatedChip &a, SimulatedChip &b)
+expectSameCells(const A &a, const SimulatedChip &b)
 {
     ASSERT_EQ(a.numWords(), b.numWords());
     for (std::size_t w = 0; w < a.numWords(); ++w)
@@ -321,7 +323,7 @@ TEST(TransposedStore, BernoulliDecayMatchesItsRate)
     EXPECT_EQ(no_draws.next(), untouched.next());
 }
 
-// ---- chip-level differential (transposed vs scalar storage) --------
+// ---- chip-level differential (transposed chip vs reference model) ---
 
 TEST(TransposedChip, IidPauseRefreshMatchesScalarStorage)
 {
@@ -331,9 +333,7 @@ TEST(TransposedChip, IidPauseRefreshMatchesScalarStorage)
             config.iidErrors = true;
             config.injection = InjectionMode::SkipSample;
 
-            ChipConfig scalar = config;
-            scalar.storage = ChipStorage::Scalar;
-            SimulatedChip ref(scalar);
+            ScalarChip ref(config);
             SimulatedChip transposed(config);
 
             scatterWrite(ref, 7);
@@ -360,9 +360,7 @@ TEST(TransposedChip, RepeatableAndVrtPauseRefreshMatchesScalarStorage)
             config.vrtRate = 0.01;
             config.threads = 4;
 
-            ChipConfig scalar = config;
-            scalar.storage = ChipStorage::Scalar;
-            SimulatedChip ref(scalar);
+            ScalarChip ref(config);
             SimulatedChip transposed(config);
 
             scatterWrite(ref, 13);
@@ -390,15 +388,15 @@ TEST(TransposedChip, ReadsMatchScalarStorageIncludingNoiseStream)
         config.injection = InjectionMode::SkipSample;
         config.transientErrorRate = 0.01;
 
-        ChipConfig scalar = config;
-        scalar.storage = ChipStorage::Scalar;
-        SimulatedChip ref(scalar);
+        ScalarChip ref(config);
         SimulatedChip batched(config);
         SimulatedChip sequential(config);
 
         const double pause =
             ref.retentionModel().pauseForBitErrorRate(0.05, 80.0);
-        for (SimulatedChip *chip : {&ref, &batched, &sequential}) {
+        for (dram::MemoryInterface *chip :
+             std::initializer_list<dram::MemoryInterface *>{
+                 &ref, &batched, &sequential}) {
             scatterWrite(*chip, 29);
             chip->pauseRefresh(pause, 80.0);
         }
@@ -410,7 +408,7 @@ TEST(TransposedChip, ReadsMatchScalarStorageIncludingNoiseStream)
         batched.readDatawords(words.data(), words.size(), batch);
         ASSERT_EQ(batch.size(), words.size());
         for (std::size_t w = 0; w < words.size(); ++w) {
-            // One noise stream, three consumers: the scalar chip, the
+            // One noise stream, three consumers: the reference, the
             // transposed batched read, and the transposed sequential
             // read must all produce the same noisy results.
             const BitVec expected = ref.readDataword(w);
@@ -450,18 +448,17 @@ TEST(TransposedChip, ByteInterfaceMatchesScalarStorage)
     config.iidErrors = true;
     config.injection = InjectionMode::SkipSample;
 
-    ChipConfig scalar = config;
-    scalar.storage = ChipStorage::Scalar;
-    SimulatedChip ref(scalar);
+    ScalarChip ref(config);
     SimulatedChip transposed(config);
 
     // Inject errors first: the byte read-modify-write path must merge
     // raw data without scrubbing them, identically in both layouts.
-    for (SimulatedChip *chip : {&ref, &transposed}) {
+    for (dram::MemoryInterface *chip :
+         std::initializer_list<dram::MemoryInterface *>{&ref,
+                                                        &transposed}) {
         chip->fill(0xFF);
         chip->pauseRefresh(
-            chip->retentionModel().pauseForBitErrorRate(0.1, 80.0),
-            80.0);
+            config.retention.pauseForBitErrorRate(0.1, 80.0), 80.0);
     }
     Rng rng(71);
     for (int i = 0; i < 200; ++i) {
@@ -488,9 +485,7 @@ TEST(TransposedChip, MeasureProfileMatchesScalarStorage)
         measure.repeatsPerPause = 3;
         const auto patterns = chargedPatternUnion(k, {1, 2});
 
-        ChipConfig scalar = config;
-        scalar.storage = ChipStorage::Scalar;
-        SimulatedChip ref_chip(scalar);
+        ScalarChip ref_chip(config);
         for (double ber : {0.05, 0.15})
             measure.pausesSeconds.push_back(
                 ref_chip.retentionModel().pauseForBitErrorRate(ber,
@@ -566,24 +561,22 @@ TEST(TransposedChip, TraceRecordReplayRoundTripsAcrossStorage)
     MeasureConfig measure;
     measure.repeatsPerPause = 2;
 
-    // Record the same measurement against both layouts: because the
-    // batched seams are observationally identical to per-word loops,
-    // the recorded traces must match byte for byte.
-    auto record = [&](ChipStorage storage, std::ostream &out) {
-        ChipConfig run = config;
-        run.storage = storage;
-        SimulatedChip chip(run);
-        measure.pausesSeconds.assign(
-            1,
-            chip.retentionModel().pauseForBitErrorRate(0.08, 80.0));
+    // Record the same measurement against the transposed chip and the
+    // reference model: because the batched seams are observationally
+    // identical to per-word loops, the recorded traces must match
+    // byte for byte.
+    measure.pausesSeconds.assign(
+        1, config.retention.pauseForBitErrorRate(0.08, 80.0));
+    auto record = [&](dram::MemoryInterface &chip, std::ostream &out) {
         return recordProfileTrace(chip, patterns, measure, {}, out);
     };
+    ScalarChip scalar(config);
     std::ostringstream scalar_trace;
-    const ProfileCounts scalar_counts =
-        record(ChipStorage::Scalar, scalar_trace);
+    const ProfileCounts scalar_counts = record(scalar, scalar_trace);
+    SimulatedChip transposed(config);
     std::ostringstream transposed_trace;
     const ProfileCounts transposed_counts =
-        record(ChipStorage::Transposed, transposed_trace);
+        record(transposed, transposed_trace);
     EXPECT_TRUE(countsEqual(scalar_counts, transposed_counts));
     EXPECT_EQ(scalar_trace.str(), transposed_trace.str());
 
@@ -597,8 +590,8 @@ TEST(TransposedChip, TraceRecordReplayRoundTripsAcrossStorage)
 TEST(TransposedChip, BeepAdapterMatchesScalarStorage)
 {
     // BEEP drives one chip word through write/pause/read cycles; over
-    // a transposed chip the profiler must identify the exact same
-    // error cells as over the scalar reference.
+    // the transposed chip the profiler must identify the exact same
+    // error cells as over the reference model.
     ChipConfig config = diffConfig('A', 16, 0xAA);
     config.iidErrors = false;
     config.seed = 17;
@@ -608,19 +601,18 @@ TEST(TransposedChip, BeepAdapterMatchesScalarStorage)
     beep_config.readsPerPattern = 4;
     beep_config.seed = 11;
 
-    auto profile = [&](ChipStorage storage) {
-        ChipConfig run = config;
-        run.storage = storage;
-        SimulatedChip chip(run);
+    auto profile = [&](dram::MemoryInterface &chip) {
         const double pause =
-            chip.retentionModel().pauseForBitErrorRate(0.15, 80.0);
+            config.retention.pauseForBitErrorRate(0.15, 80.0);
         beep::MemoryWordUnderTest word(chip, /*word_index=*/3, pause,
                                        80.0);
-        beep::Profiler profiler(chip.groundTruthCode(), beep_config);
+        beep::Profiler profiler(config.code, beep_config);
         return profiler.profile(word);
     };
-    const auto ref = profile(ChipStorage::Scalar);
-    const auto transposed = profile(ChipStorage::Transposed);
+    ScalarChip scalar(config);
+    SimulatedChip chip(config);
+    const auto ref = profile(scalar);
+    const auto transposed = profile(chip);
     EXPECT_EQ(ref.errorCells, transposed.errorCells);
     EXPECT_EQ(ref.reads, transposed.reads);
     EXPECT_EQ(ref.informativeReads, transposed.informativeReads);
@@ -944,22 +936,6 @@ TEST(TransposedChip, NoisyPlanarFrameKeepsTheSequentialRngStream)
     }
 }
 
-TEST(TransposedChip, ScalarStorageDeclinesPlanarReads)
-{
-    ChipConfig config = diffConfig('A', 16, 0xE8);
-    config.storage = ChipStorage::Scalar;
-    config.transientErrorRate = 0.02;
-    SimulatedChip scalar(config);
-    SimulatedChip untouched(config);
-    const std::vector<std::size_t> words = {0, 1, 2, 3};
-    dram::PlanarReadBatch frame;
-    EXPECT_FALSE(
-        scalar.readDatawordsPlanar(words.data(), words.size(), frame));
-    // No side effects: the noise stream was not consumed.
-    for (std::size_t w = 0; w < scalar.numWords(); ++w)
-        ASSERT_EQ(scalar.readDataword(w), untouched.readDataword(w));
-}
-
 TEST(TransposedChip, TraceBytesDoNotDependOnPlanarReads)
 {
     // The recorder writes planar frames as they come for a chip that
@@ -997,163 +973,5 @@ TEST(TransposedChip, TraceBytesDoNotDependOnPlanarReads)
             EXPECT_EQ(served_trace.str(), declined_trace.str())
                 << vendor << " format " << (int)format;
         }
-    }
-}
-
-// ---- bridge: the reference model against the scalar storage twin ---
-
-namespace
-{
-
-/** Cells and raw error counts of two chips agree. */
-template <typename A, typename B>
-void
-expectSameState(const A &a, const B &b)
-{
-    ASSERT_EQ(a.numWords(), b.numWords());
-    EXPECT_EQ(a.rawErrorCount(), b.rawErrorCount());
-    for (std::size_t w = 0; w < a.numWords(); ++w)
-        ASSERT_EQ(a.storedCodeword(w), b.storedCodeword(w))
-            << "word " << w;
-}
-
-} // anonymous namespace
-
-TEST(ScalarChipModel, MatchesScalarStorageOnEveryDifferentialConfig)
-{
-    auto scalar_of = [](ChipConfig config) {
-        config.storage = ChipStorage::Scalar;
-        return config;
-    };
-    for (const std::size_t k : kChipWordSizes) {
-        for (const char vendor : {'A', 'C'}) {
-            // Iid and repeatable + VRT pauses.
-            for (const bool iid : {true, false}) {
-                ChipConfig config =
-                    diffConfig(vendor, k, (iid ? 0x11 : 0x22) + k);
-                config.iidErrors = iid;
-                config.injection = InjectionMode::SkipSample;
-                config.vrtRate = iid ? 0.0 : 0.01;
-                config.threads = iid ? 1 : 4;
-                ScalarChip model(config);
-                SimulatedChip twin(scalar_of(config));
-                scatterWrite(model, iid ? 7 : 13);
-                scatterWrite(twin, iid ? 7 : 13);
-                const double pause =
-                    model.retentionModel().pauseForBitErrorRate(
-                        iid ? 0.05 : 0.1, 80.0);
-                for (int round = 0; round < 3; ++round) {
-                    model.pauseRefresh(pause, 80.0);
-                    twin.pauseRefresh(pause, 80.0);
-                }
-                EXPECT_GT(model.rawErrorCount(), 0u);
-                expectSameState(model, twin);
-            }
-        }
-
-        // Noisy reads.
-        ChipConfig noisy = diffConfig('A', k, 0x33 + k);
-        noisy.iidErrors = true;
-        noisy.injection = InjectionMode::SkipSample;
-        noisy.transientErrorRate = 0.01;
-        ScalarChip model(noisy);
-        SimulatedChip twin(scalar_of(noisy));
-        const double pause =
-            model.retentionModel().pauseForBitErrorRate(0.05, 80.0);
-        scatterWrite(model, 29);
-        scatterWrite(twin, 29);
-        model.pauseRefresh(pause, 80.0);
-        twin.pauseRefresh(pause, 80.0);
-        for (std::size_t w = 0; w < model.numWords(); ++w)
-            ASSERT_EQ(model.readDataword(w), twin.readDataword(w))
-                << "k " << k << " word " << w;
-
-        // measureProfile counts.
-        ChipConfig measured = diffConfig('A', k, 0x77 + k);
-        measured.iidErrors = true;
-        measured.injection = InjectionMode::SkipSample;
-        MeasureConfig measure;
-        measure.pausesSeconds.clear();
-        measure.repeatsPerPause = 3;
-        for (double ber : {0.05, 0.15})
-            measure.pausesSeconds.push_back(
-                measured.retention.pauseForBitErrorRate(ber, 80.0));
-        const auto patterns = chargedPatternUnion(k, {1, 2});
-        ScalarChip measured_model(measured);
-        SimulatedChip measured_twin(scalar_of(measured));
-        EXPECT_TRUE(
-            countsEqual(measureProfile(measured_model, patterns, measure),
-                        measureProfile(measured_twin, patterns, measure)))
-            << "k " << k;
-    }
-
-    // Byte read-modify-write.
-    {
-        ChipConfig config = diffConfig('C', 16, 0x55);
-        config.iidErrors = true;
-        config.injection = InjectionMode::SkipSample;
-        ScalarChip model(config);
-        SimulatedChip twin(scalar_of(config));
-        const double pause =
-            model.retentionModel().pauseForBitErrorRate(0.1, 80.0);
-        model.fill(0xFF);
-        twin.fill(0xFF);
-        model.pauseRefresh(pause, 80.0);
-        twin.pauseRefresh(pause, 80.0);
-        Rng rng(71);
-        for (int i = 0; i < 200; ++i) {
-            const std::size_t addr = rng.below(model.numBytes());
-            const auto value = (std::uint8_t)rng.below(256);
-            model.writeByte(addr, value);
-            twin.writeByte(addr, value);
-        }
-        for (std::size_t addr = 0; addr < model.numBytes(); ++addr)
-            ASSERT_EQ(model.readByte(addr), twin.readByte(addr))
-                << "byte " << addr;
-        expectSameState(model, twin);
-    }
-
-    // Recorded trace bytes.
-    {
-        ChipConfig config = diffConfig('A', 16, 0x99);
-        config.iidErrors = true;
-        config.injection = InjectionMode::SkipSample;
-        MeasureConfig measure;
-        measure.repeatsPerPause = 2;
-        measure.pausesSeconds.assign(
-            1, config.retention.pauseForBitErrorRate(0.08, 80.0));
-        const auto patterns = chargedPatterns(16, 1);
-        ScalarChip model(config);
-        SimulatedChip twin(scalar_of(config));
-        std::ostringstream model_trace;
-        std::ostringstream twin_trace;
-        recordProfileTrace(model, patterns, measure, {}, model_trace);
-        recordProfileTrace(twin, patterns, measure, {}, twin_trace);
-        EXPECT_EQ(model_trace.str(), twin_trace.str());
-    }
-
-    // BEEP over one word.
-    {
-        ChipConfig config = diffConfig('A', 16, 0xAA);
-        config.iidErrors = false;
-        config.seed = 17;
-        beep::BeepConfig beep_config;
-        beep_config.passes = 2;
-        beep_config.readsPerPattern = 4;
-        beep_config.seed = 11;
-        auto profile = [&](dram::MemoryInterface &chip) {
-            const double pause =
-                config.retention.pauseForBitErrorRate(0.15, 80.0);
-            beep::MemoryWordUnderTest word(chip, 3, pause, 80.0);
-            beep::Profiler profiler(config.code, beep_config);
-            return profiler.profile(word);
-        };
-        ScalarChip model(config);
-        SimulatedChip twin(scalar_of(config));
-        const auto a = profile(model);
-        const auto b = profile(twin);
-        EXPECT_EQ(a.errorCells, b.errorCells);
-        EXPECT_EQ(a.reads, b.reads);
-        EXPECT_EQ(a.informativeReads, b.informativeReads);
     }
 }
