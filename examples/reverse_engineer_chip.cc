@@ -117,8 +117,8 @@ main()
                 "secret function. BEER succeeded.\n\n");
 
     // ---- Step 6: archive + replay as a v2 binary trace. --------------
-    // Record a fresh (shorter) measurement through a TraceRecorder in
-    // the v2 columnar format, then replay it. The replayed profile
+    // Record a fresh (shorter) measurement through a TraceRecorder
+    // (v2 columnar format), then replay it. The replayed profile
     // counts must match the live ones exactly — this is the property
     // that lets real-chip recordings be archived and re-analysed
     // offline without the chip.
@@ -127,8 +127,7 @@ main()
     std::ostringstream trace_stream;
     const ProfileCounts live = recordProfileTrace(
         chip, chargedPatterns(chip.datawordBits(), 1), archive,
-        session_config.wordsUnderTest, trace_stream,
-        dram::TraceWriteOptions{dram::TraceFormat::V2, true});
+        session_config.wordsUnderTest, trace_stream);
     std::istringstream trace_bytes(trace_stream.str());
     dram::TraceReplayBackend trace(trace_bytes);
     const ProfileCounts replayed = replayProfileTrace(trace);

@@ -596,19 +596,6 @@ recordProfileTrace(dram::MemoryInterface &mem,
                    const std::vector<TestPattern> &patterns,
                    const MeasureConfig &config,
                    const std::vector<std::size_t> &words_under_test,
-                   std::ostream &out)
-{
-    return recordProfileTrace(mem, patterns, config, words_under_test,
-                              out,
-                              dram::TraceWriteOptions{
-                                  dram::TraceFormat::V1, true});
-}
-
-ProfileCounts
-recordProfileTrace(dram::MemoryInterface &mem,
-                   const std::vector<TestPattern> &patterns,
-                   const MeasureConfig &config,
-                   const std::vector<std::size_t> &words_under_test,
                    std::ostream &out,
                    const dram::TraceWriteOptions &trace_options)
 {

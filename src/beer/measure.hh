@@ -296,9 +296,9 @@ ProfileCounts measureProfileOnChip(dram::Chip &chip,
 
 /**
  * Run measureProfile() while recording every backend operation (plus
- * "meta" lines describing the measurement plan) to @p out in the
- * requested dram/trace.hh format (v2 streams must be opened binary),
- * so the run can be replayed offline.
+ * "meta" lines describing the measurement plan) to @p out as a v2
+ * dram/trace.hh trace (open file streams binary), so the run can be
+ * replayed offline.
  */
 ProfileCounts
 recordProfileTrace(dram::MemoryInterface &mem,
@@ -306,15 +306,7 @@ recordProfileTrace(dram::MemoryInterface &mem,
                    const MeasureConfig &config,
                    const std::vector<std::size_t> &words_under_test,
                    std::ostream &out,
-                   const dram::TraceWriteOptions &trace_options);
-
-/** Back-compat overload recording in the historical v1 text format. */
-ProfileCounts
-recordProfileTrace(dram::MemoryInterface &mem,
-                   const std::vector<TestPattern> &patterns,
-                   const MeasureConfig &config,
-                   const std::vector<std::size_t> &words_under_test,
-                   std::ostream &out);
+                   const dram::TraceWriteOptions &trace_options = {});
 
 /**
  * Re-run a measurement recorded by recordProfileTrace() against the

@@ -32,16 +32,6 @@ traceFormatName(TraceFormat format)
     return format == TraceFormat::V1 ? "v1" : "v2";
 }
 
-std::optional<TraceFormat>
-parseTraceFormat(const std::string &text)
-{
-    if (text == "v1" || text == "1")
-        return TraceFormat::V1;
-    if (text == "v2" || text == "2")
-        return TraceFormat::V2;
-    return std::nullopt;
-}
-
 namespace
 {
 
@@ -81,15 +71,17 @@ ld32(const std::uint8_t *at)
 void
 append32(std::vector<std::uint8_t> &out, std::uint32_t v)
 {
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof v);
+    const std::size_t at = out.size();
+    out.resize(at + sizeof v);
+    std::memcpy(out.data() + at, &v, sizeof v);
 }
 
 void
 append64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof v);
+    const std::size_t at = out.size();
+    out.resize(at + sizeof v);
+    std::memcpy(out.data() + at, &v, sizeof v);
 }
 
 void
@@ -195,13 +187,6 @@ TraceWriter::TraceWriter(std::ostream &out, const AddressMap &map,
                          std::size_t k, const TraceWriteOptions &options)
     : out_(out), k_(k), options_(options)
 {
-    if (options_.format == TraceFormat::V1) {
-        out_ << "beertrace 1\n"
-             << "geom " << map.bytesPerWord << ' ' << map.wordsPerRegion
-             << ' ' << map.bytesPerRow << ' ' << map.rows << '\n'
-             << "k " << k_ << '\n';
-        return;
-    }
     if (map.bytesPerWord > 0xFFFFFFFFu ||
         map.wordsPerRegion > 0xFFFFFFFFu || map.bytesPerRow > 0xFFFFFFFFu ||
         map.rows > 0xFFFFFFFFu || k_ > 0xFFFFFFFFu)
@@ -263,30 +248,18 @@ TraceWriter::emitWordPayload(std::uint32_t kind, std::uint64_t index,
 void
 TraceWriter::meta(const std::string &text)
 {
-    if (options_.format == TraceFormat::V1) {
-        out_ << "meta " << text << '\n';
-        return;
-    }
     emitRecord(kRecMeta, text.data(), text.size());
 }
 
 void
 TraceWriter::writeWord(std::size_t word, const BitVec &data)
 {
-    if (options_.format == TraceFormat::V1) {
-        out_ << "w " << word << ' ' << data.toString() << '\n';
-        return;
-    }
     emitWordPayload(kRecWriteWord, word, data);
 }
 
 void
 TraceWriter::readWord(std::size_t word, const BitVec &data)
 {
-    if (options_.format == TraceFormat::V1) {
-        out_ << "r " << word << ' ' << data.toString() << '\n';
-        return;
-    }
     emitWordPayload(kRecReadWord, word, data);
 }
 
@@ -294,12 +267,6 @@ void
 TraceWriter::writeBroadcast(const std::size_t *words, std::size_t count,
                             const BitVec &data)
 {
-    if (options_.format == TraceFormat::V1) {
-        const std::string bits = data.toString();
-        for (std::size_t i = 0; i < count; ++i)
-            out_ << "w " << words[i] << ' ' << bits << '\n';
-        return;
-    }
     const std::uint64_t set = wordSetId(words, count);
     scratch_.clear();
     append64(scratch_, set);
@@ -312,12 +279,6 @@ void
 TraceWriter::readBatch(const std::size_t *words, std::size_t count,
                        const BitVec *results)
 {
-    if (options_.format == TraceFormat::V1) {
-        for (std::size_t i = 0; i < count; ++i)
-            out_ << "r " << words[i] << ' ' << results[i].toString()
-                 << '\n';
-        return;
-    }
     std::vector<std::uint64_t> frame;
     readBatchPlanar(words, count,
                     PlanarReadBatch::fromDatawords(results, count, k_,
@@ -328,18 +289,6 @@ void
 TraceWriter::readBatchPlanar(const std::size_t *words, std::size_t count,
                              const PlanarReadBatch &view)
 {
-    if (options_.format == TraceFormat::V1) {
-        // Expand back to per-word result lines.
-        std::string bits(k_, '0');
-        for (std::size_t t = 0; t < count; ++t) {
-            const std::uint64_t mask = std::uint64_t{1} << (t % 64);
-            const std::size_t lane = t / 64;
-            for (std::size_t pos = 0; pos < k_; ++pos)
-                bits[pos] = (view.row(pos)[lane] & mask) ? '1' : '0';
-            out_ << "r " << words[t] << ' ' << bits << '\n';
-        }
-        return;
-    }
     emitReadFrame(wordSetId(words, count), view.rows, view.rowStride,
                   view.laneWords, count);
 }
@@ -413,10 +362,6 @@ TraceWriter::emitReadFrame(std::uint64_t set_id,
 void
 TraceWriter::writeByte(std::size_t byte_addr, std::uint8_t value)
 {
-    if (options_.format == TraceFormat::V1) {
-        out_ << "wb " << byte_addr << ' ' << (unsigned)value << '\n';
-        return;
-    }
     scratch_.clear();
     append64(scratch_, byte_addr);
     append64(scratch_, value);
@@ -426,10 +371,6 @@ TraceWriter::writeByte(std::size_t byte_addr, std::uint8_t value)
 void
 TraceWriter::readByte(std::size_t byte_addr, std::uint8_t value)
 {
-    if (options_.format == TraceFormat::V1) {
-        out_ << "rb " << byte_addr << ' ' << (unsigned)value << '\n';
-        return;
-    }
     scratch_.clear();
     append64(scratch_, byte_addr);
     append64(scratch_, value);
@@ -439,10 +380,6 @@ TraceWriter::readByte(std::size_t byte_addr, std::uint8_t value)
 void
 TraceWriter::fill(std::uint8_t value)
 {
-    if (options_.format == TraceFormat::V1) {
-        out_ << "f " << (unsigned)value << '\n';
-        return;
-    }
     scratch_.clear();
     append64(scratch_, value);
     emitRecord(kRecFill, scratch_.data(), scratch_.size());
@@ -451,11 +388,6 @@ TraceWriter::fill(std::uint8_t value)
 void
 TraceWriter::pause(double seconds, double temp_c)
 {
-    if (options_.format == TraceFormat::V1) {
-        out_ << "p " << formatTraceDouble(seconds) << ' '
-             << formatTraceDouble(temp_c) << '\n';
-        return;
-    }
     scratch_.clear();
     appendDouble(scratch_, seconds);
     appendDouble(scratch_, temp_c);
@@ -463,11 +395,6 @@ TraceWriter::pause(double seconds, double temp_c)
 }
 
 // ---- TraceRecorder ----------------------------------------------------
-
-TraceRecorder::TraceRecorder(MemoryInterface &inner, std::ostream &out)
-    : TraceRecorder(inner, out, TraceWriteOptions{TraceFormat::V1, true})
-{
-}
 
 TraceRecorder::TraceRecorder(MemoryInterface &inner, std::ostream &out,
                              const TraceWriteOptions &options)
@@ -1298,7 +1225,6 @@ convertTraceFile(const std::string &in_path, const std::string &out_path,
 
     TraceConvertStats stats;
     stats.from = in.format();
-    stats.to = options.format;
     stats.ops = in.totalOps();
     struct stat st = {};
     if (::stat(in_path.c_str(), &st) == 0)

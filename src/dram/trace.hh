@@ -1,6 +1,7 @@
 /**
  * @file
- * Operation-trace recording and replay backends, formats v1 and v2.
+ * Operation-trace recording and replay backends. Traces are written
+ * in format v2 only; format v1 is read-only.
  *
  * The paper's released tooling applies BEER to measurements collected
  * on real chips offline. These classes provide the equivalent seam for
@@ -10,9 +11,11 @@
  * bit-for-bit against externally collected data with no chip (or
  * simulator) present.
  *
- * Two on-disk formats are supported; TraceReplayBackend sniffs them
- * automatically and convertTraceFile() translates losslessly between
- * them (v1 -> v2 -> v1 is byte-identical for recorder-produced files).
+ * TraceReplayBackend reads both on-disk formats, sniffing them
+ * automatically. TraceWriter, TraceRecorder and convertTraceFile()
+ * write v2 only, so conversion is one way: a v1 file converts to a v2
+ * file that holds the identical element stream and replays to the
+ * identical profile counts.
  *
  * ## Format v1 — text, one line per word op
  *
@@ -27,10 +30,10 @@
  *     p <seconds> <temp-c>                     # pauseRefresh
  *
  * '#' starts a comment; "meta" lines carry analysis-level annotations
- * and are kept but not interpreted here. Batched interface calls
- * (writeDatawordsBroadcast / readDatawords) are decomposed into their
- * per-word lines, so v1 files stay readable by pre-batch tooling — at
- * ~(k + 10) bytes per word op.
+ * and are kept but not interpreted here. v1 has no batch records:
+ * batched interface calls were stored as their per-word lines, at
+ * ~(k + 10) bytes per word op. The parser groups runs of such lines
+ * back into batch records.
  *
  * ## Format v2 — binary, columnar, one record per batched op
  *
@@ -118,18 +121,13 @@ enum class TraceFormat
 /** "v1" / "v2". */
 const char *traceFormatName(TraceFormat format);
 
-/** Parse "v1"/"v2" (std::nullopt on anything else). */
-std::optional<TraceFormat> parseTraceFormat(const std::string &text);
-
-/** Knobs for writing a trace. */
+/** Knobs for writing a (v2) trace. */
 struct TraceWriteOptions
 {
-    TraceFormat format = TraceFormat::V2;
     /**
-     * v2 only: store each read frame sparse (majority fill +
-     * exceptions) when that is smaller than the raw bit planes. Raw
-     * frames replay zero-copy from the mmap; sparse frames are
-     * decoded once at open.
+     * Store each read frame sparse (majority fill + exceptions) when
+     * that is smaller than the raw bit planes. Raw frames replay
+     * zero-copy from the mmap; sparse frames are decoded once at open.
      */
     bool compressFrames = true;
 };
@@ -198,19 +196,16 @@ struct TraceRecord
 };
 
 /**
- * Serializer shared by TraceRecorder and convertTraceFile(): receives
- * operations at batch granularity and emits them in either format
- * (expanding batches to per-word lines for v1). The header is written
- * at construction. For v2 the stream must be binary-clean (open files
- * with std::ios::binary).
+ * v2 serializer shared by TraceRecorder and convertTraceFile():
+ * receives operations at batch granularity and emits one record per
+ * operation. The header is written at construction. The stream must
+ * be binary-clean (open files with std::ios::binary).
  */
 class TraceWriter
 {
   public:
     TraceWriter(std::ostream &out, const AddressMap &map, std::size_t k,
                 const TraceWriteOptions &options);
-
-    TraceFormat format() const { return options_.format; }
 
     void meta(const std::string &text);
     void writeWord(std::size_t word, const gf2::BitVec &data);
@@ -229,10 +224,10 @@ class TraceWriter
     void pause(double seconds, double temp_c);
 
   private:
-    /** v2: id of the deduplicated word set, emitting it if new. */
+    /** Id of the deduplicated word set, emitting it if new. */
     std::uint64_t wordSetId(const std::size_t *words,
                             std::size_t count);
-    /** v2: emit one record (header, payload, alignment pad). */
+    /** Emit one record (header, payload, alignment pad). */
     void emitRecord(std::uint32_t kind, const void *payload,
                     std::size_t payload_bytes);
     void emitWordPayload(std::uint32_t kind, std::uint64_t index,
@@ -251,18 +246,15 @@ class TraceWriter
 /**
  * Decorator that forwards every operation to @p inner and appends it
  * to the trace stream. The header (version, geometry, k) is written at
- * construction; the stream must outlive the recorder. Batched calls
- * stay batched on the inner backend (so a transposed chip keeps its
- * wide path) and are recorded at batch granularity in v2, or expanded
- * to the compatible per-word lines in v1.
+ * construction; the stream must outlive the recorder. Output is v2.
+ * Batched calls stay batched on the inner backend (so a transposed
+ * chip keeps its wide path) and are recorded at batch granularity.
  */
 class TraceRecorder : public MemoryInterface
 {
   public:
-    /** Record in the default (v1) format — byte-compatible history. */
-    TraceRecorder(MemoryInterface &inner, std::ostream &out);
     TraceRecorder(MemoryInterface &inner, std::ostream &out,
-                  const TraceWriteOptions &options);
+                  const TraceWriteOptions &options = {});
 
     /** Append an uninterpreted "meta <text>" annotation line. */
     void writeMeta(const std::string &text);
@@ -396,8 +388,8 @@ std::optional<TraceFormat> tryTraceFileFormat(const std::string &path);
 /** What convertTraceFile() did. */
 struct TraceConvertStats
 {
+    /** The input's format; the output is always v2. */
     TraceFormat from;
-    TraceFormat to;
     /** Word-granular operations converted. */
     std::size_t ops = 0;
     std::uintmax_t bytesIn = 0;
@@ -405,10 +397,10 @@ struct TraceConvertStats
 };
 
 /**
- * Re-serialize @p in_path as @p options.format at @p out_path. The
- * element streams are identical, so both files replay bit-identically;
- * converting a recorder-produced v1 file to v2 and back reproduces the
- * v1 bytes exactly.
+ * Re-serialize @p in_path (v1 or v2) as v2 at @p out_path: a v1 file
+ * is upgraded, a v2 file re-encoded with @p options' frame encoding.
+ * The element streams are identical, so both files replay to the
+ * identical profile counts.
  */
 TraceConvertStats convertTraceFile(const std::string &in_path,
                                    const std::string &out_path,

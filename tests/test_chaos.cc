@@ -125,9 +125,8 @@ runPinnedNoisyQuorum(bool record)
     const auto patterns = chargedPatterns(k, 1);
     if (record) {
         std::ostringstream out(std::ios::binary);
-        run.counts = recordProfileTrace(
-            proxy, patterns, measure, words, out,
-            dram::TraceWriteOptions{dram::TraceFormat::V2, true});
+        run.counts =
+            recordProfileTrace(proxy, patterns, measure, words, out);
         run.trace = out.str();
     } else {
         run.counts = measureProfile(proxy, patterns, measure, words);

@@ -33,6 +33,7 @@
 #include "svc/service.hh"
 #include "util/rng.hh"
 
+#include "ref/v1_trace_writer.hh"
 #include "temp_path.hh"
 
 using namespace beer;
@@ -267,11 +268,12 @@ TEST(SvcService, MissingTraceFileIsRejected)
 
 TEST(SvcService, AcceptsBothTraceFormatsAndCountsThem)
 {
-    // The same measurement recorded in v1 and v2: both submissions
-    // must run to the same recovered function, and the health report
-    // must expose the per-format acceptance counters (the fleet's
-    // v2-migration gauge). A non-trace file is rejected at submission
-    // time, not by a crashing worker.
+    // The same measurement stored as v2 and as v1 (rendered by the
+    // reference writer): both submissions must run to the same
+    // recovered function, and the health report must expose the
+    // per-format acceptance counters (the fleet's v2-migration gauge).
+    // A non-trace file is rejected at submission time, not by a
+    // crashing worker.
     dram::ChipConfig config = dram::makeVendorConfig('A', 8, 71);
     config.map.rows = 32;
     config.iidErrors = true;
@@ -288,15 +290,15 @@ TEST(SvcService, AcceptsBothTraceFormatsAndCountsThem)
 
     const std::string v1_path = test::tempPath("v1.trace");
     const std::string v2_path = v1_path + "2";
-    for (const auto format :
-         {dram::TraceFormat::V1, dram::TraceFormat::V2}) {
+    {
         dram::SimulatedChip chip(config);
-        std::ofstream out(format == dram::TraceFormat::V1 ? v1_path
-                                                          : v2_path,
-                          std::ios::binary | std::ios::trunc);
+        std::ostringstream recorded;
         recordProfileTrace(chip, chargedPatterns(8, 1), measure,
-                           dram::trueCellWords(chip), out,
-                           {format, true});
+                           dram::trueCellWords(chip), recorded);
+        std::ofstream(v2_path, std::ios::binary | std::ios::trunc)
+            << recorded.str();
+        std::ofstream(v1_path, std::ios::binary | std::ios::trunc)
+            << test::ref::renderV1Trace(recorded.str());
     }
 
     RecoveryService service;

@@ -1,11 +1,13 @@
 /**
  * @file
  * Tests for the v2 binary columnar trace format: batched operations
- * collapse to single records, v1 <-> v2 conversion is lossless (byte-
- * identical v1 round trips, bit-identical replayed counts), corrupted
- * or truncated v2 files are rejected with diagnostics, divergence
- * messages name the expected and requested operations, and the planar
- * replay fast path is invariant under thread count and batch shape.
+ * collapse to single records, v1 -> v2 conversion is lossless (same
+ * element stream, bit-identical replayed counts), v2 is at least 10x
+ * smaller than v1, corrupted or truncated v2 files are rejected with
+ * diagnostics, divergence messages name the expected and requested
+ * operations, and the planar replay fast path is invariant under
+ * thread count and batch shape. v1 bytes come from the reference
+ * writer in ref/v1_trace_writer.hh, since nothing else writes v1.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "util/checksum.hh"
 #include "util/thread_pool.hh"
 
+#include "ref/v1_trace_writer.hh"
 #include "scalar_only.hh"
 #include "temp_path.hh"
 
@@ -35,6 +38,7 @@ using beer::dram::TraceRecorder;
 using beer::dram::TraceReplayBackend;
 using beer::dram::TraceWriteOptions;
 using beer::test::ScalarOnly;
+using beer::test::ref::renderV1Trace;
 
 namespace
 {
@@ -71,12 +75,15 @@ sameCounts(const ProfileCounts &a, const ProfileCounts &b)
            a.votesSpent == b.votesSpent;
 }
 
-/** Record one measurement in the requested format, returning (live
- * counts, serialized trace bytes). Fresh chips with the same config
- * are deterministic, so repeated calls observe identical errors. */
+/** v2 read frames stored raw, never sparse. */
+const TraceWriteOptions kRawFrames{/*compressFrames=*/false};
+
+/** Record one measurement as a v2 trace, returning (live counts,
+ * serialized trace bytes). Fresh chips with the same config are
+ * deterministic, so repeated calls observe identical errors. */
 std::pair<ProfileCounts, std::string>
 recordMeasurement(char vendor, std::size_t k, std::uint64_t seed,
-                  const TraceWriteOptions &options)
+                  const TraceWriteOptions &options = {})
 {
     SimulatedChip chip(testChipConfig(vendor, k, seed));
     const MeasureConfig measure = fastMeasure(chip);
@@ -88,91 +95,130 @@ recordMeasurement(char vendor, std::size_t k, std::uint64_t seed,
     return {live, out.str()};
 }
 
+/** 64-bit FNV-1a of @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
 } // anonymous namespace
 
 TEST(TraceV2, BatchedOpsCollapseToSingleRecords)
 {
-    // The same measurement recorded in both formats: v1 keeps one text
+    // The same measurement in both formats, at k = 8, 16 and 32 with
+    // 64 rows, three pauses and 25 repeats per pause: v1 keeps one text
     // line per word (ops == elements), v2 stores one record per
-    // broadcast/batch, and both replay to identical counts.
-    const auto [live_v1, v1_bytes] = recordMeasurement(
-        'A', 8, 41, {TraceFormat::V1, true});
-    const auto [live_v2, v2_bytes] = recordMeasurement(
-        'A', 8, 41, {TraceFormat::V2, true});
-    ASSERT_TRUE(sameCounts(live_v1, live_v2))
-        << "chip construction is not deterministic";
+    // broadcast/batch, both replay to the counts of a live measurement
+    // that records nothing, and v2 is at least 10x smaller.
+    for (const std::size_t k : {8, 16, 32}) {
+        ChipConfig config = makeVendorConfig('A', k, 4242 + k);
+        config.map.rows = 64;
+        config.iidErrors = true;
+        SimulatedChip live_chip(config);
+        MeasureConfig measure;
+        measure.pausesSeconds.clear();
+        for (double ber : {0.05, 0.15, 0.3})
+            measure.pausesSeconds.push_back(
+                live_chip.retentionModel().pauseForBitErrorRate(ber,
+                                                                80.0));
+        measure.repeatsPerPause = 25;
+        measure.thresholdProbability = 1e-4;
+        const auto patterns = chargedPatterns(k, 1);
+        const auto words = dram::trueCellWords(live_chip);
+        const ProfileCounts live =
+            measureProfile(live_chip, patterns, measure, words);
 
-    std::istringstream v1_in(v1_bytes);
-    std::istringstream v2_in(v2_bytes);
-    TraceReplayBackend v1_trace(v1_in);
-    TraceReplayBackend v2_trace(v2_in);
-    EXPECT_EQ(v1_trace.format(), TraceFormat::V1);
-    EXPECT_EQ(v2_trace.format(), TraceFormat::V2);
+        SimulatedChip chip(config);
+        std::ostringstream out;
+        recordProfileTrace(chip, patterns, measure, words, out);
+        const std::string v2_bytes = out.str();
+        const std::string v1_bytes = renderV1Trace(v2_bytes);
 
-    // Element-granular op counts agree; the v2 record list is far
-    // shorter because each batch is one record.
-    EXPECT_EQ(v1_trace.totalOps(), v2_trace.totalOps());
-    EXPECT_LT(v2_trace.records().size(), v1_trace.totalOps() / 8);
-    bool saw_broadcast = false;
-    bool saw_batch = false;
-    for (const TraceRecord &rec : v2_trace.records()) {
-        if (rec.kind == TraceRecord::Kind::WriteBroadcast &&
-            rec.count > 1)
-            saw_broadcast = true;
-        if (rec.kind == TraceRecord::Kind::ReadBatch && rec.count > 1) {
-            saw_batch = true;
-            EXPECT_NE(rec.frame, nullptr);
-            EXPECT_EQ(rec.laneWords, (rec.count + 63) / 64);
+        std::istringstream v1_in(v1_bytes);
+        std::istringstream v2_in(v2_bytes);
+        TraceReplayBackend v1_trace(v1_in);
+        TraceReplayBackend v2_trace(v2_in);
+        EXPECT_EQ(v1_trace.format(), TraceFormat::V1);
+        EXPECT_EQ(v2_trace.format(), TraceFormat::V2);
+
+        // Element-granular op counts agree; the v2 record list is far
+        // shorter because each batch is one record.
+        EXPECT_EQ(v1_trace.totalOps(), v2_trace.totalOps()) << "k " << k;
+        EXPECT_LT(v2_trace.records().size(), v1_trace.totalOps() / 8);
+        bool saw_broadcast = false;
+        bool saw_batch = false;
+        for (const TraceRecord &rec : v2_trace.records()) {
+            if (rec.kind == TraceRecord::Kind::WriteBroadcast &&
+                rec.count > 1)
+                saw_broadcast = true;
+            if (rec.kind == TraceRecord::Kind::ReadBatch &&
+                rec.count > 1) {
+                saw_batch = true;
+                EXPECT_NE(rec.frame, nullptr);
+                EXPECT_EQ(rec.laneWords, (rec.count + 63) / 64);
+            }
         }
+        EXPECT_TRUE(saw_broadcast) << "k " << k;
+        EXPECT_TRUE(saw_batch) << "k " << k;
+
+        const ProfileCounts from_v1 = replayProfileTrace(v1_trace);
+        const ProfileCounts from_v2 = replayProfileTrace(v2_trace);
+        EXPECT_TRUE(v1_trace.atEnd()) << "k " << k;
+        EXPECT_TRUE(v2_trace.atEnd()) << "k " << k;
+        EXPECT_TRUE(sameCounts(live, from_v1)) << "k " << k;
+        EXPECT_TRUE(sameCounts(live, from_v2)) << "k " << k;
+
+        EXPECT_LT(v2_bytes.size() * 10, v1_bytes.size()) << "k " << k;
     }
-    EXPECT_TRUE(saw_broadcast);
-    EXPECT_TRUE(saw_batch);
-
-    const ProfileCounts from_v1 = replayProfileTrace(v1_trace);
-    const ProfileCounts from_v2 = replayProfileTrace(v2_trace);
-    EXPECT_TRUE(v1_trace.atEnd());
-    EXPECT_TRUE(v2_trace.atEnd());
-    EXPECT_TRUE(sameCounts(live_v1, from_v1));
-    EXPECT_TRUE(sameCounts(live_v1, from_v2));
-
-    // v2 is dramatically smaller (the tentpole claim; CI benches the
-    // exact ratio, this is the correctness floor).
-    EXPECT_LT(v2_bytes.size() * 10, v1_bytes.size());
 }
 
-TEST(TraceV2, RoundTripsToByteIdenticalV1)
+TEST(TraceV2, UpgradesV1ToAnElementIdenticalV2)
 {
-    // v1 -> v2 -> v1 must reproduce recorder-produced v1 files byte
-    // for byte, across all three vendor styles (the Figure-3 chips).
-    for (char vendor : {'A', 'B', 'C'}) {
-        const auto [live, v1_text] = recordMeasurement(
-            vendor, 8, 40 + (std::uint64_t)vendor,
-            {TraceFormat::V1, true});
+    // The sizes and FNV-1a hashes are those of the v1 bytes the
+    // production v1 writer emitted for these Figure-3 chips before it
+    // was deleted; the reference writer, rendering the v2 recording of
+    // the same measurement, must reproduce them. v1 -> v2 conversion
+    // then keeps the element stream (the converted file renders back
+    // to the same v1 text) and so replays to the live counts.
+    const struct
+    {
+        char vendor;
+        std::size_t bytes;
+        std::uint64_t hash;
+    } pinned[] = {
+        {'A', 287746, 0x8182173f8872c89aULL},
+        {'B', 287746, 0x7f05b5a9d705225aULL},
+        {'C', 180154, 0x82e7f46914673c15ULL},
+    };
+    for (const auto &pin : pinned) {
+        const auto [live, v2_bytes] = recordMeasurement(
+            pin.vendor, 8, 40 + (std::uint64_t)pin.vendor);
+        const std::string v1_text = renderV1Trace(v2_bytes);
+        EXPECT_EQ(v1_text.size(), pin.bytes) << "vendor " << pin.vendor;
+        EXPECT_EQ(fnv1a(v1_text), pin.hash) << "vendor " << pin.vendor;
 
-        const std::string v1_path =
-            test::tempPath(std::string("rt_") + vendor + ".trace");
-        const std::string v2_path = v1_path + "2";
-        const std::string rt_path = v1_path + ".rt";
+        const test::TempFile v1(std::string("up_") + pin.vendor);
+        const test::TempFile v2(std::string("up2_") + pin.vendor);
         {
-            std::ofstream out(v1_path, std::ios::binary);
+            std::ofstream out(v1.path, std::ios::binary);
             out << v1_text;
         }
-        dram::convertTraceFile(v1_path, v2_path,
-                               {TraceFormat::V2, true});
-        dram::convertTraceFile(v2_path, rt_path,
-                               {TraceFormat::V1, true});
+        const dram::TraceConvertStats stats =
+            dram::convertTraceFile(v1.path, v2.path, {});
+        EXPECT_EQ(stats.from, TraceFormat::V1);
 
-        std::ifstream rt(rt_path, std::ios::binary);
-        std::stringstream rt_text;
-        rt_text << rt.rdbuf();
-        EXPECT_EQ(rt_text.str(), v1_text) << "vendor " << vendor;
-
-        TraceReplayBackend converted(v2_path);
+        TraceReplayBackend converted(v2.path);
         EXPECT_EQ(converted.format(), TraceFormat::V2);
+        EXPECT_EQ(renderV1Trace(converted), v1_text)
+            << "vendor " << pin.vendor;
         EXPECT_TRUE(sameCounts(live, replayProfileTrace(converted)))
-            << "vendor " << vendor;
-        for (const std::string &p : {v1_path, v2_path, rt_path})
-            std::remove(p.c_str());
+            << "vendor " << pin.vendor;
     }
 }
 
@@ -181,8 +227,8 @@ TEST(TraceV2, QuorumMetaSurvivesConversion)
     // An adaptive-quorum measurement under injected read noise: the
     // escalation schedule is seeded from trace meta, so conversion
     // must preserve it exactly — disagreements and votes spent replay
-    // bit-identically from the v2 rendering, and the v1 round trip of
-    // the recording is byte-identical.
+    // bit-identically from the v1 trace upgraded to v2, whose element
+    // stream is the v1 one.
     SimulatedChip chip(testChipConfig('B', 8, 37));
     dram::FaultInjectionConfig chaos;
     chaos.transientFlipRate = 2e-3;
@@ -199,40 +245,32 @@ TEST(TraceV2, QuorumMetaSurvivesConversion)
     const auto patterns = chargedPatterns(8, 1);
     const auto words = dram::trueCellWords(chip);
     std::ostringstream recorded;
-    const ProfileCounts live = recordProfileTrace(
-        proxy, patterns, mc, words, recorded, {TraceFormat::V1, true});
+    const ProfileCounts live =
+        recordProfileTrace(proxy, patterns, mc, words, recorded);
     ASSERT_GT(live.totalDisagreements(), 0u)
         << "noise too weak to exercise the adaptive path";
+    const std::string v1_text = renderV1Trace(recorded.str());
 
-    const std::string v1_path = test::tempPath("quorum.trace");
-    const std::string v2_path = v1_path + "2";
-    const std::string rt_path = v1_path + ".rt";
+    const test::TempFile v1("quorum.trace");
+    const test::TempFile v2("quorum.trace2");
     {
-        std::ofstream out(v1_path, std::ios::binary);
-        out << recorded.str();
+        std::ofstream out(v1.path, std::ios::binary);
+        out << v1_text;
     }
-    dram::convertTraceFile(v1_path, v2_path, {TraceFormat::V2, true});
-    dram::convertTraceFile(v2_path, rt_path, {TraceFormat::V1, true});
+    dram::convertTraceFile(v1.path, v2.path, {});
 
-    std::ifstream rt(rt_path, std::ios::binary);
-    std::stringstream rt_text;
-    rt_text << rt.rdbuf();
-    EXPECT_EQ(rt_text.str(), recorded.str());
-
-    TraceReplayBackend trace(v2_path);
+    TraceReplayBackend trace(v2.path);
+    EXPECT_EQ(renderV1Trace(trace), v1_text);
     const ProfileCounts replayed = replayProfileTrace(trace);
     EXPECT_TRUE(trace.atEnd());
     EXPECT_TRUE(sameCounts(live, replayed));
-    for (const std::string &p : {v1_path, v2_path, rt_path})
-        std::remove(p.c_str());
 }
 
 TEST(TraceV2, PlanarReplayIsThreadCountInvariant)
 {
     // The sharded planar counting fast path promises bit-identical
     // counts at every thread count (integer adds commute).
-    const auto [live, v2_bytes] = recordMeasurement(
-        'C', 16, 67, {TraceFormat::V2, true});
+    const auto [live, v2_bytes] = recordMeasurement('C', 16, 67);
     for (std::size_t threads : {0, 1, 2, 3}) {
         std::istringstream in(v2_bytes);
         TraceReplayBackend trace(in);
@@ -251,10 +289,8 @@ TEST(TraceV2, PlanarReplayIsThreadCountInvariant)
 
 TEST(TraceV2, UncompressedFramesReplayIdentically)
 {
-    const auto [live, raw_bytes] = recordMeasurement(
-        'A', 8, 41, {TraceFormat::V2, false});
-    const auto [live2, sparse_bytes] = recordMeasurement(
-        'A', 8, 41, {TraceFormat::V2, true});
+    const auto [live, raw_bytes] = recordMeasurement('A', 8, 41, kRawFrames);
+    const auto [live2, sparse_bytes] = recordMeasurement('A', 8, 41);
     ASSERT_TRUE(sameCounts(live, live2));
     // Sparse frames only ever shrink the file.
     EXPECT_LE(sparse_bytes.size(), raw_bytes.size());
@@ -268,8 +304,7 @@ TEST(TraceV2, ScalarReplayOfBatchedRecordsMatches)
     // Batch boundaries are not part of the replay contract: a consumer
     // that only ever issues scalar reads/writes must replay a batched
     // v2 trace to the same counts.
-    const auto [live, v2_bytes] = recordMeasurement(
-        'A', 8, 41, {TraceFormat::V2, true});
+    const auto [live, v2_bytes] = recordMeasurement('A', 8, 41);
     SimulatedChip shape(testChipConfig('A', 8, 41));
 
     std::istringstream in(v2_bytes);
@@ -287,16 +322,15 @@ TEST(TraceV2Death, DivergenceNamesExpectedAndRequestedOps)
     // Strict-mismatch errors must say what the replayer asked for AND
     // what the trace recorded, with operands, so a mismatched
     // experiment script is debuggable from the message alone.
-    for (TraceFormat format : {TraceFormat::V1, TraceFormat::V2}) {
-        SimulatedChip chip(testChipConfig('A', 8, 53));
-        std::ostringstream out;
-        {
-            TraceRecorder recorder(chip, out, {format, true});
-            const gf2::BitVec ones = gf2::BitVec::ones(8);
-            recorder.writeDataword(3, ones);
-            (void)recorder.readDataword(3);
-        }
-        const std::string bytes = out.str();
+    SimulatedChip chip(testChipConfig('A', 8, 53));
+    std::ostringstream out;
+    {
+        TraceRecorder recorder(chip, out);
+        const gf2::BitVec ones = gf2::BitVec::ones(8);
+        recorder.writeDataword(3, ones);
+        (void)recorder.readDataword(3);
+    }
+    for (const std::string &bytes : {out.str(), renderV1Trace(out.str())}) {
 
         // Wrong operation kind: read where a write was recorded.
         {
@@ -336,7 +370,7 @@ TEST(TraceV2Death, BatchDivergenceReportsElementPosition)
     SimulatedChip chip(testChipConfig('A', 8, 53));
     std::ostringstream out;
     {
-        TraceRecorder recorder(chip, out, {TraceFormat::V2, true});
+        TraceRecorder recorder(chip, out);
         const std::size_t words[] = {0, 1, 2};
         recorder.writeDatawordsBroadcast(words, 3,
                                          gf2::BitVec::ones(8));
@@ -359,7 +393,7 @@ TEST(TraceV2Death, CorruptedReadFrameIsRejectedAtLoad)
     SimulatedChip chip(testChipConfig('A', 8, 53));
     std::ostringstream out;
     {
-        TraceRecorder recorder(chip, out, {TraceFormat::V2, false});
+        TraceRecorder recorder(chip, out, kRawFrames);
         const std::size_t words[] = {0, 1, 2};
         std::vector<gf2::BitVec> read;
         recorder.writeDatawordsBroadcast(words, 3,
@@ -387,7 +421,7 @@ TEST(TraceV2Death, ReadFrameTailBitsAreRejectedAtLoad)
     SimulatedChip chip(testChipConfig('A', 8, 53));
     std::ostringstream out;
     {
-        TraceRecorder recorder(chip, out, {TraceFormat::V2, false});
+        TraceRecorder recorder(chip, out, kRawFrames);
         const std::size_t words[] = {0, 1, 2};
         std::vector<gf2::BitVec> read;
         recorder.writeDatawordsBroadcast(words, 3,
@@ -432,7 +466,7 @@ TEST(TraceV2Death, TruncatedTraceIsRejectedAtLoad)
     SimulatedChip chip(testChipConfig('A', 8, 53));
     std::ostringstream out;
     {
-        TraceRecorder recorder(chip, out, {TraceFormat::V2, true});
+        TraceRecorder recorder(chip, out);
         recorder.writeDataword(0, gf2::BitVec::ones(8));
         recorder.pauseRefresh(60.0, 80.0);
     }
@@ -454,15 +488,11 @@ TEST(TraceV2Death, TruncatedTraceIsRejectedAtLoad)
 
 TEST(TraceV2, FormatSniffingAndNames)
 {
-    EXPECT_EQ(dram::parseTraceFormat("v1"), TraceFormat::V1);
-    EXPECT_EQ(dram::parseTraceFormat("2"), TraceFormat::V2);
-    EXPECT_FALSE(dram::parseTraceFormat("v3").has_value());
     EXPECT_STREQ(dram::traceFormatName(TraceFormat::V1), "v1");
     EXPECT_STREQ(dram::traceFormatName(TraceFormat::V2), "v2");
 
     const std::string path = test::tempPath("sniff.trace");
-    const auto [live, v2_bytes] = recordMeasurement(
-        'A', 8, 41, {TraceFormat::V2, true});
+    const auto [live, v2_bytes] = recordMeasurement('A', 8, 41);
     {
         std::ofstream out(path, std::ios::binary);
         out << v2_bytes;

@@ -940,38 +940,32 @@ TEST(TransposedChip, TraceBytesDoNotDependOnPlanarReads)
 {
     // The recorder writes planar frames as they come for a chip that
     // serves them, and transposes datawords for one that does not;
-    // both must produce the same bytes in either trace format.
+    // both must produce the same bytes.
     for (const char vendor : {'A', 'C'}) {
-        for (const dram::TraceFormat format :
-             {dram::TraceFormat::V1, dram::TraceFormat::V2}) {
-            const std::size_t k = 16;
-            ChipConfig config = diffConfig(vendor, k, 0xF0);
-            config.iidErrors = true;
-            const auto patterns = chargedPatterns(k, 1);
-            MeasureConfig measure;
-            measure.repeatsPerPause = 2;
-            measure.pausesSeconds.assign(
-                1, config.retention.pauseForBitErrorRate(0.08, 80.0));
-            dram::TraceWriteOptions options;
-            options.format = format;
+        const std::size_t k = 16;
+        ChipConfig config = diffConfig(vendor, k, 0xF0);
+        config.iidErrors = true;
+        const auto patterns = chargedPatterns(k, 1);
+        MeasureConfig measure;
+        measure.repeatsPerPause = 2;
+        measure.pausesSeconds.assign(
+            1, config.retention.pauseForBitErrorRate(0.08, 80.0));
 
-            SimulatedChip served(config);
-            std::ostringstream served_trace;
-            const ProfileCounts served_counts = recordProfileTrace(
-                served, patterns, measure, dram::trueCellWords(served),
-                served_trace, options);
+        SimulatedChip served(config);
+        std::ostringstream served_trace;
+        const ProfileCounts served_counts = recordProfileTrace(
+            served, patterns, measure, dram::trueCellWords(served),
+            served_trace);
 
-            SimulatedChip inner(config);
-            test::ScalarOnly declined(inner);
-            std::ostringstream declined_trace;
-            const ProfileCounts declined_counts = recordProfileTrace(
-                declined, patterns, measure, dram::trueCellWords(inner),
-                declined_trace, options);
+        SimulatedChip inner(config);
+        test::ScalarOnly declined(inner);
+        std::ostringstream declined_trace;
+        const ProfileCounts declined_counts = recordProfileTrace(
+            declined, patterns, measure, dram::trueCellWords(inner),
+            declined_trace);
 
-            EXPECT_TRUE(countsEqual(served_counts, declined_counts))
-                << vendor;
-            EXPECT_EQ(served_trace.str(), declined_trace.str())
-                << vendor << " format " << (int)format;
-        }
+        EXPECT_TRUE(countsEqual(served_counts, declined_counts))
+            << vendor;
+        EXPECT_EQ(served_trace.str(), declined_trace.str()) << vendor;
     }
 }

@@ -42,9 +42,6 @@ main(int argc, char **argv)
     cli.addOption("trace-out", "",
                   "record a simulated measurement trace to this file "
                   "instead of printing an exhaustive profile");
-    cli.addOption("trace-format", "v2",
-                  "trace format for --trace-out: v2 (binary columnar) "
-                  "or v1 (legacy text)");
     cli.addOption("vendor", "A",
                   "simulated chip style for --trace-out (A, B, or C)");
     cli.addOption("rows", "64", "simulated chip rows for --trace-out");
@@ -108,28 +105,18 @@ main(int argc, char **argv)
         measure.repeatsPerPause = (std::size_t)cli.getInt("repeats");
         measure.thresholdProbability = 1e-4;
 
-        dram::TraceWriteOptions trace_options;
-        const auto format =
-            dram::parseTraceFormat(cli.getString("trace-format"));
-        if (!format)
-            util::fatal("--trace-format must be v1 or v2, not '%s'",
-                        cli.getString("trace-format").c_str());
-        trace_options.format = *format;
-
         std::ofstream out(trace_path,
                           std::ios::binary | std::ios::trunc);
         if (!out)
             util::fatal("cannot open trace file '%s' for writing",
                         trace_path.c_str());
         const ProfileCounts counts = recordProfileTrace(
-            chip, patterns, measure, dram::trueCellWords(chip), out,
-            trace_options);
+            chip, patterns, measure, dram::trueCellWords(chip), out);
         std::fprintf(stderr,
                      "recorded %llu observations over %zu patterns "
-                     "to %s (%s)\n",
+                     "to %s (v2)\n",
                      (unsigned long long)counts.totalObservations(),
-                     patterns.size(), trace_path.c_str(),
-                     dram::traceFormatName(trace_options.format));
+                     patterns.size(), trace_path.c_str());
         return 0;
     }
 

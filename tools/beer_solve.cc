@@ -86,9 +86,6 @@ main(int argc, char **argv)
     cli.addOption("trace", "",
                   "measure from a recorded operation trace instead of "
                   "reading a profile file");
-    cli.addOption("trace-format", "auto",
-                  "expected --trace format: auto (sniff), v1, or v2 "
-                  "(mismatch is an error)");
     cli.addOption("replay-threads", "1",
                   "worker threads for v2 planar replay counting (0 = "
                   "all hardware threads); counts are identical for "
@@ -115,19 +112,6 @@ main(int argc, char **argv)
     const std::string trace_path = cli.getString("trace");
     if (!trace_path.empty()) {
         dram::TraceReplayBackend trace(trace_path);
-        const std::string expect = cli.getString("trace-format");
-        if (expect != "auto") {
-            const auto format = dram::parseTraceFormat(expect);
-            if (!format)
-                util::fatal("--trace-format must be auto, v1, or v2, "
-                            "not '%s'",
-                            expect.c_str());
-            if (trace.format() != *format)
-                util::fatal("'%s' is a %s trace, not %s",
-                            trace_path.c_str(),
-                            dram::traceFormatName(trace.format()),
-                            dram::traceFormatName(*format));
-        }
         std::optional<util::ThreadPool> pool;
         const auto replay_threads =
             (std::size_t)cli.getInt("replay-threads");

@@ -1,19 +1,17 @@
 /**
  * @file
- * Convert measurement operation traces between the v1 text and v2
- * binary columnar formats (dram/trace.hh). Conversion is lossless at
- * the operation level — both files replay bit-identically — and
- * v1 -> v2 -> v1 reproduces recorder-produced v1 files byte for byte:
+ * Convert measurement operation traces (dram/trace.hh) to the v2
+ * binary columnar format: a v1 text trace is upgraded, and a v2 trace
+ * is re-encoded with raw (--no-compress) or sparse read frames. The
+ * output always holds the input's element stream, so both files
+ * replay to identical profile counts:
  *
- *     beer_profile_gen --k 16 --vendor A --trace-out m.trace \
- *         --trace-format v1
- *     beer_trace_convert --in m.trace --out m.trace2              # v2
- *     beer_trace_convert --in m.trace2 --out m.trace.rt --format v1
- *     cmp m.trace m.trace.rt
+ *     beer_trace_convert --in m.trace --out m2.trace --verify
  *
  * --verify replays both files through the measurement loop and
  * cross-checks the profile counts, so a conversion can be trusted
- * before the original is archived or deleted.
+ * before the original is archived or deleted. Nothing writes v1, so
+ * there is no way back.
  */
 
 #include <cstdio>
@@ -45,11 +43,10 @@ sameCounts(const ProfileCounts &a, const ProfileCounts &b)
 int
 main(int argc, char **argv)
 {
-    util::Cli cli("Convert a BEER measurement trace between the v1 "
-                  "text and v2 binary formats");
+    util::Cli cli("Convert a BEER measurement trace (v1 or v2) to the "
+                  "v2 binary format");
     cli.addOption("in", "", "input trace path (format is sniffed)");
     cli.addOption("out", "", "output trace path");
-    cli.addOption("format", "v2", "output format: v1 or v2");
     cli.addFlag("no-compress",
                 "store v2 read frames raw instead of sparse-encoded");
     cli.addFlag("verify",
@@ -63,21 +60,15 @@ main(int argc, char **argv)
         util::fatal("--in and --out are both required");
 
     dram::TraceWriteOptions options;
-    const auto format = dram::parseTraceFormat(cli.getString("format"));
-    if (!format)
-        util::fatal("--format must be v1 or v2, not '%s'",
-                    cli.getString("format").c_str());
-    options.format = *format;
     options.compressFrames = !cli.getBool("no-compress");
 
     const dram::TraceConvertStats stats =
         dram::convertTraceFile(in_path, out_path, options);
     std::fprintf(stderr,
-                 "%s %s (%ju bytes) -> %s %s (%ju bytes): %zu ops, "
+                 "%s %s (%ju bytes) -> v2 %s (%ju bytes): %zu ops, "
                  "%.2fx size\n",
                  dram::traceFormatName(stats.from), in_path.c_str(),
-                 (std::uintmax_t)stats.bytesIn,
-                 dram::traceFormatName(stats.to), out_path.c_str(),
+                 (std::uintmax_t)stats.bytesIn, out_path.c_str(),
                  (std::uintmax_t)stats.bytesOut, stats.ops,
                  stats.bytesOut
                      ? (double)stats.bytesIn / (double)stats.bytesOut
