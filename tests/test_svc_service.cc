@@ -626,10 +626,15 @@ TEST(SvcService, EnospcWindowRejectsSubmissionsInsteadOfLosingThem)
 {
     // When the disk fills, un-journalable submissions must be refused
     // up front (the client knows and can retry) — never accepted into
-    // a state a crash would silently lose.
+    // a state a crash would silently lose. The second submission is a
+    // different chip's profile: a repeat of the first could be an
+    // exact cache hit, which needs no journal record and is accepted.
     Rng rng(79);
     const LinearCode code = randomSecCode(8, rng);
     const MiscorrectionProfile profile = plantedProfile(code, {1, 2});
+    const MiscorrectionProfile other =
+        plantedProfile(randomSecCode(8, rng), {1, 2});
+    ASSERT_FALSE(other == profile);
     const std::string path = test::tempPath("journal.log");
     std::remove(path.c_str());
 
@@ -647,7 +652,7 @@ TEST(SvcService, EnospcWindowRejectsSubmissionsInsteadOfLosingThem)
     const SubmitOutcome first = service.submitProfile(profile);
     ASSERT_TRUE(first.accepted) << first.error;
 
-    const SubmitOutcome second = service.submitProfile(profile);
+    const SubmitOutcome second = service.submitProfile(other);
     EXPECT_FALSE(second.accepted);
     EXPECT_EQ(second.reject, SubmitOutcome::Reject::Overloaded);
     EXPECT_NE(second.error.find("journal"), std::string::npos)
@@ -659,6 +664,19 @@ TEST(SvcService, EnospcWindowRejectsSubmissionsInsteadOfLosingThem)
     service.drain();
     EXPECT_TRUE(service.job(first.id)->succeeded);
     EXPECT_GT(service.health().journal.appendFailures, 0u);
+
+    // With the first answer cached, its repeat is an exact hit: it is
+    // accepted even though the disk is still full, and it appends
+    // nothing to the journal.
+    const std::uint64_t faults = chaos_io.enospcFaults();
+    const std::uint64_t failures =
+        service.health().journal.appendFailures;
+    const SubmitOutcome repeat = service.submitProfile(profile);
+    ASSERT_TRUE(repeat.accepted) << repeat.error;
+    EXPECT_EQ(service.job(repeat.id)->state, JobState::Done);
+    EXPECT_EQ(service.job(repeat.id)->cache, CacheOutcome::Exact);
+    EXPECT_EQ(chaos_io.enospcFaults(), faults);
+    EXPECT_EQ(service.health().journal.appendFailures, failures);
     service.shutdown();
     std::remove(path.c_str());
 }

@@ -25,6 +25,34 @@
 
 using beer::util::ThreadPool;
 
+namespace
+{
+
+/**
+ * Yield until @p value() reaches @p target. After 30 s it gives up
+ * with a failure naming @p what and its last value, so a lost wakeup
+ * fails the test instead of hanging the suite.
+ */
+template <typename Value>
+::testing::AssertionResult
+waitUntilReaches(const char *what, Value value, std::size_t target)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    for (;;) {
+        const auto seen = (std::size_t)value();
+        if (seen >= target)
+            return ::testing::AssertionSuccess();
+        if (std::chrono::steady_clock::now() > deadline)
+            return ::testing::AssertionFailure()
+                   << what << " stuck at " << seen << " of " << target
+                   << " after 30 s";
+        std::this_thread::yield();
+    }
+}
+
+} // anonymous namespace
+
 TEST(ThreadPool, RunsEveryIndexExactlyOnce)
 {
     ThreadPool pool(4);
@@ -77,15 +105,17 @@ TEST(ThreadPool, ZeroMeansHardwareConcurrency)
 
 TEST(ThreadPool, SubmitRunsTasksAndCountsThem)
 {
+    // The pool is declared after what its tasks use, so its destructor
+    // joins the workers before those objects go away.
+    constexpr std::size_t kTasks = 64;
+    std::atomic<std::size_t> ran{0};
+    std::mutex mutex;
+    std::condition_variable done;
     ThreadPool pool(4);
     EXPECT_EQ(pool.queuedTasks(), 0u);
     EXPECT_EQ(pool.activeTasks(), 0u);
     EXPECT_EQ(pool.completedTasks(), 0u);
 
-    constexpr std::size_t kTasks = 64;
-    std::atomic<std::size_t> ran{0};
-    std::mutex mutex;
-    std::condition_variable done;
     for (std::size_t i = 0; i < kTasks; ++i)
         pool.submit([&] {
             if (ran.fetch_add(1) + 1 == kTasks) {
@@ -93,14 +123,18 @@ TEST(ThreadPool, SubmitRunsTasksAndCountsThem)
                 done.notify_all();
             }
         });
-    std::unique_lock<std::mutex> lock(mutex);
-    done.wait(lock, [&] { return ran.load() == kTasks; });
+    {
+        // The lock must be released before polling: the last task
+        // takes it to notify, and counts as completed only after.
+        std::unique_lock<std::mutex> lock(mutex);
+        done.wait(lock, [&] { return ran.load() == kTasks; });
+    }
 
     // Once the last task has run, every counter must settle: the
     // notifying task may still be inside the pool's bookkeeping, so
     // poll completedTasks briefly instead of asserting instantly.
-    while (pool.completedTasks() < kTasks)
-        std::this_thread::yield();
+    ASSERT_TRUE(waitUntilReaches(
+        "completedTasks", [&] { return pool.completedTasks(); }, kTasks));
     EXPECT_EQ(pool.completedTasks(), kTasks);
     EXPECT_EQ(pool.queuedTasks(), 0u);
     EXPECT_EQ(pool.activeTasks(), 0u);
@@ -110,11 +144,11 @@ TEST(ThreadPool, TaskCountersObserveQueuedAndActiveStates)
 {
     // One worker (size 2 = worker + caller): gate the first task so a
     // second submission is observably queued behind it.
-    ThreadPool pool(2);
     std::mutex mutex;
     std::condition_variable cv;
     bool release = false;
     bool started = false;
+    ThreadPool pool(2);
 
     pool.submit([&] {
         std::unique_lock<std::mutex> lock(mutex);
@@ -137,8 +171,8 @@ TEST(ThreadPool, TaskCountersObserveQueuedAndActiveStates)
         release = true;
     }
     cv.notify_all();
-    while (pool.completedTasks() < 2)
-        std::this_thread::yield();
+    ASSERT_TRUE(waitUntilReaches(
+        "completedTasks", [&] { return pool.completedTasks(); }, 2));
     EXPECT_EQ(pool.queuedTasks(), 0u);
     EXPECT_EQ(pool.activeTasks(), 0u);
 }
@@ -164,8 +198,8 @@ TEST(ThreadPool, SubmitCoexistsWithParallelFor)
     pool.parallelFor(100, [&](std::size_t i) { sum += i; });
     EXPECT_EQ(sum.load(), 100u * 99u / 2);
 
-    while (pool.completedTasks() < 16)
-        std::this_thread::yield();
+    ASSERT_TRUE(waitUntilReaches(
+        "completedTasks", [&] { return pool.completedTasks(); }, 16));
     EXPECT_EQ(taskRuns.load(), 16u);
 }
 
@@ -256,10 +290,10 @@ TEST(ThreadPool, ClaimableTaskJoinRunsInlineWhenWorkersAreBusy)
     // Pin the only worker, then join an unclaimed task: join() must
     // execute it on the calling thread (this is what keeps BEEP's
     // prefetch deadlock-free on a saturated shared pool).
-    ThreadPool pool(2);
     std::mutex mutex;
     std::condition_variable cv;
     bool release = false;
+    ThreadPool pool(2);
     pool.submit([&] {
         std::unique_lock<std::mutex> lock(mutex);
         cv.wait(lock, [&] { return release; });
@@ -278,8 +312,8 @@ TEST(ThreadPool, ClaimableTaskJoinRunsInlineWhenWorkersAreBusy)
         release = true;
     }
     cv.notify_all();
-    while (pool.completedTasks() < 2)
-        std::this_thread::yield();
+    ASSERT_TRUE(waitUntilReaches(
+        "completedTasks", [&] { return pool.completedTasks(); }, 2));
     // The worker's claim attempt lost: the function ran only once.
     EXPECT_EQ(runs.load(), 1);
 }
@@ -293,8 +327,8 @@ TEST(ThreadPool, ClaimableTaskJoinAfterWorkerClaimDoesNotRerun)
         runner = std::this_thread::get_id();
         ++runs;
     });
-    while (runs.load() == 0)
-        std::this_thread::yield();
+    ASSERT_TRUE(waitUntilReaches(
+        "runs", [&] { return runs.load(); }, 1));
     // The worker ran it; join() must wait for it, not execute it again.
     task.join();
     EXPECT_EQ(runs.load(), 1);
@@ -313,10 +347,10 @@ TEST(ThreadPool, ClaimableTaskCancelBeforeClaimSkipsExecution)
 {
     // Queue the task behind a blocker so no worker reaches it, then
     // cancel: the function must never run, not even on a later join.
-    ThreadPool pool(2);
     std::mutex mutex;
     std::condition_variable cv;
     bool release = false;
+    ThreadPool pool(2);
     pool.submit([&] {
         std::unique_lock<std::mutex> lock(mutex);
         cv.wait(lock, [&] { return release; });
@@ -329,8 +363,8 @@ TEST(ThreadPool, ClaimableTaskCancelBeforeClaimSkipsExecution)
         release = true;
     }
     cv.notify_all();
-    while (pool.completedTasks() < 2)
-        std::this_thread::yield();
+    ASSERT_TRUE(waitUntilReaches(
+        "completedTasks", [&] { return pool.completedTasks(); }, 2));
     EXPECT_EQ(runs.load(), 0);
     task.join();
     EXPECT_EQ(runs.load(), 0);
