@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "beep/beep.hh"
 #include "beep/eval.hh"
@@ -278,4 +280,100 @@ TEST(Beep, PrefetchMatchesSerialCrafting)
     EXPECT_EQ(prefetched.informativeReads, serial.informativeReads);
     EXPECT_EQ(prefetched.skippedTargets, serial.skippedTargets);
     EXPECT_EQ(serial.prefetchedPatterns, 0u);
+}
+
+namespace
+{
+
+/** FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** Word that logs every pattern BEEP tests on it, in order. */
+class RecordingWord : public WordUnderTest
+{
+  public:
+    explicit RecordingWord(WordUnderTest &inner) : inner_(inner) {}
+
+    BitVec test(const BitVec &dataword) override
+    {
+        log_ << dataword.toString() << ';';
+        return inner_.test(dataword);
+    }
+
+    void testMany(const BitVec *datawords, std::size_t count,
+                  std::vector<BitVec> &out) override
+    {
+        for (std::size_t i = 0; i < count; ++i)
+            log_ << datawords[i].toString() << ';';
+        inner_.testMany(datawords, count, out);
+    }
+
+    std::string log() const { return log_.str(); }
+
+  private:
+    WordUnderTest &inner_;
+    std::ostringstream log_;
+};
+
+} // anonymous namespace
+
+/**
+ * The serial BEEP stream is pinned: which patterns the profiler tests,
+ * in which order, and what it concludes from them. The first case is
+ * the (63,57) setup of ProfileFindsPlantedCellsCertainFailure; the
+ * others vary the code, the planted cells, P[error] and the pass
+ * count. A change that is meant to leave BEEP's output alone must
+ * leave these literals as they are.
+ */
+TEST(Beep, SerialProfileIsPinned)
+{
+    struct Pinned
+    {
+        std::uint64_t codeSeed;
+        std::size_t k;
+        std::vector<std::size_t> planted;
+        double failProb;
+        std::uint64_t wordSeed;
+        std::uint64_t profilerSeed;
+        std::size_t passes;
+        std::size_t readsPerPattern;
+        std::uint64_t fingerprint;
+    };
+    const Pinned pinned[] = {
+        {17, 57, {4, 23, 40, 60}, 1.0, 19, 21, 2, 4, 0xf1aedf443f2d7131ULL},
+        {17, 57, {4, 23, 40, 60}, 1.0, 19, 21, 1, 4, 0x5b752024bd1e265cULL},
+        {5, 26, {3, 17, 29}, 0.5, 7, 11, 2, 8, 0xbd14b78e263615a8ULL},
+        {41, 120, {0, 60, 126}, 0.75, 43, 47, 1, 8, 0x8be823a22a700668ULL},
+    };
+    for (const Pinned &p : pinned) {
+        Rng rng(p.codeSeed);
+        const LinearCode code = randomSecCode(p.k, rng);
+        SimulatedWord simulated(code, p.planted, p.failProb, p.wordSeed);
+        RecordingWord word(simulated);
+        BeepConfig config;
+        config.passes = p.passes;
+        config.readsPerPattern = p.readsPerPattern;
+        config.seed = p.profilerSeed;
+        Profiler profiler(code, config);
+        const BeepResult result = profiler.profile(word);
+
+        std::ostringstream out;
+        for (std::size_t cell : result.errorCells)
+            out << cell << ',';
+        out << '|' << result.patternsTested << '|' << result.reads << '|'
+            << result.informativeReads << '|' << result.skippedTargets
+            << '|' << word.log();
+        EXPECT_EQ(fnv1a(out.str()), p.fingerprint)
+            << "code seed " << p.codeSeed << " k=" << p.k << " passes "
+            << p.passes << std::hex << " got 0x" << fnv1a(out.str());
+    }
 }
