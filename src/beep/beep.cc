@@ -1,8 +1,6 @@
 #include "beep/beep.hh"
 
 #include <algorithm>
-#include <deque>
-#include <memory>
 #include <utility>
 
 #include "ecc/decoder.hh"
@@ -245,24 +243,6 @@ randomPattern(const LinearCode &code, std::size_t target,
 
 } // anonymous namespace
 
-namespace
-{
-
-/** One in-flight concurrent craft. The task owns its inputs (a known-
- * set snapshot) and writes through a shared result slot, so dropping
- * the queue entry never invalidates anything the task touches. */
-struct Prefetch
-{
-    /** Linear position pass * n + target this craft is meant for. */
-    std::size_t pos = 0;
-    /** known-set change count at launch; stale when it moved on. */
-    std::uint64_t version = 0;
-    std::shared_ptr<std::optional<BitVec>> out;
-    util::ClaimableTask task;
-};
-
-} // anonymous namespace
-
 BeepResult
 Profiler::profile(WordUnderTest &word)
 {
@@ -276,86 +256,16 @@ Profiler::profile(WordUnderTest &word)
     patterns.reserve(config_.readsPerPattern);
     std::vector<BitVec> reads;
 
-    // Concurrent pattern crafting: while the current target's read
-    // batch is on the DRAM, pool tasks craft patterns for the next
-    // targets against a snapshot of `known`. A prefetch is only
-    // honored when `known` has not changed since (crafting is a pure
-    // function of the known set), so the pattern stream is identical
-    // to serial crafting; mispredictions just fall back inline.
-    const bool prefetching = config_.craftPool != nullptr &&
-                             config_.satCrafting &&
-                             config_.craftAhead > 0;
-    std::deque<Prefetch> prefetches;
-    std::uint64_t version = 0;
-    const std::size_t total_positions = config_.passes * n;
-    std::size_t cursor = 0; // next linear position to consider
-
-    const auto top_up = [&](std::size_t current_pos) {
-        if (!prefetching || known.empty())
-            return;
-        if (cursor <= current_pos)
-            cursor = current_pos + 1;
-        while (prefetches.size() < config_.craftAhead &&
-               cursor < total_positions) {
-            const std::size_t target = cursor % n;
-            const std::size_t pos = cursor++;
-            if (known.count(target))
-                continue;
-            Prefetch pf;
-            pf.pos = pos;
-            pf.version = version;
-            pf.out = std::make_shared<std::optional<BitVec>>();
-            pf.task = util::ClaimableTask(
-                *config_.craftPool,
-                [this, target, snapshot = known, out = pf.out] {
-                    *out = craftAny(target, snapshot);
-                });
-            prefetches.push_back(std::move(pf));
-        }
-    };
-
     bool stopped = false;
     for (std::size_t pass = 0; pass < config_.passes && !stopped;
          ++pass) {
         for (std::size_t target = 0; target < n; ++target) {
-            const std::size_t pos = pass * n + target;
-            if (known.count(target)) {
-                // Skipped turn: any prefetch aimed here is now moot.
-                while (!prefetches.empty() &&
-                       prefetches.front().pos <= pos) {
-                    prefetches.front().task.cancel();
-                    prefetches.pop_front();
-                    ++result.prefetchDiscards;
-                }
+            if (known.count(target))
                 continue; // already identified as error-prone
-            }
 
             std::optional<BitVec> pattern;
-            if (config_.satCrafting && !known.empty()) {
-                bool served = false;
-                while (!prefetches.empty() &&
-                       prefetches.front().pos < pos) {
-                    prefetches.front().task.cancel();
-                    prefetches.pop_front();
-                    ++result.prefetchDiscards;
-                }
-                if (!prefetches.empty() &&
-                    prefetches.front().pos == pos) {
-                    Prefetch pf = std::move(prefetches.front());
-                    prefetches.pop_front();
-                    if (pf.version == version) {
-                        pf.task.join();
-                        pattern = *pf.out;
-                        served = true;
-                        ++result.prefetchedPatterns;
-                    } else {
-                        pf.task.cancel();
-                        ++result.prefetchDiscards;
-                    }
-                }
-                if (!served)
-                    pattern = craftAny(target, known);
-            }
+            if (config_.satCrafting && !known.empty())
+                pattern = craftAny(target, known);
             const bool crafted = pattern.has_value();
             if (!crafted) {
                 ++result.skippedTargets; // SAT found no pattern
@@ -380,9 +290,6 @@ Profiler::profile(WordUnderTest &word)
                                        ? *pattern
                                        : randomPattern(code_, target,
                                                        rng_));
-            // Queue upcoming targets' crafts now so they run on the
-            // pool while the read batch below occupies the DRAM.
-            top_up(pos);
             word.testMany(patterns.data(), patterns.size(), reads);
 
             const std::size_t usable =
@@ -394,9 +301,7 @@ Profiler::profile(WordUnderTest &word)
                 if (!inferred)
                     continue;
                 ++result.informativeReads;
-                for (std::size_t cell : *inferred)
-                    if (known.insert(cell).second)
-                        ++version; // invalidates in-flight prefetches
+                known.insert(inferred->begin(), inferred->end());
             }
             if (reads.size() < patterns.size()) {
                 stopped = true; // backend quit early (shutdown request)
@@ -404,9 +309,6 @@ Profiler::profile(WordUnderTest &word)
             }
         }
     }
-
-    for (Prefetch &pf : prefetches)
-        pf.task.cancel();
 
     result.errorCells.assign(known.begin(), known.end());
     return result;

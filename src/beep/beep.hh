@@ -32,7 +32,6 @@
 #include "ecc/linear_code.hh"
 #include "gf2/bitvec.hh"
 #include "util/rng.hh"
-#include "util/thread_pool.hh"
 
 namespace beer::beep
 {
@@ -53,18 +52,6 @@ struct BeepConfig
     /** Enforce the worst-case-coupling neighbor constraint. */
     bool neighborConstraint = true;
     std::uint64_t seed = 1;
-    /**
-     * Craft upcoming targets' SAT patterns on pool tasks while the
-     * current target's read batch runs on the DRAM (nullptr = serial
-     * crafting between measurements). Results are bit-identical to
-     * serial: per-target crafting depends only on the known error set,
-     * so a prefetched pattern is used only when that set is unchanged
-     * since the prefetch launched; stale prefetches are discarded and
-     * the pattern re-crafted inline. Must outlive the profile() call.
-     */
-    util::ThreadPool *craftPool = nullptr;
-    /** Targets crafted ahead of the measurement cursor (craftPool). */
-    std::size_t craftAhead = 2;
 };
 
 /** Profiling output. */
@@ -80,11 +67,6 @@ struct BeepResult
     std::size_t informativeReads = 0;
     /** Target bits skipped because no suitable pattern existed. */
     std::size_t skippedTargets = 0;
-    /** Patterns served by a concurrent prefetch (craftPool mode). */
-    std::size_t prefetchedPatterns = 0;
-    /** Prefetches dropped (known set changed, or target identified
-     * as error-prone before its turn). */
-    std::size_t prefetchDiscards = 0;
 };
 
 /** BEEP profiler bound to a known (BEER-recovered) ECC function. */
@@ -109,17 +91,6 @@ class Profiler
                  bool require_neighbor_constraint) const;
 
     /**
-     * craftPattern() with the profiling loop's fallback chain: honor
-     * the neighbor constraint when configured, relax it when no
-     * pattern satisfies it. Pure function of (target, known_errors):
-     * no Rng draws, no mutable Profiler state — safe to call from
-     * several threads at once (the prefetch path does).
-     */
-    std::optional<gf2::BitVec>
-    craftAny(std::size_t target_bit,
-             const std::set<std::size_t> &known_errors) const;
-
-    /**
      * Interpret one observation: given the written dataword and the
      * post-correction read, infer raw error positions (Equation 4).
      * Returns inferred codeword error positions, or std::nullopt when
@@ -131,6 +102,16 @@ class Profiler
                    const gf2::BitVec &read) const;
 
   private:
+    /**
+     * craftPattern() with the profiling loop's fallback chain: honor
+     * the neighbor constraint when configured, relax it when no
+     * pattern satisfies it. Pure function of (target, known_errors):
+     * no Rng draws and no mutable Profiler state.
+     */
+    std::optional<gf2::BitVec>
+    craftAny(std::size_t target_bit,
+             const std::set<std::size_t> &known_errors) const;
+
     const ecc::LinearCode &code_;
     BeepConfig config_;
     mutable util::Rng rng_;

@@ -1,59 +1,9 @@
 #include "sat/dimacs.hh"
 
-#include <sstream>
-#include <string>
-
 #include "sat/solver.hh"
-#include "util/logging.hh"
 
 namespace beer::sat
 {
-
-Cnf
-parseDimacs(std::istream &in)
-{
-    Cnf cnf;
-    std::string line;
-    std::size_t expected_clauses = 0;
-    bool header_seen = false;
-    std::vector<Lit> current;
-
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == 'c')
-            continue;
-        if (line[0] == 'p') {
-            std::istringstream ss(line);
-            std::string p, fmt;
-            ss >> p >> fmt >> cnf.numVars >> expected_clauses;
-            if (fmt != "cnf")
-                util::fatal("DIMACS: unsupported format '%s'",
-                            fmt.c_str());
-            header_seen = true;
-            continue;
-        }
-        if (!header_seen)
-            util::fatal("DIMACS: clause before 'p cnf' header");
-        std::istringstream ss(line);
-        long v;
-        while (ss >> v) {
-            if (v == 0) {
-                cnf.clauses.push_back(current);
-                current.clear();
-            } else {
-                const auto var = (Var)(std::labs(v) - 1);
-                if ((std::size_t)var >= cnf.numVars)
-                    util::fatal("DIMACS: variable %ld out of range", v);
-                current.push_back(mkLit(var, v < 0));
-            }
-        }
-    }
-    if (!current.empty())
-        cnf.clauses.push_back(current);
-    if (expected_clauses && cnf.clauses.size() != expected_clauses)
-        util::warn("DIMACS: header promised %zu clauses, found %zu",
-                   expected_clauses, cnf.clauses.size());
-    return cnf;
-}
 
 void
 printDimacs(const Cnf &cnf, std::ostream &out)
@@ -64,21 +14,6 @@ printDimacs(const Cnf &cnf, std::ostream &out)
             out << (l.sign() ? -(long)(l.var() + 1) : (long)(l.var() + 1))
                 << ' ';
         out << "0\n";
-    }
-}
-
-void
-loadCnf(const Cnf &cnf, Solver &solver)
-{
-    const auto base = (Var)solver.numVars();
-    for (std::size_t i = 0; i < cnf.numVars; ++i)
-        solver.newVar();
-    for (const auto &clause : cnf.clauses) {
-        std::vector<Lit> shifted;
-        shifted.reserve(clause.size());
-        for (Lit l : clause)
-            shifted.push_back(mkLit(l.var() + base, l.sign()));
-        solver.addClause(std::move(shifted));
     }
 }
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * DIMACS CNF parsing/printing. Used by the SAT unit tests to feed
- * reference formulas to the solver and to dump BEER instances for
- * inspection by external tools.
+ * DIMACS CNF export: dump a solver's problem clauses (BEER instances
+ * included, via `beer_solve --dimacs-out`) for inspection by external
+ * tools. The library writes DIMACS only; the SAT tests carry their own
+ * reader (tests/ref/dimacs_reader.hh).
  */
 
 #ifndef BEER_SAT_DIMACS_HH
 #define BEER_SAT_DIMACS_HH
 
-#include <istream>
 #include <ostream>
 #include <vector>
 
@@ -26,19 +26,8 @@ struct Cnf
     std::vector<std::vector<Lit>> clauses;
 };
 
-/**
- * Parse DIMACS CNF from @p in.
- *
- * Fatal on malformed input (this is a test/debug path, not a user
- * input path).
- */
-Cnf parseDimacs(std::istream &in);
-
 /** Print @p cnf in DIMACS format. */
 void printDimacs(const Cnf &cnf, std::ostream &out);
-
-/** Load a CNF into a fresh region of @p solver, creating variables. */
-void loadCnf(const Cnf &cnf, Solver &solver);
 
 /**
  * Snapshot @p solver's problem clauses (root units included, learned

@@ -202,13 +202,6 @@ Solver::resumeGroup(GroupId group)
     groups_[group].suspended = false;
 }
 
-bool
-Solver::groupSuspended(GroupId group) const
-{
-    BEER_ASSERT(group < groups_.size());
-    return !groups_[group].retired && groups_[group].suspended;
-}
-
 void
 Solver::releaseGroup(GroupId group)
 {

@@ -156,9 +156,6 @@ class Solver
     /** Re-enable a group disabled by suspendGroup(). Idempotent. */
     void resumeGroup(GroupId group);
 
-    /** True iff @p group is currently suspended (and not retired). */
-    bool groupSuspended(GroupId group) const;
-
     /**
      * Snapshot of the problem clauses (root-level units included,
      * learned clauses excluded). Group clauses appear with their guard

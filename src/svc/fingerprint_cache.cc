@@ -91,13 +91,16 @@ FingerprintCache::fingerprint(const MiscorrectionProfile &profile,
 }
 
 FingerprintCache::Hit
-FingerprintCache::lookupLocked(std::uint64_t hash, std::size_t k,
-                               std::size_t parity_bits,
-                               const std::string &text)
+FingerprintCache::lookup(const MiscorrectionProfile &profile,
+                         std::size_t parity_bits)
 {
+    // Canonicalize outside the lock; only the table probe is shared.
+    const std::string text = canonicalText(profile);
+    const std::uint64_t hash = hashCanonical(profile.k, parity_bits, text);
+    std::lock_guard<std::mutex> lock(mutex_);
     Hit hit;
     const auto it = byHash_.find(hash);
-    if (it != byHash_.end() && it->second->k == k &&
+    if (it != byHash_.end() && it->second->k == profile.k &&
         it->second->parityBits == parity_bits &&
         it->second->text == text) {
         entries_.splice(entries_.begin(), entries_, it->second);
@@ -109,40 +112,6 @@ FingerprintCache::lookupLocked(std::uint64_t hash, std::size_t k,
 
     ++stats_.misses;
     return hit;
-}
-
-FingerprintCache::Hit
-FingerprintCache::lookup(const MiscorrectionProfile &profile,
-                         std::size_t parity_bits)
-{
-    const std::string text = canonicalText(profile);
-    const std::uint64_t hash = hashCanonical(profile.k, parity_bits, text);
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lookupLocked(hash, profile.k, parity_bits, text);
-}
-
-std::vector<FingerprintCache::Hit>
-FingerprintCache::lookupMany(const std::vector<LookupRequest> &requests)
-{
-    // Canonicalize outside the lock; only the table probe is shared.
-    std::vector<std::string> texts;
-    texts.reserve(requests.size());
-    for (const LookupRequest &request : requests)
-        texts.push_back(canonicalText(*request.profile));
-
-    std::vector<Hit> hits;
-    hits.reserve(requests.size());
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.batchedPasses;
-    stats_.batchedRequests += requests.size();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const LookupRequest &request = requests[i];
-        const std::size_t k = request.profile->k;
-        hits.push_back(lookupLocked(
-            hashCanonical(k, request.parityBits, texts[i]), k,
-            request.parityBits, texts[i]));
-    }
-    return hits;
 }
 
 void

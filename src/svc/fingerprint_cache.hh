@@ -19,8 +19,11 @@
  *    server keeps its accumulated population knowledge.
  *
  * Only provably-unique solves are inserted: a cached function is an
- * answer, not a candidate. All methods are thread-safe; recovery jobs
- * call lookup/insert concurrently from scheduler threads.
+ * answer, not a candidate. All methods are thread-safe: the service
+ * calls lookup() from submitting threads and scheduler workers at
+ * once, and insert() from workers. A lookup canonicalizes its profile
+ * before taking the lock, so concurrent lookups share only the table
+ * probe.
  */
 
 #ifndef BEER_SVC_FINGERPRINT_CACHE_HH
@@ -64,11 +67,6 @@ struct FingerprintCacheStats
     std::uint64_t evictions = 0;
     /** Entries restored by the last loadFromDisk(). */
     std::size_t loadedEntries = 0;
-    /** lookupMany() passes served (each is ONE lock acquisition). */
-    std::uint64_t batchedPasses = 0;
-    /** Individual lookups those passes carried; exceeding
-     * batchedPasses proves requests actually combined. */
-    std::uint64_t batchedRequests = 0;
 };
 
 /** LRU cache of profile fingerprint -> solved ECC function. */
@@ -96,25 +94,6 @@ class FingerprintCache
      */
     Hit lookup(const MiscorrectionProfile &profile,
                std::size_t parity_bits);
-
-    /** One lookup of a lookupMany() batch. The profile pointer must
-     * stay valid for the duration of the call. */
-    struct LookupRequest
-    {
-        const MiscorrectionProfile *profile = nullptr;
-        std::size_t parityBits = 0;
-    };
-
-    /**
-     * Serve every request of @p requests under a SINGLE mutex
-     * acquisition, in order (earlier requests refresh LRU positions
-     * later ones observe). Results line up index-for-index with the
-     * requests. Under concurrent job bursts this replaces N
-     * lock/unlock round-trips — and N cache-line bounces of the LRU
-     * list head — with one pass; batchedPasses/batchedRequests in
-     * stats() prove how much combining actually happened.
-     */
-    std::vector<Hit> lookupMany(const std::vector<LookupRequest> &requests);
 
     /**
      * Insert (or refresh) the solved function for @p profile,
@@ -155,9 +134,6 @@ class FingerprintCache
         ecc::LinearCode code;
     };
 
-    Hit lookupLocked(std::uint64_t hash, std::size_t k,
-                     std::size_t parity_bits,
-                     const std::string &text);
     void insertLocked(Entry entry);
 
     FingerprintCacheConfig config_;

@@ -175,8 +175,6 @@ healthJson(const HealthReport &health)
         << ",\"inserts\":" << health.cache.inserts
         << ",\"evictions\":" << health.cache.evictions
         << ",\"loaded\":" << health.cache.loadedEntries
-        << ",\"batched_passes\":" << health.cache.batchedPasses
-        << ",\"batched_requests\":" << health.cache.batchedRequests
         << "},\"journal\":{\"bytes\":" << health.journal.bytes
         << ",\"records\":" << health.journal.records
         << ",\"live_records\":" << health.journal.liveRecords
@@ -189,8 +187,7 @@ healthJson(const HealthReport &health)
         << "},\"sat_solves\":" << health.satSolves
         << ",\"legacy_payloads\":" << health.legacyPayloads
         << ",\"trace_v1_jobs\":" << health.traceV1Jobs
-        << ",\"trace_v2_jobs\":" << health.traceV2Jobs
-        << ",\"batched_lookups\":" << health.batchedLookups << "}";
+        << ",\"trace_v2_jobs\":" << health.traceV2Jobs << "}";
     return out.str();
 }
 

@@ -278,7 +278,7 @@ RecoveryService::enqueue(MiscorrectionProfile profile,
     // or worker hop (see ServiceConfig::journalPath).
     if (!options.bypassCache) {
         const auto lookup_start = std::chrono::steady_clock::now();
-        const FingerprintCache::Hit hit = batchedLookup(profile, parity);
+        const FingerprintCache::Hit hit = cache_->lookup(profile, parity);
         if (hit.kind == FingerprintCache::Hit::Kind::Exact) {
             answerFromExactHit(record->status, hit);
             record->status.seconds = secondsSince(lookup_start);
@@ -455,53 +455,6 @@ RecoveryService::replayJournal()
     }
 }
 
-FingerprintCache::Hit
-RecoveryService::batchedLookup(const MiscorrectionProfile &profile,
-                               std::size_t parity_bits)
-{
-    LookupWaiter waiter;
-    waiter.profile = &profile;
-    waiter.parityBits = parity_bits;
-
-    std::unique_lock<std::mutex> lock(lookupMutex_);
-    lookupQueue_.push_back(&waiter);
-    if (lookupLeaderActive_) {
-        // A leader is already serving the queue; it will carry this
-        // request in its next lookupMany() pass.
-        lookupServed_.wait(lock, [&] { return waiter.served; });
-        return std::move(waiter.hit);
-    }
-
-    lookupLeaderActive_ = true;
-    while (!lookupQueue_.empty()) {
-        std::vector<LookupWaiter *> batch(lookupQueue_.begin(),
-                                          lookupQueue_.end());
-        lookupQueue_.clear();
-        lock.unlock();
-
-        std::vector<FingerprintCache::LookupRequest> requests;
-        requests.reserve(batch.size());
-        for (const LookupWaiter *w : batch)
-            requests.push_back({w->profile, w->parityBits});
-        std::vector<FingerprintCache::Hit> hits =
-            cache_->lookupMany(requests);
-        if (batch.size() > 1)
-            batchedLookups_.fetch_add(batch.size(),
-                                      std::memory_order_relaxed);
-
-        lock.lock();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            batch[i]->hit = std::move(hits[i]);
-            batch[i]->served = true;
-        }
-        lookupServed_.notify_all();
-        // Requests that arrived while the pass ran are in the queue
-        // again; keep leading until it drains.
-    }
-    lookupLeaderActive_ = false;
-    return std::move(waiter.hit);
-}
-
 void
 RecoveryService::runSessionJob(JobRecord &record)
 {
@@ -628,7 +581,7 @@ RecoveryService::runJob(JobRecord &record)
 
         FingerprintCache::Hit hit;
         if (!record.options.bypassCache)
-            hit = batchedLookup(profile, parity);
+            hit = cache_->lookup(profile, parity);
 
         JobStatus result;
         if (hit.kind == FingerprintCache::Hit::Kind::Exact) {
@@ -769,8 +722,6 @@ RecoveryService::health() const
         legacyPayloads_.load(std::memory_order_relaxed);
     report.traceV1Jobs = traceV1Jobs_.load(std::memory_order_relaxed);
     report.traceV2Jobs = traceV2Jobs_.load(std::memory_order_relaxed);
-    report.batchedLookups =
-        batchedLookups_.load(std::memory_order_relaxed);
     report.retries = report.scheduler.retries;
     report.quarantined = report.scheduler.quarantined;
     report.expiredJobs = report.scheduler.expired;

@@ -25,7 +25,9 @@
  * payload submission looks itself up on the caller's thread, and an
  * exact hit is Done before the submit call returns: no queue slot,
  * worker hop or journal record. The worker's lookup still serves
- * traces and repeats that raced a still-running cold solve. Once a
+ * traces and repeats that raced a still-running cold solve. Both
+ * lookups are plain FingerprintCache::lookup() calls, which
+ * canonicalize on the calling thread outside the cache lock. Once a
  * job is terminal its record keeps only its status, not its parsed
  * profile.
  * shutdown() drains the scheduler and flushes the cache to disk; the
@@ -54,9 +56,6 @@
 #include "svc/journal.hh"
 #include "svc/scheduler.hh"
 #include "util/thread_pool.hh"
-
-#include <condition_variable>
-#include <deque>
 
 namespace beer::svc
 {
@@ -215,9 +214,6 @@ struct HealthReport
     /** Trace jobs accepted per on-disk format (v2-migration gauge). */
     std::uint64_t traceV1Jobs = 0;
     std::uint64_t traceV2Jobs = 0;
-    /** Cache lookups that rode a combined (single-lock) batch pass
-     * with at least one other concurrent lookup. */
-    std::uint64_t batchedLookups = 0;
     /** Job attempts re-queued by the retry policy. */
     std::uint64_t retries = 0;
     /** Jobs quarantined after exhausting their retries. */
@@ -377,17 +373,6 @@ class RecoveryService
     /** Re-submit unfinished jobs recorded in the journal. */
     void replayJournal();
 
-    /**
-     * Cache lookup via the combining batcher: concurrent callers
-     * queue their requests and one leader serves the whole queue with
-     * a single FingerprintCache::lookupMany() pass (one lock
-     * acquisition for N lookups) while the rest wait for their slot's
-     * answer. Requests that shared a pass with another are counted in
-     * HealthReport::batchedLookups.
-     */
-    FingerprintCache::Hit batchedLookup(
-        const MiscorrectionProfile &profile, std::size_t parity_bits);
-
     ServiceConfig config_;
     std::unique_ptr<util::ThreadPool> pool_;
     std::unique_ptr<FingerprintCache> cache_;
@@ -396,24 +381,10 @@ class RecoveryService
     /** Ordered by id, the pagination contract. */
     std::map<JobId, std::unique_ptr<JobRecord>> jobs_;
 
-    /** One waiting lookup in the combining batcher. */
-    struct LookupWaiter
-    {
-        const MiscorrectionProfile *profile = nullptr;
-        std::size_t parityBits = 0;
-        FingerprintCache::Hit hit;
-        bool served = false;
-    };
-    std::mutex lookupMutex_;
-    std::condition_variable lookupServed_;
-    std::deque<LookupWaiter *> lookupQueue_;
-    bool lookupLeaderActive_ = false;
-
     std::atomic<std::uint64_t> satSolves_{0};
     std::atomic<std::uint64_t> legacyPayloads_{0};
     std::atomic<std::uint64_t> traceV1Jobs_{0};
     std::atomic<std::uint64_t> traceV2Jobs_{0};
-    std::atomic<std::uint64_t> batchedLookups_{0};
     std::atomic<std::uint64_t> journalReplays_{0};
     std::atomic<std::uint64_t> quorumVotesSpent_{0};
     std::atomic<std::uint64_t> quorumEscalations_{0};

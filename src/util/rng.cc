@@ -207,12 +207,6 @@ GeometricSampler::GeometricSampler(double p) : skip_(p)
     }
 }
 
-double
-Rng::logNormal(double mu, double sigma)
-{
-    return std::exp(mu + sigma * normal());
-}
-
 Rng
 Rng::fork()
 {

@@ -73,9 +73,6 @@ class Rng
      */
     std::uint64_t geometric(double p);
 
-    /** Log-normal sample with the underlying normal's mu/sigma. */
-    double logNormal(double mu, double sigma);
-
     /** Fork a statistically independent child stream. */
     Rng fork();
 

@@ -141,70 +141,4 @@ ThreadPool::parallelFor(std::size_t count,
     body_ = nullptr;
 }
 
-struct ClaimableTask::State
-{
-    std::function<void()> fn;
-    /** Set by whichever thread wins the right to execute fn. */
-    std::atomic<bool> claimed{false};
-    std::mutex mutex;
-    std::condition_variable finished;
-    bool done = false;
-    std::exception_ptr error;
-
-    void execute()
-    {
-        try {
-            fn();
-        } catch (...) {
-            error = std::current_exception();
-        }
-        // Notify under the lock: the joiner may release its reference
-        // the moment it observes done, leaving the worker's shared_ptr
-        // as the only owner — which is fine, but the notify must not
-        // race the waiter's re-check.
-        std::lock_guard<std::mutex> lock(mutex);
-        done = true;
-        finished.notify_all();
-    }
-};
-
-ClaimableTask::ClaimableTask(ThreadPool &pool, std::function<void()> fn)
-    : state_(std::make_shared<State>())
-{
-    state_->fn = std::move(fn);
-    std::shared_ptr<State> state = state_;
-    pool.submit([state] {
-        if (!state->claimed.exchange(true))
-            state->execute();
-    });
-}
-
-void
-ClaimableTask::join()
-{
-    if (!state_)
-        return;
-    const std::shared_ptr<State> state = std::move(state_);
-    if (!state->claimed.exchange(true)) {
-        state->execute();
-    } else {
-        std::unique_lock<std::mutex> lock(state->mutex);
-        state->finished.wait(lock, [&] { return state->done; });
-    }
-    if (state->error)
-        std::rethrow_exception(state->error);
-}
-
-void
-ClaimableTask::cancel()
-{
-    if (!state_)
-        return;
-    const std::shared_ptr<State> state = std::move(state_);
-    if (!state->claimed.exchange(true))
-        return; // claimed before any worker: fn never runs
-    std::unique_lock<std::mutex> lock(state->mutex);
-    state->finished.wait(lock, [&] { return state->done; });
-}
-
 } // namespace beer::util

@@ -18,15 +18,6 @@
  * The task queue is observable through queuedTasks() / activeTasks() /
  * completedTasks(), the counters the recovery service's health
  * endpoint reports.
- *
- * ClaimableTask builds joinable one-shot tasks on top of submit():
- * whichever side reaches the work first — a pool worker or the thread
- * calling join() — claims and executes it exactly once. Joins are
- * therefore deadlock-free at any pool size and under any queue load:
- * if every worker is busy, the joiner simply runs the task inline
- * instead of waiting for a slot. BEEP's pattern prefetch
- * (beep/beep.hh) uses this to craft patterns ahead on a shared pool
- * without ever wedging when that pool is saturated.
  */
 
 #ifndef BEER_UTIL_THREAD_POOL_HH
@@ -37,9 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -128,43 +117,6 @@ class ThreadPool
     std::size_t running_ = 0;
     std::uint64_t generation_ = 0;
     bool stop_ = false;
-};
-
-/**
- * One-shot unit of work submitted to a ThreadPool that the owner can
- * also execute itself: the function runs exactly once, on whichever
- * thread claims it first. join() blocks until the function has
- * finished; when no worker has claimed it yet, join() runs it inline
- * on the calling thread, so joining can never deadlock — not on a
- * workerless pool, not behind a full task queue.
- */
-class ClaimableTask
-{
-  public:
-    /** Empty task; join() is a no-op until a real one is assigned. */
-    ClaimableTask() = default;
-
-    /** Hand @p fn to @p pool; a worker runs it unless join() wins. */
-    ClaimableTask(ThreadPool &pool, std::function<void()> fn);
-
-    /**
-     * Ensure fn has run and wait for it to finish, executing it on the
-     * calling thread when no worker claimed it yet. Rethrows fn's
-     * exception, if any. Idempotent; releases the task's state.
-     */
-    void join();
-
-    /**
-     * Claim the task away from the pool without running it: when no
-     * worker has started fn yet, fn never runs at all; when one has,
-     * wait for it to finish (fn captures state the caller is about to
-     * invalidate). Swallows fn's exception. Releases the task's state.
-     */
-    void cancel();
-
-  private:
-    struct State;
-    std::shared_ptr<State> state_;
 };
 
 } // namespace beer::util

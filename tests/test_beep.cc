@@ -15,7 +15,6 @@
 #include "ecc/decoder.hh"
 #include "ecc/hamming.hh"
 #include "util/rng.hh"
-#include "util/thread_pool.hh"
 
 using namespace beer;
 using namespace beer::beep;
@@ -243,43 +242,6 @@ TEST(Beep, EvalRejectsNonFullLengthCodewords)
     // one word and reports totals.
     const EvalResult result = evaluateBeep(point, 1, config, rng);
     EXPECT_EQ(result.totalPlanted, 2u);
-}
-
-TEST(Beep, PrefetchMatchesSerialCrafting)
-{
-    // Concurrent pattern crafting must be invisible in the output:
-    // a prefetched pattern is honored only when the known-error set
-    // is unchanged since the prefetch launched, and crafting is a
-    // pure function of that set, so reads and results are identical
-    // no matter how many prefetches land or get discarded.
-    util::Rng rng(17);
-    const ecc::LinearCode code = ecc::randomSecCode(57, rng);
-    const std::vector<std::size_t> planted = {4, 23, 40, 60};
-
-    beep::BeepConfig serial_config;
-    serial_config.passes = 2;
-    serial_config.readsPerPattern = 4;
-    serial_config.seed = 21;
-    beep::SimulatedWord serial_word(code, planted, 1.0, 19);
-    beep::Profiler serial_profiler(code, serial_config);
-    const beep::BeepResult serial =
-        serial_profiler.profile(serial_word);
-
-    util::ThreadPool pool(2);
-    beep::BeepConfig prefetch_config = serial_config;
-    prefetch_config.craftPool = &pool;
-    prefetch_config.craftAhead = 2;
-    beep::SimulatedWord prefetch_word(code, planted, 1.0, 19);
-    beep::Profiler prefetch_profiler(code, prefetch_config);
-    const beep::BeepResult prefetched =
-        prefetch_profiler.profile(prefetch_word);
-
-    EXPECT_EQ(prefetched.errorCells, serial.errorCells);
-    EXPECT_EQ(prefetched.patternsTested, serial.patternsTested);
-    EXPECT_EQ(prefetched.reads, serial.reads);
-    EXPECT_EQ(prefetched.informativeReads, serial.informativeReads);
-    EXPECT_EQ(prefetched.skippedTargets, serial.skippedTargets);
-    EXPECT_EQ(serial.prefetchedPatterns, 0u);
 }
 
 namespace

@@ -20,6 +20,7 @@
 #include "ecc/code_equiv.hh"
 #include "ecc/hamming.hh"
 #include "gf2/matrix.hh"
+#include "ref/dimacs_reader.hh"
 #include "ref/eager_beer_solve.hh"
 #include "sat/dimacs.hh"
 #include "sat/encoder.hh"
@@ -156,10 +157,14 @@ TEST(LazySolver, ServiceSolveShapeMatchesEager)
     }
 }
 
+/** (first seed, k, vendor): each case runs kTrajectorySeeds seeds. */
 class LazySessionTrajectory
-    : public ::testing::TestWithParam<std::tuple<std::size_t, char>>
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint64_t, std::size_t, char>>
 {
 };
+
+constexpr std::uint64_t kTrajectorySeeds = 25;
 
 TEST_P(LazySessionTrajectory, EveryRoundMatchesEager)
 {
@@ -170,9 +175,10 @@ TEST_P(LazySessionTrajectory, EveryRoundMatchesEager)
     // directly: two distinct valid codes matching the profile mean
     // the eager enumeration hits the cap too. A complete one must
     // equal the eager reference's set.
-    const auto [k, vendor] = GetParam();
+    const auto [first_seed, k, vendor] = GetParam();
     constexpr std::size_t kCap = 2;
-    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    for (std::uint64_t seed = first_seed;
+         seed < first_seed + kTrajectorySeeds; ++seed) {
         dram::ChipConfig config = dram::makeVendorConfig(vendor, k, seed);
         config.map.rows = 64;
         config.iidErrors = true;
@@ -223,9 +229,14 @@ TEST_P(LazySessionTrajectory, EveryRoundMatchesEager)
     }
 }
 
+// Seeds 1-50 in two ranges, so ctest -j spreads the slow k=32 cases.
+// The range is the outer parameter: cases /0-/5 keep their (k, vendor)
+// and run seeds 1-25, and /6-/11 run seeds 26-50.
 INSTANTIATE_TEST_SUITE_P(
     Vendors, LazySessionTrajectory,
-    ::testing::Combine(::testing::Values(16u, 32u),
+    ::testing::Combine(::testing::Values(std::uint64_t{1},
+                                         1 + kTrajectorySeeds),
+                       ::testing::Values(std::size_t{16}, std::size_t{32}),
                        ::testing::Values('A', 'B', 'C')));
 
 TEST(LazySolver, RetractableRoundsSuspendProbeDropMatchEager)
@@ -362,7 +373,7 @@ TEST(LazySolver, DimacsExportIsTheCompleteInstance)
         const std::size_t first = layout.numVars();
 
         sat::Solver external;
-        sat::loadCnf(cnf, external);
+        test::ref::loadCnf(cnf, external);
         std::vector<LinearCode> found;
         while (external.solve() == sat::SolveResult::Sat) {
             gf2::Matrix model(p, 8);

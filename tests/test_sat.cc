@@ -18,11 +18,14 @@
 #include "beer/solver.hh"
 #include "dram/chip.hh"
 #include "ecc/hamming.hh"
+#include "ref/dimacs_reader.hh"
 #include "sat/dimacs.hh"
 #include "sat/solver.hh"
 #include "util/rng.hh"
 
 using namespace beer::sat;
+using beer::test::ref::loadCnf;
+using beer::test::ref::parseDimacs;
 using beer::util::Rng;
 
 namespace

@@ -219,64 +219,3 @@ TEST(SvcFingerprintCache, CorruptPersistenceFileIsIgnored)
     EXPECT_EQ(cache.size(), 0u);
     std::remove(config.path.c_str());
 }
-
-TEST(SvcFingerprintCache, LookupManyMatchesIndividualLookups)
-{
-    Rng rng(41);
-    FingerprintCache cache;
-    const LinearCode stored = randomSecCode(16, rng);
-    const MiscorrectionProfile profile =
-        plantedProfile(stored, {1, 2});
-    cache.insert(profile, stored.numParityBits(), stored);
-
-    const LinearCode other = randomSecCode(16, rng);
-    const MiscorrectionProfile missing =
-        plantedProfile(other, {1, 2});
-
-    // One batch carrying a hit and a miss, under a single lock pass.
-    std::vector<FingerprintCache::LookupRequest> requests;
-    requests.push_back({&profile, stored.numParityBits()});
-    requests.push_back({&missing, other.numParityBits()});
-    const auto hits = cache.lookupMany(requests);
-
-    ASSERT_EQ(hits.size(), 2u);
-    EXPECT_EQ(hits[0].kind, FingerprintCache::Hit::Kind::Exact);
-    ASSERT_TRUE(hits[0].code.has_value());
-    EXPECT_TRUE(equivalent(*hits[0].code, stored));
-    EXPECT_NE(hits[1].kind, FingerprintCache::Hit::Kind::Exact);
-
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.batchedPasses, 1u);
-    EXPECT_EQ(stats.batchedRequests, 2u);
-    EXPECT_EQ(stats.exactHits, 1u);
-}
-
-TEST(SvcFingerprintCache, LookupManyRefreshesLruInOrder)
-{
-    // Earlier requests of a batch refresh LRU positions later ones
-    // observe: batch-touching the oldest entry must save it from the
-    // next eviction.
-    Rng rng(43);
-    FingerprintCacheConfig config;
-    config.capacity = 2;
-    FingerprintCache cache(config);
-
-    const LinearCode a = randomSecCode(16, rng);
-    const LinearCode b = randomSecCode(16, rng);
-    const LinearCode c = randomSecCode(16, rng);
-    const MiscorrectionProfile pa = plantedProfile(a, {1});
-    const MiscorrectionProfile pb = plantedProfile(b, {1});
-    const MiscorrectionProfile pc = plantedProfile(c, {1});
-    cache.insert(pa, a.numParityBits(), a);
-    cache.insert(pb, b.numParityBits(), b);
-
-    std::vector<FingerprintCache::LookupRequest> requests;
-    requests.push_back({&pa, a.numParityBits()}); // refresh the oldest
-    cache.lookupMany(requests);
-
-    cache.insert(pc, c.numParityBits(), c); // evicts b, not a
-    EXPECT_EQ(cache.lookup(pa, a.numParityBits()).kind,
-              FingerprintCache::Hit::Kind::Exact);
-    EXPECT_NE(cache.lookup(pb, b.numParityBits()).kind,
-              FingerprintCache::Hit::Kind::Exact);
-}

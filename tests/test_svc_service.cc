@@ -16,8 +16,10 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "beer/measure.hh"
@@ -184,6 +186,110 @@ TEST(SvcService, ConcurrentJobsProgressSimultaneously)
     EXPECT_EQ(health.scheduler.completed, 2u);
     EXPECT_TRUE(service.job(a.id)->succeeded);
     EXPECT_TRUE(service.job(b.id)->succeeded);
+}
+
+TEST(SvcService, ConcurrentExactHitsAgreeWithTheCache)
+{
+    // Four threads submit at once, each interleaving profiles the
+    // cache already holds with profiles it does not. Every hit is
+    // answered on its submitting thread; every miss solves cold.
+    constexpr std::size_t kThreads = 4;
+    constexpr std::size_t kCached = 4;
+    constexpr std::size_t kHitsPerThread = 8;
+    constexpr std::size_t kHitsPerMiss = 4;
+    constexpr std::size_t kMissesPerThread = kHitsPerThread / kHitsPerMiss;
+
+    Rng rng(37);
+    std::vector<MiscorrectionProfile> cached;
+    std::vector<MiscorrectionProfile> uncached;
+    std::set<std::uint64_t> fingerprints;
+    while (cached.size() + uncached.size() <
+           kCached + kThreads * kMissesPerThread) {
+        const LinearCode code = randomSecCode(8, rng);
+        MiscorrectionProfile profile = plantedProfile(code, {1, 2});
+        if (!fingerprints
+                 .insert(svc::FingerprintCache::fingerprint(
+                     profile, code.numParityBits()))
+                 .second)
+            continue; // distinct profiles only: a repeat would hit
+        (cached.size() < kCached ? cached : uncached)
+            .push_back(std::move(profile));
+    }
+
+    ServiceConfig config;
+    config.threads = 2;
+    RecoveryService service(config);
+    std::vector<std::string> stored;
+    for (const MiscorrectionProfile &profile : cached) {
+        const SubmitOutcome outcome = service.submitProfile(profile);
+        ASSERT_TRUE(outcome.accepted) << outcome.error;
+        ASSERT_TRUE(service.waitForJob(outcome.id));
+        const auto job = service.job(outcome.id);
+        ASSERT_TRUE(job && job->succeeded);
+        stored.push_back(job->codeString);
+    }
+    service.drain();
+    const std::uint64_t hits_before = service.health().cache.exactHits;
+
+    struct Submitted
+    {
+        SubmitOutcome outcome;
+        /** Index into cached, or -1 for an uncached profile. */
+        int cachedIndex = -1;
+        /** The job's state when submit returned. */
+        JobState stateAtSubmit = JobState::Queued;
+    };
+    std::vector<std::vector<Submitted>> submitted(kThreads);
+    std::atomic<std::size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ++ready;
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            const auto submit = [&](const MiscorrectionProfile &profile,
+                                    int cached_index) {
+                Submitted s{service.submitProfile(profile), cached_index};
+                if (const auto job = service.job(s.outcome.id))
+                    s.stateAtSubmit = job->state;
+                submitted[t].push_back(std::move(s));
+            };
+            for (std::size_t i = 0; i < kHitsPerThread; ++i) {
+                const std::size_t index = (t + i) % kCached;
+                submit(cached[index], (int)index);
+                if (i % kHitsPerMiss == 0)
+                    submit(uncached[t * kMissesPerThread +
+                                    i / kHitsPerMiss],
+                           -1);
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    service.drain();
+
+    std::size_t hit_submits = 0;
+    for (const auto &per_thread : submitted) {
+        ASSERT_EQ(per_thread.size(), kHitsPerThread + kMissesPerThread);
+        for (const Submitted &s : per_thread) {
+            ASSERT_TRUE(s.outcome.accepted) << s.outcome.error;
+            const auto job = service.job(s.outcome.id);
+            ASSERT_TRUE(job.has_value());
+            EXPECT_EQ(job->state, JobState::Done);
+            EXPECT_TRUE(job->succeeded);
+            if (s.cachedIndex < 0) {
+                EXPECT_EQ(job->cache, CacheOutcome::None);
+                continue;
+            }
+            ++hit_submits;
+            EXPECT_EQ(s.stateAtSubmit, JobState::Done);
+            EXPECT_EQ(job->cache, CacheOutcome::Exact);
+            EXPECT_EQ(job->codeString, stored[s.cachedIndex]);
+        }
+    }
+    EXPECT_EQ(hit_submits, kThreads * kHitsPerThread);
+    EXPECT_EQ(service.health().cache.exactHits - hits_before,
+              hit_submits);
 }
 
 TEST(SvcService, PayloadVersionContract)

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -262,117 +261,4 @@ TEST(ThreadPool, LateWorkerNeverRunsAReturnedJob)
     }
     cv.notify_all();
     watchdog.join();
-}
-
-TEST(ThreadPool, ClaimableTaskRunsSynchronouslyOnWorkerlessPool)
-{
-    // size()==1 pools have no workers: submit() executes inline, so
-    // the task has already run (exactly once, on this thread) when the
-    // constructor returns, and join() only observes the completion.
-    ThreadPool pool(1);
-    std::atomic<int> runs{0};
-    std::thread::id runner;
-    beer::util::ClaimableTask task(pool, [&] {
-        runner = std::this_thread::get_id();
-        ++runs;
-    });
-    EXPECT_EQ(runs.load(), 1);
-    EXPECT_EQ(runner, std::this_thread::get_id());
-    task.join();
-    EXPECT_EQ(runs.load(), 1);
-    // Idempotent: a second join neither blocks nor re-runs.
-    task.join();
-    EXPECT_EQ(runs.load(), 1);
-}
-
-TEST(ThreadPool, ClaimableTaskJoinRunsInlineWhenWorkersAreBusy)
-{
-    // Pin the only worker, then join an unclaimed task: join() must
-    // execute it on the calling thread (this is what keeps BEEP's
-    // prefetch deadlock-free on a saturated shared pool).
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool release = false;
-    ThreadPool pool(2);
-    pool.submit([&] {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return release; });
-    });
-    std::atomic<int> runs{0};
-    std::thread::id runner;
-    beer::util::ClaimableTask task(pool, [&] {
-        runner = std::this_thread::get_id();
-        ++runs;
-    });
-    task.join();
-    EXPECT_EQ(runs.load(), 1);
-    EXPECT_EQ(runner, std::this_thread::get_id());
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        release = true;
-    }
-    cv.notify_all();
-    ASSERT_TRUE(waitUntilReaches(
-        "completedTasks", [&] { return pool.completedTasks(); }, 2));
-    // The worker's claim attempt lost: the function ran only once.
-    EXPECT_EQ(runs.load(), 1);
-}
-
-TEST(ThreadPool, ClaimableTaskJoinAfterWorkerClaimDoesNotRerun)
-{
-    ThreadPool pool(2);
-    std::atomic<int> runs{0};
-    std::atomic<std::thread::id> runner{};
-    beer::util::ClaimableTask task(pool, [&] {
-        runner = std::this_thread::get_id();
-        ++runs;
-    });
-    ASSERT_TRUE(waitUntilReaches(
-        "runs", [&] { return runs.load(); }, 1));
-    // The worker ran it; join() must wait for it, not execute it again.
-    task.join();
-    EXPECT_EQ(runs.load(), 1);
-    EXPECT_NE(runner.load(), std::this_thread::get_id());
-}
-
-TEST(ThreadPool, ClaimableTaskJoinRethrowsTaskException)
-{
-    ThreadPool pool(1);
-    beer::util::ClaimableTask task(
-        pool, [] { throw std::runtime_error("solver exploded"); });
-    EXPECT_THROW(task.join(), std::runtime_error);
-}
-
-TEST(ThreadPool, ClaimableTaskCancelBeforeClaimSkipsExecution)
-{
-    // Queue the task behind a blocker so no worker reaches it, then
-    // cancel: the function must never run, not even on a later join.
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool release = false;
-    ThreadPool pool(2);
-    pool.submit([&] {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return release; });
-    });
-    std::atomic<int> runs{0};
-    beer::util::ClaimableTask task(pool, [&] { ++runs; });
-    task.cancel();
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        release = true;
-    }
-    cv.notify_all();
-    ASSERT_TRUE(waitUntilReaches(
-        "completedTasks", [&] { return pool.completedTasks(); }, 2));
-    EXPECT_EQ(runs.load(), 0);
-    task.join();
-    EXPECT_EQ(runs.load(), 0);
-}
-
-TEST(ThreadPool, DefaultClaimableTaskIsInert)
-{
-    beer::util::ClaimableTask task;
-    EXPECT_NO_THROW(task.join());
-    EXPECT_NO_THROW(task.cancel());
 }
