@@ -230,8 +230,8 @@ TEST_P(LazySessionTrajectory, EveryRoundMatchesEager)
 }
 
 // Seeds 1-50 in two ranges, so ctest -j spreads the slow k=32 cases.
-// The range is the outer parameter: cases /0-/5 keep their (k, vendor)
-// and run seeds 1-25, and /6-/11 run seeds 26-50.
+// The range is the outer parameter: cases /0-/5 run seeds 1-25 and
+// /6-/11 seeds 26-50, each over the same (k, vendor) grid.
 INSTANTIATE_TEST_SUITE_P(
     Vendors, LazySessionTrajectory,
     ::testing::Combine(::testing::Values(std::uint64_t{1},
