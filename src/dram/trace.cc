@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "util/checksum.hh"
 #include "util/logging.hh"
@@ -24,12 +23,6 @@ formatTraceDouble(double value)
     char buf[64];
     std::snprintf(buf, sizeof buf, "%.17g", value);
     return buf;
-}
-
-const char *
-traceFormatName(TraceFormat format)
-{
-    return format == TraceFormat::V1 ? "v1" : "v2";
 }
 
 namespace
@@ -53,6 +46,14 @@ constexpr std::uint32_t kRecPause = 10;
 
 constexpr std::uint32_t kFrameRaw = 0;
 constexpr std::uint32_t kFrameSparse = 1;
+
+/** Why @p source, which lacks the v2 magic or header, is refused. */
+std::string
+notV2Message(const std::string &source)
+{
+    return source + " is not a v2 trace (no BEERTRC2 header); upgrade a "
+                    "v1 text trace with beer_trace_convert";
+}
 
 std::size_t
 roundUp8(std::size_t n)
@@ -496,7 +497,14 @@ TraceRecorder::pauseRefresh(double seconds, double temp_c)
 
 TraceReplayBackend::TraceReplayBackend(std::istream &in)
 {
-    loadStream(in);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    // Copy into uint64 storage so payloads are 8-byte aligned.
+    buffer_.resize((bytes.size() + 7) / 8, 0);
+    if (!bytes.empty())
+        std::memcpy(buffer_.data(), bytes.data(), bytes.size());
+    parseBinary(reinterpret_cast<const std::uint8_t *>(buffer_.data()),
+                bytes.size(), "trace stream");
 }
 
 TraceReplayBackend::TraceReplayBackend(const std::string &path)
@@ -510,26 +518,17 @@ TraceReplayBackend::TraceReplayBackend(const std::string &path)
         util::fatal("cannot stat trace file '%s'", path.c_str());
     }
     const std::size_t len = (std::size_t)st.st_size;
-    char magic[8] = {};
-    const bool v2 = len >= sizeof magic &&
-                    ::pread(fd, magic, sizeof magic, 0) ==
-                        (ssize_t)sizeof magic &&
-                    std::memcmp(magic, kMagic, sizeof magic) == 0;
-    if (!v2) {
-        ::close(fd);
-        std::ifstream in(path);
-        if (!in)
-            util::fatal("cannot open trace file '%s'", path.c_str());
-        parseText(in);
-        return;
-    }
-    void *base = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE, fd, 0);
+    // An empty file cannot be mapped; parseBinary refuses it as not v2.
+    void *base = len == 0 ? nullptr
+                          : ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE,
+                                   fd, 0);
     ::close(fd);
     if (base == MAP_FAILED)
         util::fatal("cannot mmap trace file '%s'", path.c_str());
     mapBase_ = base;
     mapLen_ = len;
-    parseBinary(static_cast<const std::uint8_t *>(base), len);
+    parseBinary(static_cast<const std::uint8_t *>(base), len,
+                "'" + path + "'");
 }
 
 TraceReplayBackend::~TraceReplayBackend()
@@ -539,220 +538,12 @@ TraceReplayBackend::~TraceReplayBackend()
 }
 
 void
-TraceReplayBackend::loadStream(std::istream &in)
+TraceReplayBackend::parseBinary(const std::uint8_t *data, std::size_t len,
+                                const std::string &source)
 {
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    if (bytes.size() >= sizeof kMagic &&
-        std::memcmp(bytes.data(), kMagic, sizeof kMagic) == 0) {
-        // Copy into uint64 storage so payloads are 8-byte aligned.
-        buffer_.resize((bytes.size() + 7) / 8, 0);
-        std::memcpy(buffer_.data(), bytes.data(), bytes.size());
-        parseBinary(reinterpret_cast<const std::uint8_t *>(
-                        buffer_.data()),
-                    bytes.size());
-        return;
-    }
-    std::istringstream text(bytes);
-    parseText(text);
-}
-
-void
-TraceReplayBackend::parseText(std::istream &in)
-{
-    format_ = TraceFormat::V1;
-
-    std::string line;
-    std::size_t line_no = 0;
-    bool saw_version = false;
-    bool saw_geom = false;
-    bool saw_k = false;
-
-    // Consecutive same-data `w` lines and consecutive `r` lines group
-    // into one batch record, so v1 traces replay through the same
-    // batched paths as v2 (grouping is invisible to the element-level
-    // matching contract).
-    enum class Run
-    {
-        None,
-        Write,
-        Read,
-    };
-    Run run = Run::None;
-    std::size_t run_line = 0;
-    std::vector<std::uint64_t> run_words;
-    BitVec run_data;
-    std::vector<BitVec> run_results;
-
-    auto flushRun = [&] {
-        if (run == Run::None)
-            return;
-        if (run_words.size() == 1) {
-            TraceRecord rec;
-            rec.kind = run == Run::Write ? TraceRecord::Kind::WriteWord
-                                         : TraceRecord::Kind::ReadWord;
-            rec.line = run_line;
-            rec.index = (std::size_t)run_words[0];
-            rec.data = run == Run::Write ? std::move(run_data)
-                                         : std::move(run_results[0]);
-            stream_.push_back(std::move(rec));
-        } else {
-            owned_.push_back(run_words);
-            TraceRecord rec;
-            rec.line = run_line;
-            rec.words = owned_.back().data();
-            rec.count = run_words.size();
-            if (run == Run::Write) {
-                rec.kind = TraceRecord::Kind::WriteBroadcast;
-                rec.data = std::move(run_data);
-            } else {
-                rec.kind = TraceRecord::Kind::ReadBatch;
-                rec.laneWords = wordsFor(rec.count);
-                std::vector<std::uint64_t> frame(k_ * rec.laneWords, 0);
-                for (std::size_t t = 0; t < rec.count; ++t) {
-                    const std::uint64_t *src = run_results[t].words();
-                    const std::uint64_t bit = std::uint64_t{1}
-                                              << (t % 64);
-                    const std::size_t lane = t / 64;
-                    for (std::size_t w = 0; w < wordsFor(k_); ++w) {
-                        std::uint64_t bits = src[w];
-                        while (bits != 0) {
-                            const std::size_t pos =
-                                w * 64 +
-                                (std::size_t)__builtin_ctzll(bits);
-                            bits &= bits - 1;
-                            frame[pos * rec.laneWords + lane] |= bit;
-                        }
-                    }
-                }
-                owned_.push_back(std::move(frame));
-                rec.frame = owned_.back().data();
-            }
-            stream_.push_back(std::move(rec));
-        }
-        run = Run::None;
-        run_words.clear();
-        run_results.clear();
-    };
-
-    while (std::getline(in, line)) {
-        ++line_no;
-        if (line.empty() || line[0] == '#')
-            continue;
-
-        std::istringstream fields(line);
-        std::string op;
-        fields >> op;
-
-        auto want = [&](bool ok) {
-            if (!ok || fields.fail())
-                util::fatal("trace line %zu: malformed '%s' record",
-                            line_no, op.c_str());
-        };
-
-        if (op == "w" || op == "r") {
-            std::size_t index = 0;
-            std::string bits;
-            fields >> index >> bits;
-            want(saw_k && bits.size() == k_);
-            BitVec data = BitVec::fromString(bits);
-            if (op == "w") {
-                if (run != Run::Write || !(run_data == data))
-                    flushRun();
-                if (run == Run::None) {
-                    run = Run::Write;
-                    run_line = line_no;
-                    run_data = std::move(data);
-                }
-                run_words.push_back(index);
-            } else {
-                if (run != Run::Read)
-                    flushRun();
-                if (run == Run::None) {
-                    run = Run::Read;
-                    run_line = line_no;
-                }
-                run_words.push_back(index);
-                run_results.push_back(std::move(data));
-            }
-            continue;
-        }
-
-        flushRun();
-
-        if (op == "beertrace") {
-            int version = 0;
-            fields >> version;
-            want(version == 1);
-            saw_version = true;
-        } else if (op == "geom") {
-            fields >> map_.bytesPerWord >> map_.wordsPerRegion >>
-                map_.bytesPerRow >> map_.rows;
-            want(true);
-            saw_geom = true;
-        } else if (op == "k") {
-            fields >> k_;
-            want(k_ > 0);
-            saw_k = true;
-        } else if (op == "meta") {
-            std::string rest;
-            std::getline(fields, rest);
-            if (!rest.empty() && rest[0] == ' ')
-                rest.erase(0, 1);
-            TraceRecord rec;
-            rec.kind = TraceRecord::Kind::Meta;
-            rec.line = line_no;
-            rec.metaIndex = meta_.size();
-            meta_.push_back(std::move(rest));
-            stream_.push_back(std::move(rec));
-        } else if (op == "wb" || op == "rb") {
-            TraceRecord rec;
-            rec.kind = op == "wb" ? TraceRecord::Kind::WriteByte
-                                  : TraceRecord::Kind::ReadByte;
-            rec.line = line_no;
-            unsigned value = 0;
-            fields >> rec.index >> value;
-            want(value <= 0xFF);
-            rec.byte = (std::uint8_t)value;
-            stream_.push_back(std::move(rec));
-        } else if (op == "f") {
-            TraceRecord rec;
-            rec.kind = TraceRecord::Kind::Fill;
-            rec.line = line_no;
-            unsigned value = 0;
-            fields >> value;
-            want(value <= 0xFF);
-            rec.byte = (std::uint8_t)value;
-            stream_.push_back(std::move(rec));
-        } else if (op == "p") {
-            TraceRecord rec;
-            rec.kind = TraceRecord::Kind::Pause;
-            rec.line = line_no;
-            fields >> rec.seconds >> rec.tempC;
-            want(true);
-            stream_.push_back(std::move(rec));
-        } else {
-            util::fatal("trace line %zu: unknown record '%s'", line_no,
-                        op.c_str());
-        }
-    }
-    flushRun();
-
-    if (!saw_version || !saw_geom || !saw_k)
-        util::fatal("trace is missing its beertrace/geom/k header");
-    map_.validate();
-
-    for (const TraceRecord &rec : stream_)
-        totalElements_ += rec.elements();
-}
-
-void
-TraceReplayBackend::parseBinary(const std::uint8_t *data, std::size_t len)
-{
-    format_ = TraceFormat::V2;
     if (len < kHeaderBytes ||
         std::memcmp(data, kMagic, sizeof kMagic) != 0)
-        util::fatal("trace v2: truncated or missing header");
+        util::fatal("%s", notV2Message(source).c_str());
     map_.bytesPerWord = ld32(data + 8);
     map_.wordsPerRegion = ld32(data + 12);
     map_.bytesPerRow = ld32(data + 16);
@@ -960,10 +751,9 @@ void
 TraceReplayBackend::diverge(const std::string &requested,
                             const TraceRecord &rec)
 {
-    const char *unit = format_ == TraceFormat::V1 ? "line" : "record";
-    util::fatal("trace replay diverged at %s %zu: requested %s, but the "
-                "trace records %s",
-                unit, rec.line, requested.c_str(),
+    util::fatal("trace replay diverged at record %zu: requested %s, but "
+                "the trace records %s",
+                rec.line, requested.c_str(),
                 describeRecordElement(rec, elem_, k_).c_str());
 }
 
@@ -1135,102 +925,20 @@ TraceReplayBackend::pauseRefresh(double seconds, double temp_c)
             rec);
 }
 
-// ---- sniffing and conversion ------------------------------------------
+// ---- magic check ------------------------------------------------------
 
-std::optional<TraceFormat>
-tryTraceFileFormat(const std::string &path)
+std::string
+traceFileMagicError(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        return std::nullopt;
-    char magic[8] = {};
+        return "cannot open trace file '" + path + "'";
+    char magic[sizeof kMagic] = {};
     in.read(magic, sizeof magic);
     if (in.gcount() == (std::streamsize)sizeof magic &&
         std::memcmp(magic, kMagic, sizeof magic) == 0)
-        return TraceFormat::V2;
-    in.clear();
-    in.seekg(0);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream fields(line);
-        std::string word;
-        int version = 0;
-        fields >> word >> version;
-        if (word == "beertrace" && version == 1)
-            return TraceFormat::V1;
-        return std::nullopt;
-    }
-    return std::nullopt;
-}
-
-TraceConvertStats
-convertTraceFile(const std::string &in_path, const std::string &out_path,
-                 const TraceWriteOptions &options)
-{
-    TraceReplayBackend in(in_path);
-
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out)
-        util::fatal("cannot open trace output file '%s'",
-                    out_path.c_str());
-    TraceWriter writer(out, in.addressMap(), in.datawordBits(), options);
-
-    std::vector<std::size_t> words;
-    for (const TraceRecord &rec : in.records()) {
-        switch (rec.kind) {
-        case TraceRecord::Kind::Meta:
-            writer.meta(in.metaLines()[rec.metaIndex]);
-            break;
-        case TraceRecord::Kind::WriteWord:
-            writer.writeWord(rec.index, rec.data);
-            break;
-        case TraceRecord::Kind::ReadWord:
-            writer.readWord(rec.index, rec.data);
-            break;
-        case TraceRecord::Kind::WriteBroadcast:
-            words.assign(rec.words, rec.words + rec.count);
-            writer.writeBroadcast(words.data(), rec.count, rec.data);
-            break;
-        case TraceRecord::Kind::ReadBatch: {
-            words.assign(rec.words, rec.words + rec.count);
-            PlanarReadBatch view;
-            view.rows = rec.frame;
-            view.rowStride = rec.laneWords;
-            view.laneWords = rec.laneWords;
-            view.count = rec.count;
-            writer.readBatchPlanar(words.data(), rec.count, view);
-            break;
-        }
-        case TraceRecord::Kind::WriteByte:
-            writer.writeByte(rec.index, rec.byte);
-            break;
-        case TraceRecord::Kind::ReadByte:
-            writer.readByte(rec.index, rec.byte);
-            break;
-        case TraceRecord::Kind::Fill:
-            writer.fill(rec.byte);
-            break;
-        case TraceRecord::Kind::Pause:
-            writer.pause(rec.seconds, rec.tempC);
-            break;
-        }
-    }
-    const std::streampos written = out.tellp();
-    out.flush();
-    if (!out)
-        util::fatal("failed writing trace output file '%s'",
-                    out_path.c_str());
-
-    TraceConvertStats stats;
-    stats.from = in.format();
-    stats.ops = in.totalOps();
-    struct stat st = {};
-    if (::stat(in_path.c_str(), &st) == 0)
-        stats.bytesIn = (std::uintmax_t)st.st_size;
-    stats.bytesOut = (std::uintmax_t)written;
-    return stats;
+        return "";
+    return notV2Message("'" + path + "'");
 }
 
 } // namespace beer::dram

@@ -1,7 +1,6 @@
 /**
  * @file
- * Operation-trace recording and replay backends. Traces are written
- * in format v2 only; format v1 is read-only.
+ * Operation-trace recording and replay backends, in trace format v2.
  *
  * The paper's released tooling applies BEER to measurements collected
  * on real chips offline. These classes provide the equivalent seam for
@@ -11,29 +10,11 @@
  * bit-for-bit against externally collected data with no chip (or
  * simulator) present.
  *
- * TraceReplayBackend reads both on-disk formats, sniffing them
- * automatically. TraceWriter, TraceRecorder and convertTraceFile()
- * write v2 only, so conversion is one way: a v1 file converts to a v2
- * file that holds the identical element stream and replays to the
- * identical profile counts.
- *
- * ## Format v1 — text, one line per word op
- *
- *     beertrace 1
- *     geom <bytesPerWord> <wordsPerRegion> <bytesPerRow> <rows>
- *     k <dataword-bits>
- *     w <word> <dataword-bits-as-01-string>    # writeDataword
- *     r <word> <returned-dataword>             # readDataword + result
- *     wb <byte-addr> <value>                   # writeByte (decimal)
- *     rb <byte-addr> <value>                   # readByte + result
- *     f <value>                                # fill
- *     p <seconds> <temp-c>                     # pauseRefresh
- *
- * '#' starts a comment; "meta" lines carry analysis-level annotations
- * and are kept but not interpreted here. v1 has no batch records:
- * batched interface calls were stored as their per-word lines, at
- * ~(k + 10) bytes per word op. The parser groups runs of such lines
- * back into batch records.
+ * The library reads and writes v2 only. Input without the v2 magic is
+ * refused with a message that names beer_trace_convert: that tool is
+ * the only reader of the retired v1 text format (its grammar is in
+ * tools/v1_trace_reader.hh), and it upgrades a v1 file to a v2 file
+ * that holds the identical element stream.
  *
  * ## Format v2 — binary, columnar, one record per batched op
  *
@@ -75,9 +56,10 @@
  *     10    pause: f64 seconds, f64 tempC
  *
  * A batched measurement records ~k/8 bytes per read word (one bit per
- * cell) and amortizes word lists to nothing, >= 10x smaller than v1;
- * sparse frames shrink further. Frame CRCs are verified at open, so a
- * truncated or bit-flipped trace is rejected before any replay runs.
+ * cell) and amortizes word lists to nothing, >= 10x smaller than the
+ * per-word v1 text; sparse frames shrink further. Frame CRCs are
+ * verified at open, so a truncated or bit-flipped trace is rejected
+ * before any replay runs.
  *
  * ## Replay strictness
  *
@@ -86,9 +68,8 @@
  * index, and payload), and divergence is a fatal error naming both the
  * requested and the recorded operation. Batch boundaries are NOT part
  * of the contract — a v2 batch record of 100 words replays equally
- * under one readDatawords(100) call or 100 readDataword calls, exactly
- * as the equivalent 100 v1 lines always did — so scalar and batched
- * analyses replay the same trace bit-identically.
+ * under one readDatawords(100) call or 100 readDataword calls, so
+ * scalar and batched analyses replay the same trace bit-identically.
  */
 
 #ifndef BEER_DRAM_TRACE_HH
@@ -98,7 +79,6 @@
 #include <deque>
 #include <istream>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -110,16 +90,6 @@ namespace beer::dram
 
 /** Round-trip-exact ("%.17g") rendering of a trace double operand. */
 std::string formatTraceDouble(double value);
-
-/** On-disk trace format; see file comment. */
-enum class TraceFormat
-{
-    V1 = 1,
-    V2 = 2,
-};
-
-/** "v1" / "v2". */
-const char *traceFormatName(TraceFormat format);
 
 /** Knobs for writing a (v2) trace. */
 struct TraceWriteOptions
@@ -154,10 +124,7 @@ struct TraceRecord
     };
 
     Kind kind;
-    /**
-     * Source position for diagnostics: the (first) 1-based text line
-     * in v1, the 1-based record ordinal in v2.
-     */
+    /** Source position for diagnostics: the 1-based record ordinal. */
     std::size_t line = 0;
 
     /** Word index (word ops) or byte address (byte ops). */
@@ -196,7 +163,7 @@ struct TraceRecord
 };
 
 /**
- * v2 serializer shared by TraceRecorder and convertTraceFile():
+ * v2 serializer behind TraceRecorder and beer_trace_convert:
  * receives operations at batch granularity and emits one record per
  * operation. The header is written at construction. The stream must
  * be binary-clean (open files with std::ios::binary).
@@ -283,29 +250,24 @@ class TraceRecorder : public MemoryInterface
 };
 
 /**
- * MemoryInterface backend that replays a recorded trace; see file
- * comment. The format is sniffed from the leading bytes: v2 files are
- * mmap'd (raw read frames replay zero-copy out of the page cache),
- * v1 text is parsed into the same record-granular representation.
- * Strict by construction: any operation that does not match the
- * recorded element sequence is fatal, with a message naming both the
- * requested and the recorded operation.
+ * MemoryInterface backend that replays a recorded v2 trace; see file
+ * comment. Files are mmap'd, so raw read frames replay zero-copy out
+ * of the page cache. Strict by construction: any operation that does
+ * not match the recorded element sequence is fatal, with a message
+ * naming both the requested and the recorded operation.
  */
 class TraceReplayBackend : public MemoryInterface
 {
   public:
-    /** Parse a trace from @p in (e.g. an open binary std::ifstream). */
+    /** Load a trace from @p in (e.g. an open binary std::ifstream). */
     explicit TraceReplayBackend(std::istream &in);
 
-    /** Parse (v1) or mmap (v2) a trace file; fatal if unreadable. */
+    /** mmap a trace file; fatal if unreadable or not v2. */
     explicit TraceReplayBackend(const std::string &path);
 
     ~TraceReplayBackend() override;
     TraceReplayBackend(const TraceReplayBackend &) = delete;
     TraceReplayBackend &operator=(const TraceReplayBackend &) = delete;
-
-    /** The on-disk format this trace was stored in. */
-    TraceFormat format() const { return format_; }
 
     const AddressMap &addressMap() const override { return map_; }
     std::size_t datawordBits() const override { return k_; }
@@ -345,14 +307,14 @@ class TraceReplayBackend : public MemoryInterface
 
     /**
      * The parsed record stream at batch granularity, metas included,
-     * in file order — the input convertTraceFile() re-serializes.
+     * in file order — the input beer_trace_convert re-serializes.
      */
     const std::vector<TraceRecord> &records() const { return stream_; }
 
   private:
-    void parseText(std::istream &in);
-    void parseBinary(const std::uint8_t *data, std::size_t len);
-    void loadStream(std::istream &in);
+    /** Index @p len bytes of v2; @p source names them in diagnostics. */
+    void parseBinary(const std::uint8_t *data, std::size_t len,
+                     const std::string &source);
 
     /** Current non-meta record, advancing past metas; fatal at end. */
     const TraceRecord &current(const char *requested);
@@ -365,10 +327,9 @@ class TraceReplayBackend : public MemoryInterface
 
     AddressMap map_;
     std::size_t k_ = 0;
-    TraceFormat format_ = TraceFormat::V1;
     std::vector<TraceRecord> stream_;
     std::vector<std::string> meta_;
-    /** Backing store for word lists / frames not aliasing the mmap. */
+    /** Decoded sparse frames; all else aliases the loaded bytes. */
     std::deque<std::vector<std::uint64_t>> owned_;
     /** v2 bytes sourced from an istream (8-byte aligned). */
     std::vector<std::uint64_t> buffer_;
@@ -382,29 +343,13 @@ class TraceReplayBackend : public MemoryInterface
     std::size_t elem_ = 0;
 };
 
-/** Sniff a trace file's format; std::nullopt if it is neither. */
-std::optional<TraceFormat> tryTraceFileFormat(const std::string &path);
-
-/** What convertTraceFile() did. */
-struct TraceConvertStats
-{
-    /** The input's format; the output is always v2. */
-    TraceFormat from;
-    /** Word-granular operations converted. */
-    std::size_t ops = 0;
-    std::uintmax_t bytesIn = 0;
-    std::uintmax_t bytesOut = 0;
-};
-
 /**
- * Re-serialize @p in_path (v1 or v2) as v2 at @p out_path: a v1 file
- * is upgraded, a v2 file re-encoded with @p options' frame encoding.
- * The element streams are identical, so both files replay to the
- * identical profile counts.
+ * Why @p path cannot be replayed, judged from its first 8 bytes only:
+ * "" when it opens and starts with the v2 magic. A file without the
+ * magic (v1 text, say) gets the loader's message, which names
+ * beer_trace_convert.
  */
-TraceConvertStats convertTraceFile(const std::string &in_path,
-                                   const std::string &out_path,
-                                   const TraceWriteOptions &options);
+std::string traceFileMagicError(const std::string &path);
 
 } // namespace beer::dram
 

@@ -186,7 +186,6 @@ healthJson(const HealthReport &health)
         << ",\"escalations\":" << health.quorumEscalations
         << "},\"sat_solves\":" << health.satSolves
         << ",\"legacy_payloads\":" << health.legacyPayloads
-        << ",\"trace_v1_jobs\":" << health.traceV1Jobs
         << ",\"trace_v2_jobs\":" << health.traceV2Jobs << "}";
     return out.str();
 }

@@ -1,7 +1,6 @@
 #include "svc/service.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "beer/measure.hh"
@@ -339,21 +338,12 @@ RecoveryService::submitTraceFile(const std::string &path,
     if (stopped_.load())
         return rejected(SubmitOutcome::Reject::Overloaded,
                         "service is shutting down");
-    if (!std::ifstream(path))
-        return rejected(SubmitOutcome::Reject::BadPayload,
-                        "cannot open trace file '" + path + "'");
-    // Sniff the trace format up front: unrecognized files are a
-    // submission error, not a worker crash later, and the per-format
-    // counters tell a fleet operator how far the v2 migration is.
-    const auto format = dram::tryTraceFileFormat(path);
-    if (!format)
-        return rejected(SubmitOutcome::Reject::BadPayload,
-                        "'" + path +
-                            "' is neither a v1 nor a v2 trace");
-    if (*format == dram::TraceFormat::V1)
-        traceV1Jobs_.fetch_add(1, std::memory_order_relaxed);
-    else
-        traceV2Jobs_.fetch_add(1, std::memory_order_relaxed);
+    // Check the magic up front: a missing or non-v2 file (v1 text,
+    // say) is a submission error, not a worker crash later.
+    const std::string error = dram::traceFileMagicError(path);
+    if (!error.empty())
+        return rejected(SubmitOutcome::Reject::BadPayload, error);
+    traceV2Jobs_.fetch_add(1, std::memory_order_relaxed);
 
     auto record = std::make_unique<JobRecord>();
     record->options = options;
@@ -394,8 +384,9 @@ RecoveryService::replayJournal()
     // records, deduplicated by id, and dropped finished jobs; what
     // comes back is exactly the unfinished submissions, in original
     // submission order. A record the service itself cannot use (an
-    // unreadable profile, a trace file that is gone) is retired with
-    // a terminal record so it does not replay forever.
+    // unreadable profile, a trace file that is gone or not v2) is
+    // retired with a terminal record so it does not replay forever,
+    // nor crash a worker on every restart.
     for (const ReplayedJob &job : journal_->replay()) {
         std::istringstream fields(job.payload);
         std::string kind;
@@ -429,10 +420,10 @@ RecoveryService::replayJournal()
                               /*journal=*/false);
         } else if (kind == "trace") {
             const std::string path = unescapeJournalField(payload);
-            if (!std::ifstream(path)) {
-                util::warn("svc: journal job %llu: trace file "
-                              "'%s' is gone, dropped",
-                              (unsigned long long)job.id, path.c_str());
+            const std::string error = dram::traceFileMagicError(path);
+            if (!error.empty()) {
+                util::warn("svc: journal job %llu: %s, dropped",
+                           (unsigned long long)job.id, error.c_str());
                 journal_->appendTerminal(job.id, /*done=*/false);
                 continue;
             }
@@ -720,7 +711,6 @@ RecoveryService::health() const
     report.satSolves = satSolves_.load(std::memory_order_relaxed);
     report.legacyPayloads =
         legacyPayloads_.load(std::memory_order_relaxed);
-    report.traceV1Jobs = traceV1Jobs_.load(std::memory_order_relaxed);
     report.traceV2Jobs = traceV2Jobs_.load(std::memory_order_relaxed);
     report.retries = report.scheduler.retries;
     report.quarantined = report.scheduler.quarantined;
@@ -733,12 +723,6 @@ RecoveryService::health() const
     report.quorumEscalations =
         quorumEscalations_.load(std::memory_order_relaxed);
     return report;
-}
-
-bool
-RecoveryService::flushCache() const
-{
-    return cache_->flushToDisk();
 }
 
 void

@@ -211,8 +211,7 @@ struct HealthReport
     std::uint64_t satSolves = 0;
     /** Version-1 (legacy) payloads accepted and migrated. */
     std::uint64_t legacyPayloads = 0;
-    /** Trace jobs accepted per on-disk format (v2-migration gauge). */
-    std::uint64_t traceV1Jobs = 0;
+    /** Trace jobs accepted. */
     std::uint64_t traceV2Jobs = 0;
     /** Job attempts re-queued by the retry policy. */
     std::uint64_t retries = 0;
@@ -347,9 +346,6 @@ class RecoveryService
 
     HealthReport health() const;
 
-    /** Persist the fingerprint cache now (no-op without a path). */
-    bool flushCache() const;
-
     /**
      * Stop accepting work, drain in-flight jobs, flush the cache.
      * Idempotent; later submissions are load-shed as Overloaded.
@@ -383,7 +379,6 @@ class RecoveryService
 
     std::atomic<std::uint64_t> satSolves_{0};
     std::atomic<std::uint64_t> legacyPayloads_{0};
-    std::atomic<std::uint64_t> traceV1Jobs_{0};
     std::atomic<std::uint64_t> traceV2Jobs_{0};
     std::atomic<std::uint64_t> journalReplays_{0};
     std::atomic<std::uint64_t> quorumVotesSpent_{0};

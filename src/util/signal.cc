@@ -88,15 +88,4 @@ requestShutdown()
     }
 }
 
-void
-clearShutdownRequest()
-{
-    shutdownFlag.store(false);
-    if (wakePipe[0] >= 0) {
-        char buf[16];
-        while (read(wakePipe[0], buf, sizeof buf) > 0) {
-        }
-    }
-}
-
 } // namespace beer::util

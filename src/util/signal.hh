@@ -13,8 +13,7 @@
  * the flag.
  *
  * The flag is process-wide and latches; requestShutdown() sets it
- * programmatically (tests, internal shutdown paths) and
- * clearShutdownRequest() re-arms it (tests only — real tools exit).
+ * programmatically (tests, internal shutdown paths).
  */
 
 #ifndef BEER_UTIL_SIGNAL_HH
@@ -42,9 +41,6 @@ int shutdownWakeFd();
 
 /** Request shutdown programmatically (same effect as a signal). */
 void requestShutdown();
-
-/** Re-arm after requestShutdown(), for tests. */
-void clearShutdownRequest();
 
 } // namespace beer::util
 

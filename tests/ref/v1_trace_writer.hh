@@ -1,11 +1,11 @@
 /**
  * @file
- * Reference writer for the read-only v1 text trace format
- * (dram/trace.hh): renders a parsed trace's records as per-word v1
- * lines, exactly as the retired production v1 writer emitted them. The
- * suites use it to get v1 bytes for the v1 readers (replay, the
- * converter, the service's format counters); nothing in the library
- * writes v1.
+ * Reference writer for the retired v1 text trace format (grammar in
+ * tools/v1_trace_reader.hh): renders a parsed trace's records as
+ * per-word v1 lines, exactly as the retired production v1 writer
+ * emitted them. The suites use it to get v1 bytes for the one v1
+ * reader, beer_trace_convert's upgrade, and for the refusals of
+ * replay and the service; nothing in the library reads or writes v1.
  */
 
 #ifndef BEER_TESTS_REF_V1_TRACE_WRITER_HH
@@ -84,7 +84,7 @@ renderV1Trace(const dram::TraceReplayBackend &trace)
     return out.str();
 }
 
-/** renderV1Trace() of the trace (either format) held in @p bytes. */
+/** renderV1Trace() of the v2 trace held in @p bytes. */
 inline std::string
 renderV1Trace(const std::string &bytes)
 {

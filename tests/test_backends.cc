@@ -20,6 +20,8 @@
 #include "dram/trace.hh"
 #include "ecc/code_equiv.hh"
 
+#include "../tools/v1_trace_reader.hh"
+
 using namespace beer;
 using beer::dram::ChipConfig;
 using beer::dram::FaultInjectionConfig;
@@ -127,6 +129,7 @@ TEST(TraceReplay, SessionRunsAgainstRecordedTrace)
 
 TEST(TraceReplay, ParsesGeometryAndMetaLines)
 {
+    // v1 text reaches replay through beer_trace_convert's upgrade.
     std::istringstream in("beertrace 1\n"
                           "# a comment\n"
                           "geom 1 2 4 8\n"
@@ -135,7 +138,9 @@ TEST(TraceReplay, ParsesGeometryAndMetaLines)
                           "w 0 10110000\n"
                           "r 0 10110000\n"
                           "p 60 80\n");
-    TraceReplayBackend trace(in);
+    std::stringstream upgraded;
+    EXPECT_EQ(tools::upgradeV1Trace(in, upgraded), 3u);
+    TraceReplayBackend trace(upgraded);
     EXPECT_EQ(trace.addressMap().bytesPerWord, 1u);
     EXPECT_EQ(trace.addressMap().rows, 8u);
     EXPECT_EQ(trace.datawordBits(), 8u);

@@ -62,6 +62,32 @@ plantedProfile(const LinearCode &code,
                              chargedPatternUnion(code.k(), charged));
 }
 
+/**
+ * Record a small simulated measurement as a v2 trace at @p v2_path and
+ * render the same measurement as v1 text at @p v1_path.
+ */
+void
+writeTestTraces(const std::string &v2_path, const std::string &v1_path)
+{
+    dram::ChipConfig config = dram::makeVendorConfig('A', 8, 71);
+    config.map.rows = 32;
+    config.iidErrors = true;
+    dram::SimulatedChip chip(config);
+    MeasureConfig measure;
+    for (double ber : {0.1, 0.3})
+        measure.pausesSeconds.push_back(
+            chip.retentionModel().pauseForBitErrorRate(ber, 80.0));
+    measure.repeatsPerPause = 10;
+
+    std::ostringstream recorded;
+    recordProfileTrace(chip, chargedPatterns(8, 1), measure,
+                       dram::trueCellWords(chip), recorded);
+    std::ofstream(v2_path, std::ios::binary | std::ios::trunc)
+        << recorded.str();
+    std::ofstream(v1_path, std::ios::binary | std::ios::trunc)
+        << test::ref::renderV1Trace(recorded.str());
+}
+
 } // anonymous namespace
 
 TEST(SvcService, RecoversSameFunctionAsBatchPath)
@@ -372,56 +398,27 @@ TEST(SvcService, MissingTraceFileIsRejected)
     EXPECT_EQ(outcome.reject, SubmitOutcome::Reject::BadPayload);
 }
 
-TEST(SvcService, AcceptsBothTraceFormatsAndCountsThem)
+TEST(SvcService, RejectsV1TraceAtSubmitAndKeepsServing)
 {
-    // The same measurement stored as v2 and as v1 (rendered by the
-    // reference writer): both submissions must run to the same
-    // recovered function, and the health report must expose the
-    // per-format acceptance counters (the fleet's v2-migration gauge).
-    // A non-trace file is rejected at submission time, not by a
-    // crashing worker.
-    dram::ChipConfig config = dram::makeVendorConfig('A', 8, 71);
-    config.map.rows = 32;
-    config.iidErrors = true;
-
-    MeasureConfig measure;
-    {
-        dram::SimulatedChip probe(config);
-        for (double ber : {0.1, 0.3})
-            measure.pausesSeconds.push_back(
-                probe.retentionModel().pauseForBitErrorRate(ber,
-                                                            80.0));
-    }
-    measure.repeatsPerPause = 10;
-
+    // Only beer_trace_convert reads v1: a v1 file (rendered by the
+    // reference writer) or a non-trace file is refused at submission,
+    // naming the converter, not by a crashing worker, and the v2 job
+    // beside them runs to the recovered function.
     const std::string v1_path = test::tempPath("v1.trace");
     const std::string v2_path = v1_path + "2";
-    {
-        dram::SimulatedChip chip(config);
-        std::ostringstream recorded;
-        recordProfileTrace(chip, chargedPatterns(8, 1), measure,
-                           dram::trueCellWords(chip), recorded);
-        std::ofstream(v2_path, std::ios::binary | std::ios::trunc)
-            << recorded.str();
-        std::ofstream(v1_path, std::ios::binary | std::ios::trunc)
-            << test::ref::renderV1Trace(recorded.str());
-    }
+    writeTestTraces(v2_path, v1_path);
 
     RecoveryService service;
     const SubmitOutcome v1 = service.submitTraceFile(v1_path);
-    ASSERT_TRUE(v1.accepted) << v1.error;
+    EXPECT_FALSE(v1.accepted);
+    EXPECT_EQ(v1.reject, SubmitOutcome::Reject::BadPayload);
+    EXPECT_NE(v1.error.find("beer_trace_convert"), std::string::npos)
+        << v1.error;
     const SubmitOutcome v2 = service.submitTraceFile(v2_path);
     ASSERT_TRUE(v2.accepted) << v2.error;
-    ASSERT_TRUE(service.waitForJob(v1.id));
     ASSERT_TRUE(service.waitForJob(v2.id));
-    EXPECT_TRUE(service.job(v1.id)->succeeded);
     EXPECT_TRUE(service.job(v2.id)->succeeded);
-    EXPECT_EQ(service.job(v1.id)->codeString,
-              service.job(v2.id)->codeString);
-
-    const auto health = service.health();
-    EXPECT_EQ(health.traceV1Jobs, 1u);
-    EXPECT_EQ(health.traceV2Jobs, 1u);
+    EXPECT_EQ(service.health().traceV2Jobs, 1u);
 
     {
         std::ofstream out(v1_path, std::ios::trunc);
@@ -430,7 +427,7 @@ TEST(SvcService, AcceptsBothTraceFormatsAndCountsThem)
     const SubmitOutcome bad = service.submitTraceFile(v1_path);
     EXPECT_FALSE(bad.accepted);
     EXPECT_EQ(bad.reject, SubmitOutcome::Reject::BadPayload);
-    EXPECT_NE(bad.error.find("neither"), std::string::npos);
+    EXPECT_NE(bad.error.find("beer_trace_convert"), std::string::npos);
     EXPECT_TRUE(service.health().ok);
 
     std::remove(v1_path.c_str());
@@ -859,6 +856,54 @@ TEST(SvcService, JournalReplayResumesUnfinishedJobs)
     EXPECT_GT(organic.id, 5u);
     service.drain();
     std::remove(path.c_str());
+}
+
+TEST(SvcService, JournalReplayDropsV1TraceJobAndKeepsServing)
+{
+    // A journal written while the service still read v1 can hold a
+    // pending trace job whose file is v1 text. Replay must drop it
+    // with a terminal record (replaying it would end the process in
+    // the worker on every restart) and then serve v2 trace jobs.
+    const std::string path = test::tempPath("journal.log");
+    const std::string v1_path = path + ".v1.trace";
+    const std::string v2_path = path + ".v2.trace";
+    writeTestTraces(v2_path, v1_path);
+    {
+        std::ofstream out(path, std::ios::trunc);
+        out << journalFrame("submit 7 trace 0 0 " +
+                            journalEscape(v1_path));
+    }
+
+    ServiceConfig config;
+    config.journalPath = path;
+    {
+        RecoveryService service(config);
+        EXPECT_EQ(service.health().journalReplays, 0u);
+        EXPECT_EQ(service.health().journal.liveRecords, 0u);
+        EXPECT_FALSE(service.job(7).has_value());
+
+        const SubmitOutcome v2 = service.submitTraceFile(v2_path);
+        ASSERT_TRUE(v2.accepted) << v2.error;
+        ASSERT_TRUE(service.waitForJob(v2.id));
+        EXPECT_TRUE(service.job(v2.id)->succeeded);
+        service.drain();
+    }
+    {
+        std::ifstream in(path);
+        const std::string journal((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+        EXPECT_NE(journal.find(journalFrame("failed 7")),
+                  std::string::npos)
+            << journal;
+    }
+    // The terminal record holds: a second restart replays nothing.
+    RecoveryService again(config);
+    EXPECT_EQ(again.health().journalReplays, 0u);
+    again.drain();
+
+    std::remove(path.c_str());
+    std::remove(v1_path.c_str());
+    std::remove(v2_path.c_str());
 }
 
 TEST(SvcService, ExactHitIsAnsweredOnTheSubmitPath)

@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the v2 binary columnar trace format: batched operations
- * collapse to single records, v1 -> v2 conversion is lossless (same
+ * collapse to single records, v1 -> v2 upgrade is lossless (same
  * element stream, bit-identical replayed counts), v2 is at least 10x
- * smaller than v1, corrupted or truncated v2 files are rejected with
- * diagnostics, divergence messages name the expected and requested
- * operations, and the planar replay fast path is invariant under
- * thread count and batch shape. v1 bytes come from the reference
- * writer in ref/v1_trace_writer.hh, since nothing else writes v1.
+ * smaller than v1, v1 text and corrupted or truncated v2 files are
+ * rejected with diagnostics, divergence messages name the expected and
+ * requested operations, and the planar replay fast path is invariant
+ * under thread count and batch shape. v1 bytes come from the reference
+ * writer in ref/v1_trace_writer.hh, since nothing else writes v1, and
+ * reach replay through beer_trace_convert's reader, the only v1 reader.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 #include "util/checksum.hh"
 #include "util/thread_pool.hh"
 
+#include "../tools/v1_trace_reader.hh"
 #include "ref/v1_trace_writer.hh"
 #include "scalar_only.hh"
 #include "temp_path.hh"
@@ -32,7 +34,6 @@ using namespace beer;
 using beer::dram::ChipConfig;
 using beer::dram::makeVendorConfig;
 using beer::dram::SimulatedChip;
-using beer::dram::TraceFormat;
 using beer::dram::TraceRecord;
 using beer::dram::TraceRecorder;
 using beer::dram::TraceReplayBackend;
@@ -95,6 +96,16 @@ recordMeasurement(char vendor, std::size_t k, std::uint64_t seed,
     return {live, out.str()};
 }
 
+/** v2 bytes of the v1 text @p v1, upgraded as beer_trace_convert does. */
+std::string
+upgradeV1(const std::string &v1)
+{
+    std::istringstream in(v1);
+    std::ostringstream out;
+    tools::upgradeV1Trace(in, out);
+    return out.str();
+}
+
 /** 64-bit FNV-1a of @p bytes. */
 std::uint64_t
 fnv1a(const std::string &bytes)
@@ -115,7 +126,8 @@ TEST(TraceV2, BatchedOpsCollapseToSingleRecords)
     // 64 rows, three pauses and 25 repeats per pause: v1 keeps one text
     // line per word (ops == elements), v2 stores one record per
     // broadcast/batch, both replay to the counts of a live measurement
-    // that records nothing, and v2 is at least 10x smaller.
+    // that records nothing (v1 through its upgrade), and v2 is at least
+    // 10x smaller.
     for (const std::size_t k : {8, 16, 32}) {
         ChipConfig config = makeVendorConfig('A', k, 4242 + k);
         config.map.rows = 64;
@@ -141,11 +153,11 @@ TEST(TraceV2, BatchedOpsCollapseToSingleRecords)
         const std::string v1_bytes = renderV1Trace(v2_bytes);
 
         std::istringstream v1_in(v1_bytes);
+        std::stringstream upgraded;
+        tools::upgradeV1Trace(v1_in, upgraded);
         std::istringstream v2_in(v2_bytes);
-        TraceReplayBackend v1_trace(v1_in);
+        TraceReplayBackend v1_trace(upgraded);
         TraceReplayBackend v2_trace(v2_in);
-        EXPECT_EQ(v1_trace.format(), TraceFormat::V1);
-        EXPECT_EQ(v2_trace.format(), TraceFormat::V2);
 
         // Element-granular op counts agree; the v2 record list is far
         // shorter because each batch is one record.
@@ -203,18 +215,8 @@ TEST(TraceV2, UpgradesV1ToAnElementIdenticalV2)
         EXPECT_EQ(v1_text.size(), pin.bytes) << "vendor " << pin.vendor;
         EXPECT_EQ(fnv1a(v1_text), pin.hash) << "vendor " << pin.vendor;
 
-        const test::TempFile v1(std::string("up_") + pin.vendor);
-        const test::TempFile v2(std::string("up2_") + pin.vendor);
-        {
-            std::ofstream out(v1.path, std::ios::binary);
-            out << v1_text;
-        }
-        const dram::TraceConvertStats stats =
-            dram::convertTraceFile(v1.path, v2.path, {});
-        EXPECT_EQ(stats.from, TraceFormat::V1);
-
-        TraceReplayBackend converted(v2.path);
-        EXPECT_EQ(converted.format(), TraceFormat::V2);
+        std::istringstream upgraded(upgradeV1(v1_text));
+        TraceReplayBackend converted(upgraded);
         EXPECT_EQ(renderV1Trace(converted), v1_text)
             << "vendor " << pin.vendor;
         EXPECT_TRUE(sameCounts(live, replayProfileTrace(converted)))
@@ -251,15 +253,8 @@ TEST(TraceV2, QuorumMetaSurvivesConversion)
         << "noise too weak to exercise the adaptive path";
     const std::string v1_text = renderV1Trace(recorded.str());
 
-    const test::TempFile v1("quorum.trace");
-    const test::TempFile v2("quorum.trace2");
-    {
-        std::ofstream out(v1.path, std::ios::binary);
-        out << v1_text;
-    }
-    dram::convertTraceFile(v1.path, v2.path, {});
-
-    TraceReplayBackend trace(v2.path);
+    std::istringstream upgraded(upgradeV1(v1_text));
+    TraceReplayBackend trace(upgraded);
     EXPECT_EQ(renderV1Trace(trace), v1_text);
     const ProfileCounts replayed = replayProfileTrace(trace);
     EXPECT_TRUE(trace.atEnd());
@@ -330,7 +325,8 @@ TEST(TraceV2Death, DivergenceNamesExpectedAndRequestedOps)
         recorder.writeDataword(3, ones);
         (void)recorder.readDataword(3);
     }
-    for (const std::string &bytes : {out.str(), renderV1Trace(out.str())}) {
+    for (const std::string &bytes :
+         {out.str(), upgradeV1(renderV1Trace(out.str()))}) {
 
         // Wrong operation kind: read where a write was recorded.
         {
@@ -486,27 +482,60 @@ TEST(TraceV2Death, TruncatedTraceIsRejectedAtLoad)
         "trace v2: (record .* overruns the file|truncated header)");
 }
 
-TEST(TraceV2, FormatSniffingAndNames)
+TEST(TraceV2, MagicCheckAcceptsOnlyV2)
 {
-    EXPECT_STREQ(dram::traceFormatName(TraceFormat::V1), "v1");
-    EXPECT_STREQ(dram::traceFormatName(TraceFormat::V2), "v2");
-
-    const std::string path = test::tempPath("sniff.trace");
+    // The one question submit and journal replay ask of a trace file:
+    // does it start with the v2 magic? v1 text and garbage are refused
+    // with the advice to upgrade through beer_trace_convert.
+    const std::string path = test::tempPath("magic.trace");
     const auto [live, v2_bytes] = recordMeasurement('A', 8, 41);
     {
         std::ofstream out(path, std::ios::binary);
         out << v2_bytes;
     }
-    EXPECT_EQ(dram::tryTraceFileFormat(path), TraceFormat::V2);
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "# comment\nbeertrace 1\n";
+    EXPECT_EQ(dram::traceFileMagicError(path), "");
+    for (const std::string &bytes :
+         {renderV1Trace(v2_bytes), std::string("# comment\nbeertrace 1\n"),
+          std::string("not a trace at all\n"), std::string()}) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out << bytes;
+        }
+        const std::string error = dram::traceFileMagicError(path);
+        EXPECT_NE(error.find("not a v2 trace"), std::string::npos) << error;
+        EXPECT_NE(error.find("beer_trace_convert"), std::string::npos)
+            << error;
     }
-    EXPECT_EQ(dram::tryTraceFileFormat(path), TraceFormat::V1);
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << "not a trace at all\n";
-    }
-    EXPECT_FALSE(dram::tryTraceFileFormat(path).has_value());
     std::remove(path.c_str());
+    EXPECT_NE(dram::traceFileMagicError(path).find("cannot open"),
+              std::string::npos);
+}
+
+TEST(TraceV2Death, V1TextIsRefusedNamingTheConverter)
+{
+    // Replay reads v2 only; v1 text fails at load, from a stream or a
+    // file, with the same advice the magic check gives.
+    const std::string v1_text = "beertrace 1\ngeom 1 2 4 8\nk 8\n"
+                                "w 0 10110000\n";
+    EXPECT_DEATH(
+        {
+            std::istringstream in(v1_text);
+            TraceReplayBackend trace(in);
+        },
+        "trace stream is not a v2 trace.*beer_trace_convert");
+    const std::string path = test::tempPath("v1.trace");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << v1_text;
+    }
+    EXPECT_DEATH({ TraceReplayBackend trace(path); },
+                 "is not a v2 trace.*beer_trace_convert");
+    std::remove(path.c_str());
+
+    // The converter's reader names the line it cannot upgrade.
+    EXPECT_DEATH(upgradeV1("beertrace 1\ngeom 1 2 4 8\nk 8\nw 0 1011\n"),
+                 "v1 trace line 4: malformed 'w' record");
+    EXPECT_DEATH(upgradeV1("not a trace at all\n"),
+                 "not a v1 trace: no complete beertrace/geom/k header "
+                 "before line 1");
 }
