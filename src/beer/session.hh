@@ -22,7 +22,8 @@
  * the answer and the remaining patterns need not be measured at all.
  * On real chips, where each pattern costs refresh-pause minutes, this
  * early exit is the difference between hours and days of test time;
- * see bench/session_speedup.cc for the measured reduction.
+ * Session.AdaptiveEarlyExitMatchesFullSweep checks that it measures
+ * fewer patterns than the full sweep and recovers the same function.
  *
  * Solver side, a session owns ONE beer::IncrementalSolver for its
  * whole lifetime. The structural constraints are encoded exactly

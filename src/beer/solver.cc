@@ -603,14 +603,6 @@ IncrementalSolver::roundDropped(std::size_t round) const
     return impl_->rounds[round].dropped;
 }
 
-bool
-IncrementalSolver::roundSuspended(std::size_t round) const
-{
-    BEER_ASSERT(round < impl_->rounds.size());
-    const Impl::Round &r = impl_->rounds[round];
-    return !r.dropped && r.suspended;
-}
-
 void
 IncrementalSolver::suspendRound(std::size_t round)
 {

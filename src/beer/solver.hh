@@ -206,9 +206,6 @@ class IncrementalSolver
     /** True iff dropRound(@p round) has been called. */
     bool roundDropped(std::size_t round) const;
 
-    /** True iff the round is currently suspended. */
-    bool roundSuspended(std::size_t round) const;
-
     /**
      * Temporarily disable the round's constraints for subsequent
      * probe()/solve() calls. Reversible via resumeRound().

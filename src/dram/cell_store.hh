@@ -41,8 +41,8 @@
  *    one-BitVec-per-word chip consumes — the differential anchor;
  *  - decayBernoulli: iid candidates as whole Bernoulli lane masks
  *    (util::BernoulliMask), plane-major; statistically equivalent to
- *    skip-sampling but a different Rng stream, and faster above the
- *    crossover rate bench/sim_throughput measures.
+ *    skip-sampling but a different Rng stream, and faster above
+ *    kInjectionCrossoverBer.
  */
 
 #ifndef BEER_DRAM_CELL_STORE_HH

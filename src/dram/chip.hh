@@ -52,7 +52,7 @@ enum class InjectionMode
 {
     /**
      * SkipSample below kInjectionCrossoverBer, BernoulliMask at or
-     * above it — the crossover bench/sim_throughput measures.
+     * above it.
      */
     Auto,
     /**
@@ -72,10 +72,12 @@ enum class InjectionMode
 
 /**
  * iid BER at or above which InjectionMode::Auto switches from
- * skip-sampling to Bernoulli lane masks. Measured by
- * bench/sim_throughput (reported as injection_crossover_ber in its
- * JSON); the constant tracks the measured value on x86 hosts, where
- * the ratio crosses 1 between the 0.03 and 0.1 grid points.
+ * skip-sampling to Bernoulli lane masks. The value comes from the
+ * crossover grid of the removed bench/sim_throughput harness (see git
+ * history): on x86 hosts the skip/Bernoulli time ratio crossed 1
+ * between its 0.03 and 0.1 grid points.
+ * TransposedChip.AutoInjectionTracksTheCrossoverConstant pins the
+ * switch point.
  */
 inline constexpr double kInjectionCrossoverBer = 0.035;
 

@@ -158,29 +158,6 @@ Encoder::mkXor(const std::vector<Lit> &lits)
     return acc;
 }
 
-Lit
-Encoder::mkEq(Lit a, Lit b)
-{
-    return ~mkXor(a, b);
-}
-
-Lit
-Encoder::mkIte(Lit cond, Lit t, Lit f)
-{
-    if (cond == constTrue())
-        return t;
-    if (cond == constFalse())
-        return f;
-    if (t == f)
-        return t;
-    const Lit y = fresh();
-    emit(~cond, ~t, y);
-    emit(~cond, t, ~y);
-    emit(cond, ~f, y);
-    emit(cond, f, ~y);
-    return y;
-}
-
 void
 Encoder::require(const std::vector<Lit> &lits)
 {
@@ -197,36 +174,6 @@ void
 Encoder::requireImplies(Lit a, Lit b)
 {
     emit(~a, b);
-}
-
-void
-Encoder::requireEqual(Lit a, Lit b)
-{
-    emit(~a, b);
-    emit(a, ~b);
-}
-
-void
-Encoder::requireXor(std::vector<Lit> lits, bool rhs)
-{
-    const Lit y = mkXor(lits);
-    require(rhs ? y : ~y);
-}
-
-void
-Encoder::requireAtMostOne(const std::vector<Lit> &lits)
-{
-    for (std::size_t i = 0; i < lits.size(); ++i)
-        for (std::size_t j = i + 1; j < lits.size(); ++j)
-            emit(~lits[i], ~lits[j]);
-}
-
-void
-Encoder::requireExactlyOne(const std::vector<Lit> &lits)
-{
-    BEER_ASSERT(!lits.empty());
-    require(lits);
-    requireAtMostOne(lits);
 }
 
 void

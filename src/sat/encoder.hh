@@ -66,10 +66,6 @@ class Encoder
     Lit mkXor(Lit a, Lit b);
     /** y <-> XOR(lits); returns constFalse() for an empty list. */
     Lit mkXor(const std::vector<Lit> &lits);
-    /** y <-> (a == b). */
-    Lit mkEq(Lit a, Lit b);
-    /** y <-> (cond ? t : f). */
-    Lit mkIte(Lit cond, Lit t, Lit f);
 
     // ---- top-level constraints -----------------------------------------
     /** Assert a clause. */
@@ -77,14 +73,6 @@ class Encoder
     void require(Lit a);
     /** Assert a -> b. */
     void requireImplies(Lit a, Lit b);
-    /** Assert a == b. */
-    void requireEqual(Lit a, Lit b);
-    /** Assert XOR(lits) == rhs (GF(2) equation). */
-    void requireXor(std::vector<Lit> lits, bool rhs);
-    /** Assert at most one of @p lits is true (pairwise encoding). */
-    void requireAtMostOne(const std::vector<Lit> &lits);
-    /** Assert exactly one of @p lits is true. */
-    void requireExactlyOne(const std::vector<Lit> &lits);
     /**
      * Assert vector a <=_lex b (element 0 most significant), used for
      * row-permutation symmetry breaking in the BEER formulation.

@@ -258,8 +258,8 @@ class GeometricSampler
  * masks, not per-cell trials: at high error rates, drawing each cell
  * with the geometric skip sampler costs one Rng draw *per error*,
  * while this sampler resolves 64 cells in an expected ~log2(64) + 2
- * draws regardless of the rate — the crossover is measured by
- * bench/sim_throughput.
+ * draws regardless of the rate — dram::kInjectionCrossoverBer is
+ * where the two samplers cross.
  *
  * Algorithm: compare an infinite random binary fraction u against p
  * digit by digit, all 64 lanes in parallel — one next() supplies

@@ -186,7 +186,7 @@ TEST(SatGf2, XorSystemsAgreeWithMatrixSolver)
             for (std::size_t c = 0; c < cols; ++c)
                 if (m.get(r, c))
                     terms.push_back(x[c]);
-            enc.requireXor(terms, rhs.get(r));
+            enc.require(rhs.get(r) ? enc.mkXor(terms) : ~enc.mkXor(terms));
         }
 
         const auto matrix_solution = m.solve(rhs);

@@ -323,7 +323,13 @@ TEST(LazySolver, NonMonotoneRebuildMatchesEager)
                             eagerBeerSolve(enforced, p, 64),
                             "after rebuild");
         if (retractable) {
-            EXPECT_TRUE(lazy.roundSuspended(0));
+            // Round 0 stayed suspended: with round 1 suspended too, no
+            // profile entry is enforced.
+            lazy.suspendRound(1);
+            expectSameSolutions(lazy.solve(64),
+                                eagerBeerSolve(slice(truth, 0, 0), p, 64),
+                                "both rounds suspended");
+            lazy.resumeRound(1);
             lazy.resumeRound(0);
             expectSameSolutions(lazy.solve(), eagerBeerSolve(truth, p),
                                 "resumed after rebuild");

@@ -151,6 +151,23 @@ TEST(SvcService, RepeatSubmissionIsExactHitWithZeroSolves)
     // The acceptance criterion: the repeat cost zero SAT solves.
     EXPECT_EQ(service.health().satSolves, solves_after_cold);
     EXPECT_EQ(service.health().cache.exactHits, 1u);
+
+    // A sibling chip measured with less coverage (the profile minus
+    // its last two patterns) is a different profile: a miss and one
+    // cold solve, which must still pin the generating code down.
+    MiscorrectionProfile truncated = profile;
+    truncated.patterns.resize(truncated.patterns.size() - 2);
+    const SubmitOutcome third = service.submitProfile(truncated);
+    ASSERT_TRUE(third.accepted);
+    ASSERT_TRUE(service.waitForJob(third.id));
+    const auto sibling = service.job(third.id);
+    ASSERT_TRUE(sibling && sibling->succeeded);
+    EXPECT_EQ(sibling->cache, CacheOutcome::None);
+    EXPECT_EQ(sibling->solutions, 1u);
+    EXPECT_TRUE(sibling->complete);
+    ASSERT_TRUE(sibling->code.has_value());
+    EXPECT_TRUE(equivalent(*sibling->code, code));
+    EXPECT_EQ(service.health().satSolves, solves_after_cold + 1);
 }
 
 TEST(SvcService, BypassCacheSkipsLookupButStillSolves)

@@ -517,8 +517,11 @@ TEST(TransposedChip, MeasureProfileMatchesScalarStorage)
 
 TEST(TransposedChip, BernoulliInjectionIsBackendAndThreadInvariant)
 {
+    // Four retention shards of 512 words, so 4 threads really shard
+    // pauseRefresh.
     const std::size_t k = 16;
     ChipConfig config = diffConfig('A', k, 0x88);
+    config.map.rows = 1024;
     config.iidErrors = true;
     config.injection = InjectionMode::BernoulliMask;
 
