@@ -156,8 +156,9 @@ class MemoryWordUnderTest : public WordUnderTest
 
     /**
      * Sequential cycles (a refresh pause cannot be batched on real
-     * hardware), but responsive to util::requestShutdown() between
-     * cycles: a batch against a slow chip stops at the next cycle
+     * hardware), but responsive to a shutdown signal
+     * (util::shutdownRequested()) between cycles: a batch against a
+     * slow chip stops at the next cycle
      * boundary and returns the reads finished so far (out.size() <
      * count), matching measureProfile()'s pattern-boundary behavior.
      */

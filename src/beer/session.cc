@@ -16,8 +16,8 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Solution cap for the final solve after a deadline/budget stop,
- *  when no explicit BeerSolverConfig::maxSolutions bounds it. */
+/** Solution cap for the final solve after a deadline stop, when no
+ *  explicit BeerSolverConfig::maxSolutions bounds it. */
 constexpr std::size_t kDegradedCandidateCap = 16;
 
 double
@@ -59,8 +59,6 @@ sessionOutcomeName(SessionOutcome outcome)
         return "unsatisfiable";
     case SessionOutcome::DeadlineExceeded:
         return "deadline_exceeded";
-    case SessionOutcome::BudgetExhausted:
-        return "budget_exhausted";
     }
     return "unknown";
 }
@@ -93,29 +91,16 @@ Session::Session(dram::MemoryInterface &mem, SessionConfig config)
     const std::size_t k = mem_.datawordBits();
     BEER_ASSERT(k > 0);
     pending_ = chargedPatterns(k, 1);
-    // Adaptive schedules measure high-index patterns first. Structured
-    // (canonical) parity-check matrices place their largest-support
-    // columns at high data-bit indices, and a pattern's measurement
-    // constrains every column whose support is included in its own —
-    // so large-support patterns prune the candidate space fastest and
-    // the solve becomes provably unique after fewer patterns (the
+    // Measure high-index patterns first. Structured (canonical)
+    // parity-check matrices place their largest-support columns at
+    // high data-bit indices, and a pattern's measurement constrains
+    // every column whose support is included in its own — so
+    // large-support patterns prune the candidate space fastest and the
+    // solve becomes provably unique after fewer patterns (the
     // manufacturer-B configuration drops from 16 to 10 measured
-    // patterns at k=16). The legacy (non-adaptive) sweep keeps the
-    // natural order for bit-exact reproducibility.
-    if (config_.adaptiveEarlyExit)
-        std::reverse(pending_.begin(), pending_.end());
+    // patterns at k=16).
+    std::reverse(pending_.begin(), pending_.end());
     counts_.k = k;
-}
-
-std::size_t
-Session::chunkLimit(std::size_t available) const
-{
-    if (!config_.adaptiveEarlyExit)
-        return available;
-    std::size_t per_round = config_.patternsPerRound;
-    if (per_round == 0)
-        per_round = std::max<std::size_t>(1, mem_.datawordBits() / 8);
-    return std::min(available, per_round);
 }
 
 void
@@ -174,22 +159,11 @@ Session::deadlineExceeded() const
 }
 
 bool
-Session::budgetExhausted() const
+Session::checkDeadline()
 {
-    return config_.measurementBudget != 0 &&
-           stats_.patternMeasurements >= config_.measurementBudget;
-}
-
-bool
-Session::checkDegraded()
-{
-    if (stopReason_)
-        return true;
-    if (deadlineExceeded())
-        stopReason_ = SessionOutcome::DeadlineExceeded;
-    else if (budgetExhausted())
-        stopReason_ = SessionOutcome::BudgetExhausted;
-    return stopReason_.has_value();
+    if (!deadlineHit_)
+        deadlineHit_ = deadlineExceeded();
+    return deadlineHit_;
 }
 
 std::uint64_t
@@ -226,9 +200,10 @@ Session::measureRound()
     if (nextPending_ >= pending_.size())
         return false;
 
-    if (config_.adaptiveEarlyExit)
-        partitionPending();
-    const std::size_t chunk = chunkLimit(pendingPatternCount());
+    partitionPending();
+    const std::size_t chunk = std::min(
+        pendingPatternCount(),
+        std::max<std::size_t>(1, mem_.datawordBits() / 8));
     const std::vector<TestPattern> round(
         pending_.begin() + (std::ptrdiff_t)nextPending_,
         pending_.begin() + (std::ptrdiff_t)(nextPending_ + chunk));
@@ -249,18 +224,16 @@ Session::solve()
     // to decide uniqueness: two solutions suffice, and they are the
     // pair the next round is ranked by.
     std::size_t max_solutions = config_.solver.maxSolutions;
-    const bool capped = config_.adaptiveEarlyExit &&
-                        moreEvidenceAvailable() && !stopReason_;
+    const bool capped = moreEvidenceAvailable() && !deadlineHit_;
     if (capped) {
         if (max_solutions == 0 || max_solutions > 2)
             max_solutions = 2;
-    } else if (stopReason_ && max_solutions == 0) {
-        // A degraded stop (deadline/budget) will not measure again;
-        // its final solve reports a ranked candidate set. That set
-        // must stay bounded: the evidence committed when a tiny
-        // budget trips may admit astronomically many functions, and
-        // "enumerate them all" would turn a deadline stop into an
-        // unbounded solve.
+    } else if (deadlineHit_ && max_solutions == 0) {
+        // A deadline stop will not measure again; its final solve
+        // reports a ranked candidate set. That set must stay bounded:
+        // the evidence committed when an early deadline trips may
+        // admit astronomically many functions, and "enumerate them
+        // all" would turn a deadline stop into an unbounded solve.
         max_solutions = kDegradedCandidateCap;
     }
 
@@ -385,7 +358,7 @@ Session::attemptRepair()
 {
     for (std::size_t attempt = 0;
          attempt < config_.repair.maxAttempts; ++attempt) {
-        if (checkDegraded())
+        if (checkDeadline())
             return false;
         ++stats_.repairAttempts;
 
@@ -494,13 +467,10 @@ Session::diagnose() const
         d.detail = "recovered a provably unique ECC function";
         return d;
     }
-    if (stopReason_) {
-        d.outcome = *stopReason_;
-        d.detail = *stopReason_ == SessionOutcome::DeadlineExceeded
-                       ? "session deadline expired before the evidence "
-                         "pinned a unique function"
-                       : "measurement budget exhausted before the "
-                         "evidence pinned a unique function";
+    if (deadlineHit_) {
+        d.outcome = SessionOutcome::DeadlineExceeded;
+        d.detail = "session deadline expired before the evidence "
+                   "pinned a unique function";
         return d;
     }
     if (solve_ && solve_->complete && solve_->solutions.empty()) {
@@ -521,27 +491,22 @@ Session::diagnose() const
     return d;
 }
 
-bool
+void
 Session::escalate()
 {
-    if (escalated_)
-        return false;
     escalated_ = true;
     auto two_charged = chargedPatterns(mem_.datawordBits(), 2);
-    if (config_.adaptiveEarlyExit)
-        std::reverse(two_charged.begin(), two_charged.end());
+    std::reverse(two_charged.begin(), two_charged.end());
     pending_.insert(pending_.end(), two_charged.begin(),
                     two_charged.end());
     ++stats_.escalations;
     notify(SessionStage::Escalate);
-    return true;
 }
 
 bool
 Session::canEscalate() const
 {
-    return config_.escalateToTwoCharged && !escalated_ &&
-           mem_.datawordBits() >= 2;
+    return !escalated_ && mem_.datawordBits() >= 2;
 }
 
 bool
@@ -550,24 +515,13 @@ Session::moreEvidenceAvailable() const
     return pendingPatternCount() > 0 || canEscalate();
 }
 
-bool
-Session::finished() const
-{
-    if (solve_ && solve_->unique() && !countsDirty_)
-        return true;
-    return !moreEvidenceAvailable() && solve_ && !countsDirty_ &&
-           !solveWasCapped_;
-}
-
 RecoveryReport
 Session::run()
 {
     while (true) {
-        if (checkDegraded())
+        if (checkDeadline())
             break;
         if (measureRound()) {
-            // Outside adaptive mode the round covered every pending
-            // pattern; either way, decide on the evidence so far.
             solve();
             if (repairNeeded() && !attemptRepair())
                 break;
@@ -590,12 +544,12 @@ Session::run()
         }
         break;
     }
-    // Graceful degradation: a deadline/budget stop still reports the
-    // ranked candidate set the committed evidence admits (solve() lifts
-    // the uniqueness cap once stopReason_ is latched). The
-    // deadline bounds measurement — the dominant, refresh-pause cost —
-    // not this one last solve.
-    if (stopReason_ && (countsDirty_ || solveWasCapped_) &&
+    // Graceful degradation: a deadline stop still reports the ranked
+    // candidate set the committed evidence admits (solve() lifts the
+    // uniqueness cap once deadlineHit_ is latched). The deadline
+    // bounds measurement — the dominant, refresh-pause cost — not this
+    // one last solve.
+    if (deadlineHit_ && (countsDirty_ || solveWasCapped_) &&
         !counts_.patterns.empty())
         solve();
     notify(SessionStage::Done);

@@ -1,33 +1,28 @@
 /**
  * @file
- * Staged, resumable BEER recovery sessions.
+ * Adaptive BEER recovery sessions.
  *
- * beer::Session decomposes the monolithic recovery pipeline into
- * explicit, caller-driven stages over any dram::MemoryInterface
- * backend:
+ * beer::Session runs the paper's Steps 1-3 over any
+ * dram::MemoryInterface backend: run() measures 1-CHARGED test
+ * patterns a round at a time, solves after every round, and escalates
+ * to the 2-CHARGED class (paper Section 4.2.4, for shortened codes)
+ * only once every 1-CHARGED pattern is measured and the solution is
+ * still not unique.
  *
- *   - measureRound()  measures the next chunk of planned test patterns
- *                     and accumulates the observations into the
- *                     running ProfileCounts via merge();
- *   - solve()         thresholds the accumulated counts and runs the
- *                     SAT solve on everything measured so far;
- *   - escalate()      appends the 2-CHARGED pattern class to the plan
- *                     (paper Section 4.2.4, for shortened codes);
- *   - run()           drives the full adaptive loop to completion.
- *
- * The adaptive loop exploits a property of the profile constraints:
- * any subset of a code's true miscorrection profile is satisfied by
- * the code itself, so if the patterns measured so far already admit
+ * The schedule exploits a property of the profile constraints: any
+ * subset of a code's true miscorrection profile is satisfied by the
+ * code itself, so if the patterns measured so far already admit
  * exactly one ECC function (solve-to-UNSAT proof), that function is
  * the answer and the remaining patterns need not be measured at all.
  * On real chips, where each pattern costs refresh-pause minutes, this
  * early exit is the difference between hours and days of test time;
  * Session.AdaptiveEarlyExitMatchesFullSweep checks that it measures
- * fewer patterns than the full sweep and recovers the same function.
+ * fewer patterns than the full sweep (tests/ref/full_sweep.hh) and
+ * recovers the same function.
  *
  * Solver side, a session owns ONE beer::IncrementalSolver for its
  * whole lifetime. The structural constraints are encoded exactly
- * once, each solve() round registers only the patterns measured since
+ * once, each solve round registers only the patterns measured since
  * the previous round (held constraints are encoded lazily, as models
  * violate them), learned clauses and branching activity persist
  * across rounds, and the uniqueness-check blocking clauses of round r
@@ -38,7 +33,7 @@
  * Every stage records wall-clock and SAT statistics (SessionStats,
  * including the per-round encode/search split) and reports through an
  * optional progress callback, so long-running recoveries are
- * observable and resumable between stages.
+ * observable while they run.
  *
  * run() is serial: each round's patterns are ranked by the candidates
  * of the solve that just finished, then measured, then solved. Solving
@@ -92,7 +87,7 @@ struct SessionProgress
     std::size_t escalations = 0;
 };
 
-/** Solver-side accounting for one Session::solve() round. */
+/** Solver-side accounting for one solve round of a Session. */
 struct SolveRoundStats
 {
     /** Seconds encoding the eager constraints (CNF construction and
@@ -112,14 +107,14 @@ struct SolveRoundStats
 /** Per-stage accounting accumulated across a session's lifetime. */
 struct SessionStats
 {
-    /** Wall-clock seconds spent inside measureRound(). */
+    /** Wall-clock seconds spent measuring. */
     double measureSeconds = 0.0;
-    /** Wall-clock seconds spent inside solve(). */
+    /** Wall-clock seconds spent solving. */
     double solveSeconds = 0.0;
     /** solveSeconds split: constraint encoding vs SAT search. */
     double solveEncodeSeconds = 0.0;
     double solveSearchSeconds = 0.0;
-    /** One entry per solve() call, in order. */
+    /** One entry per solve round, in order. */
     std::vector<SolveRoundStats> solveRounds;
     std::size_t measureRounds = 0;
     std::size_t solveCalls = 0;
@@ -133,7 +128,7 @@ struct SessionStats
     std::uint64_t patternMeasurements = 0;
     /** Total word read-backs observed. */
     std::uint64_t wordObservations = 0;
-    /** SAT statistics accumulated across all solve() calls. */
+    /** SAT statistics accumulated across all solve rounds. */
     sat::SolverStats sat;
     /** UNSAT-repair loop iterations run (SessionConfig::repair). */
     std::size_t repairAttempts = 0;
@@ -201,24 +196,6 @@ struct SessionConfig
     MeasureConfig measure = MeasureConfig::paperDefault();
     BeerSolverConfig solver;
     /**
-     * Add 2-CHARGED patterns when the 1-CHARGED profile does not
-     * identify a unique function (needed for shortened codes).
-     */
-    bool escalateToTwoCharged = true;
-    /**
-     * Solve after every measurement round and stop measuring as soon
-     * as the solution is provably unique. Disable for the full sweep:
-     * measure every 1-CHARGED pattern, then solve once (twice when the
-     * 2-CHARGED escalation runs).
-     */
-    bool adaptiveEarlyExit = true;
-    /**
-     * Patterns measured per measureRound() when adaptive
-     * (0 = automatic: max(1, k/8)). Ignored without adaptive early
-     * exit, where every round measures all pending patterns.
-     */
-    std::size_t patternsPerRound = 0;
-    /**
      * Words to program and observe; see measureProfile(). Empty means
      * every word (correct only for all-true-cell backends).
      */
@@ -235,13 +212,6 @@ struct SessionConfig
      * set the committed evidence admits.
      */
     double deadlineSeconds = 0.0;
-    /**
-     * Cap on (pattern, pause, repeat) experiments issued (0 = none),
-     * repair re-measurement included; checked at round granularity.
-     * On exhaustion the session degrades exactly like the deadline
-     * does, with a BudgetExhausted diagnosis.
-     */
-    std::uint64_t measurementBudget = 0;
     /** Invoked after every stage when set. */
     std::function<void(const SessionProgress &)> onProgress;
 };
@@ -258,8 +228,6 @@ enum class SessionOutcome
     Unsatisfiable,
     /** SessionConfig::deadlineSeconds expired first. */
     DeadlineExceeded,
-    /** SessionConfig::measurementBudget ran out first. */
-    BudgetExhausted,
 };
 
 /** Stable lower_snake name for logs and JSON (e.g. "unique"). */
@@ -316,7 +284,7 @@ struct RecoveryReport
     }
 };
 
-/** Staged BEER recovery; see file comment. */
+/** Adaptive BEER recovery; see file comment. */
 class Session
 {
   public:
@@ -327,57 +295,43 @@ class Session
     explicit Session(dram::MemoryInterface &mem,
                      SessionConfig config = {});
 
+    /** Measure, solve and escalate to completion, then report. */
+    RecoveryReport run();
+
+    /** Accounting so far (readable from SessionConfig::onProgress). */
+    const SessionStats &stats() const { return stats_; }
+
+  private:
     /**
      * Measure the next chunk of pending patterns and merge the
-     * observations into counts().
+     * observations into counts_.
      *
      * @return false if no patterns were pending (nothing measured)
      */
     bool measureRound();
-
     /**
      * Threshold the accumulated counts and solve for all consistent
      * ECC functions. While more measurement is available (pending
-     * patterns or a possible escalation) and adaptive early exit is
-     * on, enumeration is capped at two solutions — enough to decide
-     * uniqueness; the final solve honors the configured cap.
+     * patterns or the escalation), enumeration is capped at two
+     * solutions — enough to decide uniqueness; the final solve honors
+     * the configured cap.
      */
     const BeerSolveResult &solve();
-
-    /**
-     * Append the 2-CHARGED pattern class to the measurement plan.
-     *
-     * @return false if the escalation already happened
-     */
-    bool escalate();
-
-    /** Drive measure/solve/escalate to completion and report. */
-    RecoveryReport run();
-
-    /** True iff solved unique, or nothing is left to measure or try. */
-    bool finished() const;
+    /** Append the 2-CHARGED pattern class to the measurement plan. */
+    void escalate();
+    /** Report of everything produced so far. */
+    RecoveryReport report() const;
 
     /** Patterns planned but not yet measured. */
     std::size_t pendingPatternCount() const
     {
         return pending_.size() - nextPending_;
     }
-
-    const ProfileCounts &counts() const { return counts_; }
-    const SessionStats &stats() const { return stats_; }
-    const dram::MemoryInterface &memory() const { return mem_; }
-
-    /** Report of everything produced so far. */
-    RecoveryReport report() const;
-
-  private:
     bool canEscalate() const;
     /** True while another measurement could still refine the solve. */
     bool moreEvidenceAvailable() const;
     void notify(SessionStage stage);
 
-    /** Patterns one round may take from @p available pending ones. */
-    std::size_t chunkLimit(std::size_t available) const;
     /** Active pattern selection over the pending tail (see .cc). */
     void partitionPending();
     /** Measure @p round (no bookkeeping); wall-clock into @p seconds. */
@@ -390,9 +344,8 @@ class Session
     std::uint64_t experimentsFor(std::size_t patterns) const;
 
     bool deadlineExceeded() const;
-    bool budgetExhausted() const;
-    /** Latch stopReason_ on deadline/budget expiry; true = stop now. */
-    bool checkDegraded();
+    /** Latch deadlineHit_ once the deadline expires; true = stop now. */
+    bool checkDeadline();
     /** True iff the last solve proved the profile unsatisfiable and
      *  the retractable-round machinery is armed to act on it. */
     bool repairNeeded() const;
@@ -427,8 +380,8 @@ class Session
     /** Session construction time (deadline + elapsed accounting). */
     std::chrono::steady_clock::time_point start_ =
         std::chrono::steady_clock::now();
-    /** Degraded-stop reason, latched once triggered. */
-    std::optional<SessionOutcome> stopReason_;
+    /** True once the deadline stopped the session. */
+    bool deadlineHit_ = false;
     /**
      * Adaptive-quorum disagreement-rate estimator carried across every
      * measurement this session issues (repair re-measurement

@@ -474,12 +474,6 @@ IncrementalSolver::satSolver() const
     return impl_->solver;
 }
 
-void
-IncrementalSolver::setMaxSolutions(std::size_t max_solutions)
-{
-    impl_->config.maxSolutions = max_solutions;
-}
-
 BeerSolveResult
 IncrementalSolver::solve(std::size_t max_solutions)
 {

@@ -168,10 +168,7 @@ class IncrementalSolver
 
     /**
      * solve() with a one-call enumeration cap (0 = find all). The
-     * configured cap is restored afterwards. This is the preferred
-     * form when the solve runs on another thread: the cap travels
-     * with the call instead of requiring a separate setMaxSolutions()
-     * that would have to be sequenced across the handoff.
+     * configured cap is restored afterwards.
      */
     BeerSolveResult solve(std::size_t max_solutions);
 
@@ -183,9 +180,6 @@ class IncrementalSolver
      * unchanged; only the laziness is given up.
      */
     void encodeHeldConstraints();
-
-    /** Adjust the enumeration cap for subsequent solve() calls. */
-    void setMaxSolutions(std::size_t max_solutions);
 
     // ---- retractable profile rounds (config.retractableProfile) --------
     //

@@ -104,11 +104,10 @@ struct FaultInjectionConfig
     double stallSeconds = 0.0;
     /**
      * Infrastructure failure (not data noise): every Nth per-word
-     * read op THROWS instead of returning data — a flaky measurement
-     * bus / dropped RPC to the test head (0 disables). The service
-     * classifies the throw as MeasurementFailed and the scheduler's
-     * retry/quarantine policy decides what happens next; the chaos
-     * suite uses this to drive that path deterministically.
+     * read op THROWS InjectedReadFailure instead of returning data — a
+     * flaky measurement bus / dropped RPC to the test head (0
+     * disables). Measurement does not catch it, so the throw ends the
+     * caller's measurement; every read route throws at the same op.
      */
     std::uint64_t throwEveryReads = 0;
 };

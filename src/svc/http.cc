@@ -133,9 +133,6 @@ jobJson(const JobStatus &job)
         out << ",\"code\":\"" << jsonEscape(job.codeString) << "\"";
     if (!job.error.empty())
         out << ",\"error\":\"" << jsonEscape(job.error) << "\"";
-    // diagnosisJson is already a JSON object; embed it raw.
-    if (!job.diagnosisJson.empty())
-        out << ",\"diagnosis\":" << job.diagnosisJson;
     out << "}";
     return out.str();
 }
@@ -182,8 +179,6 @@ healthJson(const HealthReport &health)
         << ",\"crc_skipped\":" << health.journal.crcSkipped
         << ",\"torn_tail\":" << health.journal.tornTail
         << ",\"append_failures\":" << health.journal.appendFailures
-        << "},\"quorum\":{\"votes_spent\":" << health.quorumVotesSpent
-        << ",\"escalations\":" << health.quorumEscalations
         << "},\"sat_solves\":" << health.satSolves
         << ",\"legacy_payloads\":" << health.legacyPayloads
         << ",\"trace_v2_jobs\":" << health.traceV2Jobs << "}";

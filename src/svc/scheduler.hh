@@ -4,7 +4,7 @@
  *
  * Bridges the service's job-oriented API onto util::ThreadPool's task
  * queue: every submitted job becomes one pool task, so concurrent
- * recovery sessions shard across the pool's workers while the pool's
+ * recovery jobs shard across the pool's workers while the pool's
  * FIFO task order keeps job execution order deterministic (job i
  * starts no later than job i+1). The queue is bounded — submissions
  * beyond maxQueuedJobs are rejected with a zero JobId instead of
@@ -14,7 +14,7 @@
  * The scheduler tracks per-job state (Queued/Running/Done/Failed/
  * Quarantined) and aggregate counters, including the peak number of
  * concurrently running jobs — the observable the acceptance test uses
- * to prove multiple sessions really make progress simultaneously.
+ * to prove multiple jobs really make progress simultaneously.
  *
  * Jobs carry an optional resilience policy (JobPolicy): a throwing
  * attempt is retried automatically with exponential backoff up to
@@ -81,8 +81,7 @@ struct JobPolicy
      * Seconds after submission by which the job must *start* (0 =
      * none). A job dequeued — or considered for retry — past this is
      * failed without running: the scheduler cannot preempt a running
-     * body, so in-flight timeout enforcement belongs to the body
-     * (e.g. SessionConfig::deadlineSeconds).
+     * body, so in-flight timeout enforcement belongs to the body.
      */
     double deadlineSeconds = 0.0;
 };

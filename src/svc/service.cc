@@ -87,8 +87,6 @@ jobErrorCodeName(JobErrorCode code)
         return "none";
     case JobErrorCode::BadInput:
         return "bad_input";
-    case JobErrorCode::MeasurementFailed:
-        return "measurement_failed";
     case JobErrorCode::Unsatisfiable:
         return "unsatisfiable";
     case JobErrorCode::Ambiguous:
@@ -109,9 +107,6 @@ struct RecoveryService::JobRecord
     MiscorrectionProfile profile;
     /** Non-empty for trace submissions. */
     std::string tracePath;
-    /** Non-null for chip-endpoint session submissions. */
-    dram::MemoryInterface *sessionMem = nullptr;
-    SessionSubmitOptions sessionOptions;
     std::mutex mutex;
     JobStatus status;
 
@@ -123,7 +118,6 @@ struct RecoveryService::JobRecord
         std::lock_guard<std::mutex> lock(mutex);
         profile = {};
         tracePath = {};
-        sessionOptions = {};
     }
 };
 
@@ -176,7 +170,7 @@ RecoveryService::scheduleRecord(std::unique_ptr<JobRecord> record,
     // (ENOSPC and friends) rejects the submission — the service never
     // accepts work it could not make durable.
     std::string submit_line;
-    if (journal && journal_->enabled() && !record->sessionMem) {
+    if (journal && journal_->enabled()) {
         submit_line = !record->tracePath.empty()
                           ? "trace " + std::to_string(
                                 record->options.parityBits) +
@@ -352,31 +346,6 @@ RecoveryService::submitTraceFile(const std::string &path,
     return scheduleRecord(std::move(record), 0, true);
 }
 
-SubmitOutcome
-RecoveryService::submitSession(dram::MemoryInterface &mem,
-                               const SessionSubmitOptions &options)
-{
-    if (stopped_.load())
-        return rejected(SubmitOutcome::Reject::Overloaded,
-                        "service is shutting down");
-    const std::size_t k = mem.datawordBits();
-    if (k == 0 || k > kMaxDatawordBits)
-        return rejected(SubmitOutcome::Reject::BadPayload,
-                        "chip dataword length outside service limits");
-    const std::size_t parity = ecc::parityBitsForDataBits(k);
-    if (parity > kMaxParityBits)
-        return rejected(SubmitOutcome::Reject::BadPayload,
-                        "parity-bit count exceeds service limit");
-
-    auto record = std::make_unique<JobRecord>();
-    record->sessionMem = &mem;
-    record->sessionOptions = options;
-    record->status.k = k;
-    record->status.parityBits = parity;
-
-    return scheduleRecord(std::move(record), 0, true);
-}
-
 void
 RecoveryService::replayJournal()
 {
@@ -447,68 +416,6 @@ RecoveryService::replayJournal()
 }
 
 void
-RecoveryService::runSessionJob(JobRecord &record)
-{
-    SessionConfig config;
-    config.measure = record.sessionOptions.measure;
-    config.solver = config_.solver;
-    config.escalateToTwoCharged =
-        record.sessionOptions.escalateToTwoCharged;
-    config.adaptiveEarlyExit = record.sessionOptions.adaptiveEarlyExit;
-    config.wordsUnderTest = record.sessionOptions.wordsUnderTest;
-    config.repair = record.sessionOptions.repair;
-    config.deadlineSeconds = record.sessionOptions.deadlineSeconds;
-    config.measurementBudget = record.sessionOptions.measurementBudget;
-
-    Session session(*record.sessionMem, config);
-    const RecoveryReport report = session.run();
-    // One job, one answer-producing solve path (the session's rounds
-    // share an incremental context), matching the counter's "jobs
-    // answered by SAT" meaning.
-    satSolves_.fetch_add(1, std::memory_order_relaxed);
-    quorumVotesSpent_.fetch_add(report.stats.quorumVotesSpent,
-                                std::memory_order_relaxed);
-    quorumEscalations_.fetch_add(report.stats.quorumEscalations,
-                                 std::memory_order_relaxed);
-
-    const std::size_t parity =
-        ecc::parityBitsForDataBits(report.profile.k);
-    if (report.succeeded())
-        cache_->insert(report.profile, parity, report.recoveredCode());
-
-    // Graceful degradation is a *completed* job with a diagnosis: the
-    // state stays Done, the taxonomy code says why the answer is not
-    // a unique function.
-    JobErrorCode code = JobErrorCode::None;
-    switch (report.diagnosis.outcome) {
-    case SessionOutcome::Unique:
-        break;
-    case SessionOutcome::Ambiguous:
-        code = JobErrorCode::Ambiguous;
-        break;
-    case SessionOutcome::Unsatisfiable:
-        code = JobErrorCode::Unsatisfiable;
-        break;
-    case SessionOutcome::DeadlineExceeded:
-    case SessionOutcome::BudgetExhausted:
-        code = JobErrorCode::Timeout;
-        break;
-    }
-
-    std::lock_guard<std::mutex> lock(record.mutex);
-    record.status.patterns = report.profile.patterns.size();
-    record.status.succeeded = report.succeeded();
-    record.status.solutions = report.solve.solutions.size();
-    record.status.complete = report.solve.complete;
-    if (report.succeeded()) {
-        record.status.code = report.recoveredCode();
-        record.status.codeString = record.status.code->toString();
-    }
-    record.status.errorCode = code;
-    record.status.diagnosisJson = report.diagnosis.toJson();
-}
-
-void
 RecoveryService::runJob(JobRecord &record)
 {
     const auto wall_start = std::chrono::steady_clock::now();
@@ -528,21 +435,6 @@ RecoveryService::runJob(JobRecord &record)
         // retried like any other job-body failure.
         if (config_.onJobStart)
             config_.onJobStart(id);
-        if (record.sessionMem) {
-            try {
-                runSessionJob(record);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(record.mutex);
-                record.status.errorCode =
-                    JobErrorCode::MeasurementFailed;
-                throw;
-            }
-            const double seconds = secondsSince(wall_start);
-            std::lock_guard<std::mutex> lock(record.mutex);
-            record.status.seconds = seconds;
-            record.status.state = JobState::Done;
-            return;
-        }
         // Trace submissions re-measure their profile first. A throw
         // here means the recorded trace itself was unusable.
         if (!record.tracePath.empty()) {
@@ -594,8 +486,7 @@ RecoveryService::runJob(JobRecord &record)
             }
         }
 
-        // Taxonomy for completed-but-answerless solves, mirroring the
-        // session diagnosis mapping.
+        // Taxonomy for completed-but-answerless solves.
         if (!result.succeeded)
             result.errorCode = (result.complete &&
                                 result.solutions == 0)
@@ -718,10 +609,6 @@ RecoveryService::health() const
     report.journalReplays =
         journalReplays_.load(std::memory_order_relaxed);
     report.journal = journal_->stats();
-    report.quorumVotesSpent =
-        quorumVotesSpent_.load(std::memory_order_relaxed);
-    report.quorumEscalations =
-        quorumEscalations_.load(std::memory_order_relaxed);
     return report;
 }
 

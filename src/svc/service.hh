@@ -7,6 +7,8 @@
  * profiles (as in-process objects, versioned text payloads, or
  * recorded measurement traces), each submission becomes a scheduled
  * job on the shared thread pool, and results are polled by job id.
+ * The service only solves profiles; it never drives a chip. A
+ * measurement runs in a beer::Session, and its profile is submitted.
  * The API surface is versioned (kApiVersion) and deliberately
  * transport-free — tests drive it fully in-process, and the HTTP/1.1
  * adapter (svc/http.hh) is a thin serialization shim over exactly
@@ -49,7 +51,6 @@
 #include <vector>
 
 #include "beer/profile.hh"
-#include "beer/session.hh"
 #include "beer/solver.hh"
 #include "svc/fingerprint_cache.hh"
 #include "svc/io.hh"
@@ -70,25 +71,6 @@ struct SubmitOptions
     std::size_t parityBits = 0;
     /** Skip the cache lookup (the solve still populates it). */
     bool bypassCache = false;
-};
-
-/** Options for a chip-endpoint session submission. */
-struct SessionSubmitOptions
-{
-    /** Measurement plan the session drives against the chip
-     *  (including quorum reads, MeasureConfig::quorum). */
-    MeasureConfig measure = MeasureConfig::paperDefault();
-    /** UNSAT-core repair of noise-poisoned rounds. */
-    SessionRepairConfig repair;
-    /** Per-session wall-clock deadline, seconds (0 = none). */
-    double deadlineSeconds = 0.0;
-    /** Per-session experiment budget (0 = none). */
-    std::uint64_t measurementBudget = 0;
-    /** Session knobs beyond the solver/measure plan. */
-    bool escalateToTwoCharged = true;
-    bool adaptiveEarlyExit = true;
-    /** Words to program and observe (empty = every word). */
-    std::vector<std::size_t> wordsUnderTest;
 };
 
 /** Outcome of a submit call. */
@@ -125,24 +107,21 @@ enum class CacheOutcome
 
 /**
  * Structured failure/degradation taxonomy for jobs. Orthogonal to
- * JobState: a Done session job can still carry Unsatisfiable or
- * Timeout when it completed by degrading gracefully instead of
- * recovering a unique function, and a Failed job says *why* without
- * string matching.
+ * JobState: a Done job still carries Unsatisfiable or Ambiguous when
+ * its solve found no unique function, and a Failed job says *why*
+ * without string matching.
  */
 enum class JobErrorCode
 {
     None,
     /** The submission's own data was unusable (bad trace, bad k). */
     BadInput,
-    /** The chip/backend measurement path threw. */
-    MeasurementFailed,
-    /** No ECC function is consistent with the evidence (corruption
-     *  that quorum + repair could not mask). */
+    /** No ECC function is consistent with the profile. */
     Unsatisfiable,
     /** Multiple candidate functions remain (need more evidence). */
     Ambiguous,
-    /** A deadline or measurement budget expired first. */
+    /** The job's deadline expired first. Reserved for a per-job
+     *  solve deadline; nothing produces it yet. */
     Timeout,
     /** Anything else that threw out of the job body. */
     Internal,
@@ -177,8 +156,6 @@ struct JobStatus
     JobErrorCode errorCode = JobErrorCode::None;
     /** Attempts started (> 1 only under a retry policy). */
     std::size_t attempts = 0;
-    /** SessionDiagnosis::toJson() for session jobs, else empty. */
-    std::string diagnosisJson;
 };
 
 /** One page of the job listing. */
@@ -223,10 +200,6 @@ struct HealthReport
     std::uint64_t journalReplays = 0;
     /** Journal size/compaction/corruption counters. */
     JournalStats journal;
-    /** Quorum reads spent by session jobs (adaptive or fixed). */
-    std::uint64_t quorumVotesSpent = 0;
-    /** Quorum escalations to the full vote tier by session jobs. */
-    std::uint64_t quorumEscalations = 0;
 };
 
 /** Construction knobs for the service. */
@@ -255,13 +228,12 @@ struct ServiceConfig
      * job a `done`/`failed` record, so a service constructed over the
      * same path after a crash re-submits the unfinished jobs under
      * their original ids (HealthReport::journalReplays) — queued work
-     * survives restarts without duplicate side effects. Session
-     * (chip-endpoint) jobs are not journaled: a live chip pointer
-     * cannot be re-created from disk. Neither are inline exact hits:
-     * they are terminal before submit returns, so replay would have
-     * nothing to redo, and a submit/done pair would only be written
-     * to be compacted away. A replayed job that is now an exact hit
-     * is answered inline and its submit record retired.
+     * survives restarts without duplicate side effects. Inline exact
+     * hits are not journaled: they are terminal before submit returns,
+     * so replay would have nothing to redo, and a submit/done pair
+     * would only be written to be compacted away. A replayed job that
+     * is now an exact hit is answered inline and its submit record
+     * retired.
      */
     std::string journalPath;
     /**
@@ -316,18 +288,6 @@ class RecoveryService
     SubmitOutcome submitTraceFile(const std::string &path,
                                   const SubmitOptions &options = {});
 
-    /**
-     * Submit a chip *endpoint*: the service runs the full adaptive
-     * measure -> solve recovery session against @p mem as one job,
-     * serially on the worker that picks it up. The caller keeps
-     * ownership of @p mem and must keep it alive and untouched until
-     * the job finishes; the job's worker thread is the only thread
-     * driving it. A unique recovery populates the fingerprint cache
-     * exactly like a profile submission.
-     */
-    SubmitOutcome submitSession(dram::MemoryInterface &mem,
-                                const SessionSubmitOptions &options = {});
-
     /** Snapshot of one job; nullopt if the id was never issued. */
     std::optional<JobStatus> job(JobId id) const;
 
@@ -364,7 +324,6 @@ class RecoveryService
     SubmitOutcome scheduleRecord(std::unique_ptr<JobRecord> record,
                                  JobId force_id, bool journal);
     void runJob(JobRecord &record);
-    void runSessionJob(JobRecord &record);
 
     /** Re-submit unfinished jobs recorded in the journal. */
     void replayJournal();
@@ -381,8 +340,6 @@ class RecoveryService
     std::atomic<std::uint64_t> legacyPayloads_{0};
     std::atomic<std::uint64_t> traceV2Jobs_{0};
     std::atomic<std::uint64_t> journalReplays_{0};
-    std::atomic<std::uint64_t> quorumVotesSpent_{0};
-    std::atomic<std::uint64_t> quorumEscalations_{0};
     std::atomic<bool> stopped_{false};
     std::unique_ptr<JobJournal> journal_;
     std::chrono::steady_clock::time_point start_;

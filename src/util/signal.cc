@@ -77,15 +77,4 @@ shutdownWakeFd()
     return wakePipe[0];
 }
 
-void
-requestShutdown()
-{
-    if (shutdownFlag.exchange(true))
-        return;
-    if (wakePipe[1] >= 0) {
-        const char byte = 1;
-        (void)!write(wakePipe[1], &byte, 1);
-    }
-}
-
 } // namespace beer::util

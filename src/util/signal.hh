@@ -12,8 +12,7 @@
  * blocking accept()/read() calls return EINTR and their loops re-check
  * the flag.
  *
- * The flag is process-wide and latches; requestShutdown() sets it
- * programmatically (tests, internal shutdown paths).
+ * The flag is process-wide and latches.
  */
 
 #ifndef BEER_UTIL_SIGNAL_HH
@@ -29,7 +28,7 @@ namespace beer::util
  */
 void installShutdownHandler();
 
-/** True once a shutdown signal arrived or requestShutdown() ran. */
+/** True once a shutdown signal arrived. */
 bool shutdownRequested();
 
 /**
@@ -38,9 +37,6 @@ bool shutdownRequested();
  * installShutdownHandler() has run.
  */
 int shutdownWakeFd();
-
-/** Request shutdown programmatically (same effect as a signal). */
-void requestShutdown();
 
 } // namespace beer::util
 

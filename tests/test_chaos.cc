@@ -631,22 +631,6 @@ TEST(Chaos, DeadlineExceededUnderReadStalls)
     EXPECT_GT(report.diagnosis.elapsedSeconds, 0.0);
 }
 
-// A measurement budget bounds the experiment count the same way.
-TEST(Chaos, MeasurementBudgetExhaustionDiagnosed)
-{
-    SimulatedChip chip(testChipConfig('A', 16, 7600));
-    SessionConfig config;
-    config.measure = fastMeasure(chip);
-    config.measurementBudget = 2;
-    config.wordsUnderTest = dram::trueCellWords(chip);
-    Session session(chip, config);
-    const RecoveryReport report = session.run();
-
-    EXPECT_EQ(report.diagnosis.outcome,
-              SessionOutcome::BudgetExhausted);
-    EXPECT_FALSE(report.diagnosis.detail.empty());
-}
-
 // Seed-pinned contract: a self-contradictory profile has zero
 // consistent ECC functions, the enumeration proves it (complete with
 // an empty solution list), and it does not throw.

@@ -146,9 +146,8 @@ TEST_P(IncrementalEquivalence, RoundVerdictsAndFinalSetMatchScratch)
         // Final round: full evidence, uncapped — the solution sets
         // must be identical and contain the planted code, even though
         // earlier rounds blocked (then retracted) candidate models.
-        incremental.setMaxSolutions(0);
         incremental.addProfile(full);
-        const BeerSolveResult inc = incremental.solve();
+        const BeerSolveResult inc = incremental.solve(0);
         const BeerSolveResult scratch =
             solveForEccFunction(full, code.numParityBits());
         ASSERT_TRUE(inc.complete && scratch.complete) << "k=" << k;
@@ -252,9 +251,8 @@ TEST(IncrementalSolver, WithoutSymmetryBreakingMatchesScratch)
         EXPECT_EQ(inc.unique(), scratch.unique()) << "n=" << n;
     }
 
-    incremental.setMaxSolutions(0);
     incremental.addProfile(full);
-    const BeerSolveResult inc = incremental.solve();
+    const BeerSolveResult inc = incremental.solve(0);
     BeerSolverConfig uncapped = config;
     uncapped.maxSolutions = 0;
     const BeerSolveResult scratch =

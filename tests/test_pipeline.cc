@@ -1,10 +1,11 @@
 /**
  * @file
- * End-to-end integration tests: a full-sweep beer::Session against
- * simulated vendor chips must uniquely recover the secret on-die ECC function
- * through the external chip interface alone — the paper's headline
- * experiment (Section 5), validated here against ground truth, which
- * the authors could not do on real chips.
+ * End-to-end integration tests: a beer::Session against simulated
+ * vendor chips (A/B/C at k=16, vendor A at k=8 and k=24) must uniquely
+ * recover the secret on-die ECC function through the external chip
+ * interface alone — the paper's headline experiment (Section 5),
+ * validated here against ground truth, which the authors could not do
+ * on real chips.
  */
 
 #include <gtest/gtest.h>
@@ -22,12 +23,12 @@ namespace
 {
 
 /**
- * The paper's methodology as one run: sweep every pattern, solve,
- * escalate to 2-CHARGED patterns if still ambiguous, on the chip's
- * true-cell words.
+ * The paper's methodology as one run on the chip's true-cell words:
+ * measure 1-CHARGED patterns until the solve is unique, escalating to
+ * 2-CHARGED patterns if they all leave it ambiguous.
  */
 SessionConfig
-fullSweepConfig(const Chip &chip)
+sessionConfig(const Chip &chip)
 {
     SessionConfig config;
     config.measure.pausesSeconds.clear();
@@ -36,7 +37,6 @@ fullSweepConfig(const Chip &chip)
             chip.retentionModel().pauseForBitErrorRate(ber, 80.0));
     config.measure.repeatsPerPause = 25;
     config.measure.thresholdProbability = 1e-4;
-    config.adaptiveEarlyExit = false;
     config.wordsUnderTest = dram::trueCellWords(chip);
     return config;
 }
@@ -49,7 +49,7 @@ expectRecovers(char vendor, std::size_t k, std::uint64_t seed)
     config.iidErrors = true;
     Chip chip(config);
 
-    const SessionConfig session_config = fullSweepConfig(chip);
+    const SessionConfig session_config = sessionConfig(chip);
     ASSERT_FALSE(session_config.wordsUnderTest.empty());
     Session session(chip, session_config);
     const auto report = session.run();

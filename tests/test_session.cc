@@ -1,11 +1,10 @@
 /**
  * @file
- * Tests for the staged beer::Session recovery API: the adaptive
- * early-exit schedule must recover the identical unique ECC function
- * as the full sweep on every vendor configuration while issuing
- * strictly fewer pattern measurements, the explicit
- * measure/solve/escalate stages must compose, and the serial schedule
- * is pinned bit for bit.
+ * Tests for beer::Session recovery: the adaptive early-exit schedule
+ * must recover the identical unique ECC function as the full-sweep
+ * reference on every vendor configuration while issuing strictly
+ * fewer pattern measurements, and the serial schedule is pinned bit
+ * for bit.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +17,7 @@
 #include "ecc/code_equiv.hh"
 #include "ecc/hamming.hh"
 #include "ref/eager_beer_solve.hh"
+#include "ref/full_sweep.hh"
 
 using namespace beer;
 using beer::dram::ChipConfig;
@@ -47,18 +47,6 @@ fastMeasure(const SimulatedChip &chip)
     measure.repeatsPerPause = 25;
     measure.thresholdProbability = 1e-4;
     return measure;
-}
-
-/** Full-sweep session: every pattern measured before each solve. */
-RecoveryReport
-runFullSweep(SimulatedChip &chip)
-{
-    SessionConfig config;
-    config.measure = fastMeasure(chip);
-    config.adaptiveEarlyExit = false;
-    config.wordsUnderTest = dram::trueCellWords(chip);
-    Session session(chip, config);
-    return session.run();
 }
 
 /** FNV-1a over @p bytes. */
@@ -104,7 +92,9 @@ TEST(Session, AdaptiveEarlyExitMatchesFullSweep)
 
         // Full sweep.
         SimulatedChip full_chip(testChipConfig(vendor, 16, seed));
-        const RecoveryReport full = runFullSweep(full_chip);
+        const test::ref::FullSweepResult full = test::ref::fullSweep(
+            full_chip, fastMeasure(full_chip),
+            dram::trueCellWords(full_chip));
         ASSERT_TRUE(full.succeeded()) << "vendor " << vendor;
 
         // Adaptive session on an identically manufactured chip.
@@ -126,46 +116,12 @@ TEST(Session, AdaptiveEarlyExitMatchesFullSweep)
         // The point of the adaptive schedule: provably-unique solves
         // end the measurement early, so strictly fewer (pattern,
         // pause, repeat) experiments run than in the full sweep.
-        EXPECT_LT(adaptive.stats.patternMeasurements,
-                  full.stats.patternMeasurements)
+        EXPECT_LT(adaptive.stats.patternMeasurements, full.experiments)
             << "vendor " << vendor;
         EXPECT_LT(adaptive.counts.patterns.size(),
                   full.counts.patterns.size())
             << "vendor " << vendor;
     }
-}
-
-TEST(Session, StagedApiComposes)
-{
-    SimulatedChip chip(testChipConfig('A', 8, 901));
-    SessionConfig config;
-    config.measure = fastMeasure(chip);
-    config.wordsUnderTest = dram::trueCellWords(chip);
-    config.patternsPerRound = 1;
-    Session session(chip, config);
-
-    // Drive the stages by hand instead of run().
-    std::size_t rounds = 0;
-    while (!session.finished()) {
-        if (session.measureRound()) {
-            ++rounds;
-            if (session.solve().unique())
-                break;
-            continue;
-        }
-        if (!session.escalate())
-            break;
-    }
-
-    const RecoveryReport report = session.report();
-    ASSERT_TRUE(report.succeeded());
-    EXPECT_TRUE(ecc::equivalent(report.recoveredCode(),
-                                chip.groundTruthCode()));
-    EXPECT_EQ(report.stats.measureRounds, rounds);
-    EXPECT_EQ(report.counts.patterns.size(), rounds);
-    EXPECT_GT(report.stats.solveCalls, 0u);
-    EXPECT_GT(report.stats.sat.decisions, 0u);
-    EXPECT_GE(report.stats.measureSeconds, 0.0);
 }
 
 TEST(Session, ProgressCallbackObservesStages)
@@ -193,29 +149,6 @@ TEST(Session, ProgressCallbackObservesStages)
                         SessionStage::Solve),
               stages.end());
     EXPECT_EQ(final_patterns, report.counts.patterns.size());
-}
-
-TEST(Session, NonAdaptiveSweepIsDeterministic)
-{
-    // A full sweep measures the whole plan in one round and solves
-    // once (twice when it escalates); identical chips must give
-    // identical reports.
-    SimulatedChip chip_a(testChipConfig('C', 16, 903));
-    SimulatedChip chip_b(testChipConfig('C', 16, 903));
-    const RecoveryReport first = runFullSweep(chip_a);
-    const RecoveryReport second = runFullSweep(chip_b);
-
-    ASSERT_TRUE(first.succeeded());
-    ASSERT_TRUE(second.succeeded());
-    EXPECT_EQ(first.counts.patterns, second.counts.patterns);
-    EXPECT_EQ(first.counts.errorCounts, second.counts.errorCounts);
-    EXPECT_EQ(first.profile, second.profile);
-    EXPECT_TRUE(first.solve.solutions == second.solve.solutions);
-    EXPECT_EQ(first.usedTwoCharged, second.usedTwoCharged);
-    EXPECT_EQ(first.counts.patterns.size(), 16u);
-    EXPECT_EQ(first.stats.measureRounds, 1u);
-    EXPECT_TRUE(ecc::equivalent(first.recoveredCode(),
-                                chip_a.groundTruthCode()));
 }
 
 TEST(Session, EscalatesForAmbiguousOneChargedProfiles)

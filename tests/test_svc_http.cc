@@ -199,14 +199,13 @@ TEST(SvcHttp, SocketRoundTrip)
     serving.join();
 }
 
-TEST(SvcHttp, HealthExposesJournalAndQuorumCounters)
+TEST(SvcHttp, HealthExposesJournalCounters)
 {
     RecoveryService service;
     HttpServer server(service);
 
     // The fault-tolerance observability surface: journal byte/record/
-    // compaction counters and adaptive-quorum vote totals, in both
-    // /health and /v1/stats.
+    // compaction counters, in both /health and /v1/stats.
     for (const char *route : {"/health", "/v1/stats"}) {
         const HttpResponse response =
             server.handle("GET", route, "");
@@ -214,8 +213,7 @@ TEST(SvcHttp, HealthExposesJournalAndQuorumCounters)
         for (const char *key :
              {"\"journal\":{", "\"bytes\":", "\"records\":",
               "\"compactions\":", "\"crc_skipped\":",
-              "\"torn_tail\":", "\"append_failures\":",
-              "\"quorum\":{", "\"votes_spent\":", "\"escalations\":"})
+              "\"torn_tail\":", "\"append_failures\":"})
             EXPECT_NE(response.body.find(key), std::string::npos)
                 << route << " missing " << key;
     }

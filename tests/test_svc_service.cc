@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -246,8 +247,11 @@ TEST(SvcService, ConcurrentExactHitsAgreeWithTheCache)
     std::vector<MiscorrectionProfile> cached;
     std::vector<MiscorrectionProfile> uncached;
     std::set<std::uint64_t> fingerprints;
-    while (cached.size() + uncached.size() <
-           kCached + kThreads * kMissesPerThread) {
+    const std::size_t wanted = kCached + kThreads * kMissesPerThread;
+    // Bounded: a fingerprint that ignores part of the profile would
+    // make every draw collide.
+    for (int draw = 0;
+         draw < 1000 && cached.size() + uncached.size() < wanted; ++draw) {
         const LinearCode code = randomSecCode(8, rng);
         MiscorrectionProfile profile = plantedProfile(code, {1, 2});
         if (!fingerprints
@@ -258,6 +262,8 @@ TEST(SvcService, ConcurrentExactHitsAgreeWithTheCache)
         (cached.size() < kCached ? cached : uncached)
             .push_back(std::move(profile));
     }
+    ASSERT_EQ(cached.size() + uncached.size(), wanted)
+        << "1000 random codes gave too few distinct fingerprints";
 
     ServiceConfig config;
     config.threads = 2;
@@ -1018,6 +1024,23 @@ TEST(SvcService, ExactHitIsAcceptedWhileTheQueueIsFull)
         cv.wait(lock, [&] { return !hold; });
     };
     RecoveryService service(config);
+    // Unparks the worker. It also runs on every early return (a failed
+    // ASSERT), before the service's destructor drains the queue.
+    struct Release
+    {
+        std::mutex &mutex;
+        std::condition_variable &cv;
+        bool &hold;
+        void operator()()
+        {
+            {
+                std::lock_guard<std::mutex> lock(mutex);
+                hold = false;
+            }
+            cv.notify_all();
+        }
+        ~Release() { (*this)(); }
+    } release{mutex, cv, hold};
     ASSERT_TRUE(service.submitProfile(cached).accepted);
     service.drain();
 
@@ -1029,7 +1052,9 @@ TEST(SvcService, ExactHitIsAcceptedWhileTheQueueIsFull)
     ASSERT_TRUE(running.accepted) << running.error;
     {
         std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return held == 1; });
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                                [&] { return held == 1; }))
+            << "the first miss never started a job";
     }
     const SubmitOutcome queued = service.submitProfile(misses[1]);
     ASSERT_TRUE(queued.accepted) << queued.error;
@@ -1039,11 +1064,7 @@ TEST(SvcService, ExactHitIsAcceptedWhileTheQueueIsFull)
     const SubmitOutcome hit = service.submitProfile(cached);
     const auto hit_job = service.job(hit.id);
     const std::uint64_t depth = service.health().queueDepth;
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        hold = false;
-    }
-    cv.notify_all();
+    release();
     service.drain();
 
     EXPECT_FALSE(shed.accepted);
@@ -1108,66 +1129,4 @@ TEST(SvcService, ReplayedJobThatIsNowAnExactHitIsAnsweredInline)
     restarted.shutdown();
     std::remove(config.journalPath.c_str());
     std::remove(config.cache.path.c_str());
-}
-
-TEST(SvcService, SessionJobRecoversChipAndPopulatesCache)
-{
-    dram::ChipConfig chip_config = dram::makeVendorConfig('C', 16, 17);
-    chip_config.map.rows = 64;
-    chip_config.iidErrors = true;
-    dram::SimulatedChip chip(chip_config);
-
-    svc::SessionSubmitOptions options;
-    options.measure.pausesSeconds.clear();
-    for (double ber : {0.05, 0.15, 0.3})
-        options.measure.pausesSeconds.push_back(
-            chip.retentionModel().pauseForBitErrorRate(ber, 80.0));
-    options.measure.repeatsPerPause = 25;
-    options.measure.thresholdProbability = 1e-4;
-    options.wordsUnderTest = dram::trueCellWords(chip);
-
-    RecoveryService service;
-    const SubmitOutcome outcome = service.submitSession(chip, options);
-    ASSERT_TRUE(outcome.accepted) << outcome.error;
-    ASSERT_TRUE(service.waitForJob(outcome.id));
-    const auto job = service.job(outcome.id);
-    ASSERT_TRUE(job.has_value());
-    EXPECT_EQ(job->state, JobState::Done);
-    EXPECT_TRUE(job->succeeded);
-    ASSERT_TRUE(job->code.has_value());
-    EXPECT_TRUE(equivalent(*job->code, chip.groundTruthCode()));
-    EXPECT_EQ(service.health().satSolves, 1u);
-
-    svc::HttpServer server(service);
-    const svc::HttpResponse response = server.handle(
-        "GET", "/v1/jobs/" + std::to_string(outcome.id), "");
-    EXPECT_EQ(response.status, 200);
-    EXPECT_NE(response.body.find("\"diagnosis\":{\"outcome\":\"unique\""),
-              std::string::npos)
-        << response.body;
-
-    // The job ran the serial session, so the same session on an
-    // identically manufactured chip measures the same profile. The
-    // job cached its answer under that profile: submitting it is an
-    // exact hit that costs no solve.
-    dram::SimulatedChip twin_chip(chip_config);
-    SessionConfig twin_config;
-    twin_config.measure = options.measure;
-    twin_config.solver = ServiceConfig().solver;
-    twin_config.wordsUnderTest = options.wordsUnderTest;
-    Session twin(twin_chip, twin_config);
-    const RecoveryReport report = twin.run();
-    ASSERT_TRUE(report.succeeded());
-    EXPECT_EQ(job->patterns, report.profile.patterns.size());
-
-    const SubmitOutcome hit = service.submitProfile(report.profile);
-    ASSERT_TRUE(hit.accepted) << hit.error;
-    ASSERT_TRUE(service.waitForJob(hit.id));
-    const auto hit_job = service.job(hit.id);
-    ASSERT_TRUE(hit_job.has_value());
-    EXPECT_EQ(hit_job->cache, CacheOutcome::Exact);
-    ASSERT_TRUE(hit_job->code.has_value());
-    EXPECT_TRUE(*hit_job->code == *job->code);
-    EXPECT_EQ(service.health().satSolves, 1u);
-    EXPECT_EQ(service.health().cache.exactHits, 1u);
 }
